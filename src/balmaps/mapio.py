@@ -125,7 +125,7 @@ def tree_from_dict(data: dict):
             (int(e["white"][0]), int(e["white"][1]), int(e["blue"]),
              int(e["red"][0]), int(e["red"][1]))
             for e in data["edges"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidInput("tree object needs d and edges: %s" % exc)
     t = EdgeLabeledTree(d, edges)
     t.validate()

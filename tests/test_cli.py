@@ -134,6 +134,19 @@ def test_dps_encode_decode(tmp_path, capsys, duals3):
     assert g2.canonical_code() == g.canonical_code()
 
 
+@pytest.mark.parametrize("tree", [
+    '{"fmt":1,"d":1,"edges":[]}',
+    '{"fmt":1,"d":0,"edges":[]}',
+    '{"fmt":1,"d":Infinity,"edges":[]}',
+])
+def test_dps_decode_malformed_tree(tmp_path, capsys, tree):
+    p = tmp_path / "tree.json"
+    p.write_text(tree)
+    code, out = run_capture(capsys, ["dps", "decode", str(p)])
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidInput"
+
+
 def test_corpus_command(capsys):
     code, out = run_capture(capsys, ["corpus", "2"])
     assert code == 0

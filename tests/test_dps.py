@@ -1,15 +1,57 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from balmaps import dps, maps
 from balmaps.errors import DegreePropertyFailed, InvalidInput, LimitExceeded
 
 
+def random_tree(rng, d):
+    """A uniform edge-labeled tree: a random Pruefer sequence, then shuffled
+    blue labels on the edges and red labels on the edge ends."""
+    seq = [rng.randrange(d) for _ in range(d - 2)]
+    degree = [1] * d
+    for x in seq:
+        degree[x] += 1
+    pairs = []
+    for x in seq:
+        leaf = degree.index(1)
+        pairs.append((leaf, x))
+        degree[leaf] -= 1
+        degree[x] -= 1
+    pairs.append(tuple(v for v in range(d) if degree[v] == 1))
+    blues = list(range(1, d))
+    reds = list(range(1, 2 * d - 1))
+    rng.shuffle(blues)
+    rng.shuffle(reds)
+    return dps.EdgeLabeledTree(d, tuple(
+        (a, b, blues[i], reds[2 * i], reds[2 * i + 1])
+        for i, (a, b) in enumerate(pairs)))
+
+
 def test_enumerate_trees_counts():
     assert len(dps.enumerate_trees(2)) == 1
     assert len(dps.enumerate_trees(3)) == 24
-    assert len(dps.enumerate_trees(4)) == 2880
+    trees4 = dps.enumerate_trees(4)
+    assert len(trees4) == 2880
+    assert len({t.canonical_key() for t in trees4}) == 2880
+
+
+def test_canonical_key_ignores_white_names():
+    rng = random.Random(12)
+    for _ in range(20):
+        t = random_tree(rng, 12)
+        images = list(range(12))
+        rng.shuffle(images)
+        edges = [(images[wb], images[wa], blue, rb, ra) if rng.random() < 0.5
+                 else (images[wa], images[wb], blue, ra, rb)
+                 for wa, wb, blue, ra, rb in t.edges]
+        rng.shuffle(edges)
+        renamed = dps.EdgeLabeledTree(12, tuple(edges))
+        renamed.validate()
+        assert renamed.canonical_key() == t.canonical_key()
 
 
 def test_enumerate_trees_cap():
@@ -24,6 +66,8 @@ def test_tree_validation():
         dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (0, 1, 2, 3, 4))).validate()
     with pytest.raises(InvalidInput):
         dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 1), (1, 2, 2, 3, 4))).validate()
+    with pytest.raises(InvalidInput):
+        dps.EdgeLabeledTree(1, ()).validate()
 
 
 def test_blue_labels_clockwise_around_whites():
@@ -110,6 +154,38 @@ def test_bernardi_spanning_tree(duals3):
             assert o.forward[e] == dart
 
 
+def test_bernardi_spanning_tree_ignores_recursion_limit():
+    d = 100
+    # a path-shaped tree; its rightmost search runs 2d-3 vertices deep
+    t = dps.EdgeLabeledTree(d, tuple((i, i + 1, d - 1 - i, 2 * i + 2, 2 * i + 1)
+                                     for i in range(d - 1)))
+    g = dps.tree_to_graph(t)
+    o = dps.felsner_normalize(dps.orient_greater_label_left(g))
+    expected = dps.bernardi_spanning_tree(o)
+    m = g.m
+    search_depth = 0
+    for v in m.vertex_ids():
+        k = 0
+        while v != expected.root:
+            v = m.vertex_of[m.alpha[expected.parent_dart[v]]]
+            k += 1
+        search_depth = max(search_depth, k)
+    stack_depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        stack_depth += 1
+        frame = frame.f_back
+    margin = 50
+    assert search_depth > 2 * margin
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth + margin)
+    try:
+        got = dps.bernardi_spanning_tree(o)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+
+
 def test_round_trip_d2():
     from tests.conftest import make_labeled_duals
     for g in make_labeled_duals(2):
@@ -142,6 +218,40 @@ def test_tree_round_trip_from_tree_side():
         g = dps.tree_to_graph(t)
         t2 = dps.graph_to_tree(g)
         assert t2.canonical_key() == t.canonical_key()
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(6, 16), rng=st.randoms(use_true_random=False))
+def test_round_trip_random_trees(d, rng):
+    t = random_tree(rng, d)
+    t2 = dps.graph_to_tree(dps.tree_to_graph(t))
+    assert t2.canonical_key() == t.canonical_key()
+
+
+def test_decode_large_tree():
+    """Decode only: encoding still enumerates every directed cycle."""
+    d = 60
+    g = dps.tree_to_graph(random_tree(random.Random(60), d))
+    g.validate()
+    assert g.m.num_vertices == 2 * d
+    assert g.m.num_faces == 2 * d - 2
+
+
+def test_decode_builds_two_maps(monkeypatch):
+    """The sewn preimage and its collapse, once each: no retries."""
+    builds = []
+    init = maps.CombinatorialMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(maps.CombinatorialMap, "__init__", counting_init)
+    rng = random.Random(5)
+    for d in (2, 3, 6, 10, 14):
+        builds.clear()
+        dps.tree_to_graph(random_tree(rng, d))
+        assert len(builds) == 2
 
 
 def test_round_trip_on_realized_generator_duals():
