@@ -46,7 +46,6 @@ from .maps import (
     CombinatorialMap,
     FaceLabeledGraph,
     build_map,
-    canonical_form,
     checkerboard,
     dual_bipartite,
     generate,

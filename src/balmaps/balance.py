@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionFailed, TooLarge
-from .maps import ColoredMap
+from .maps import ColoredMap, directed_cycles, left_faces
 
 
 @dataclass
@@ -45,11 +45,6 @@ class BalanceReport:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
-
-
-def face_corners(cm: ColoredMap, face: int) -> int:
-    """Number of boundary corners of a face (vertex visits, with multiplicity)."""
-    return len(cm.m.faces[face])
 
 
 def face_weights(cm: ColoredMap) -> List[int]:
@@ -90,63 +85,20 @@ def enumerate_blue_left_curves(cm: ColoredMap, max_vertices: int = 10):
     m = cm.m
     if m.num_vertices > max_vertices:
         raise TooLarge("curve oracle capped at %d vertices" % max_vertices)
-    out_darts: Dict[int, List[int]] = {}
-    for v in m.vertex_ids():
-        out_darts[v] = []
-    for e in m.edges():
-        f = cm.forward_dart(e)
-        out_darts[m.vertex_of[f]].append(f)
-    for v in out_darts:
-        out_darts[v].sort()
-
-    cycles: List[Tuple[int, ...]] = []
-
-    def extend(path: List[int], used_vertices: set, target: int):
-        head = m.vertex_of[m.alpha[path[-1]]]
-        if head == target:
-            cycles.append(tuple(path))
-            # a longer cycle through target again would repeat it
-        if head in used_vertices:
-            return
-        used_vertices.add(head)
-        for nxt in out_darts[head]:
-            # darts below the start belong to a cycle counted from there
-            if nxt > path[0]:
-                extend(path + [nxt], used_vertices, target)
-        used_vertices.remove(head)
-
-    for start in sorted(d for outs in out_darts.values() for d in outs):
-        v0 = m.vertex_of[start]
-        extend([start], {v0}, v0)
-
-    results = []
-    for darts in cycles:
-        B, W = curve_left_counts(cm, darts)
-        results.append((darts, B, W))
-    return results
+    forward = [cm.forward_dart(e) for e in m.edges()]
+    return [(darts,) + curve_left_counts(cm, darts)
+            for darts in directed_cycles(m, forward)]
 
 
 def curve_left_counts(cm: ColoredMap, darts: Tuple[int, ...]) -> Tuple[int, int]:
     """Blue/white face counts in the open disk left of a directed cycle.
 
-    The side is grown from the faces adjacent to the curve's left darts,
-    crossing only edges the curve does not use.
+    Each side is grown from the faces next to the curve, crossing only
+    edges the curve does not use; the two sides must partition the faces.
     """
     m = cm.m
-    cut = {m.edge_of(d) for d in darts}
-    left = {m.face_of[d] for d in darts}
-    right = {m.face_of[m.alpha[d]] for d in darts}
-    for region in (left, right):
-        frontier = list(region)
-        while frontier:
-            f = frontier.pop()
-            for d in m.faces[f]:
-                if m.edge_of(d) in cut:
-                    continue
-                g = m.face_of[m.alpha[d]]
-                if g not in region:
-                    region.add(g)
-                    frontier.append(g)
+    left = left_faces(m, darts)
+    right = left_faces(m, [m.alpha[d] for d in darts])
     if left & right or len(left) + len(right) != m.num_faces:
         raise PreconditionFailed("curve does not separate the sphere")
     B = sum(1 for f in left if f in cm.blue_faces)

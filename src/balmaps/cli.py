@@ -201,8 +201,6 @@ def cmd_export_dot(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="balmaps",
                                 description="balanced 4-valent sphere maps toolkit")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for randomized property checks")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("validate")

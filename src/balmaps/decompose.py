@@ -23,7 +23,7 @@ from .errors import (
     NotApplicable,
     TrivialCut,
 )
-from .maps import ColoredMap, CombinatorialMap, canonical_form, pinch, quadratic
+from .maps import ColoredMap, CombinatorialMap, pinch, quadratic
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,7 @@ class DecompositionTree:
     def to_dict(self) -> dict:
         if self.pieces is None:
             return {"kind": self.kind,
-                    "code": list(canonical_form(self.map.m))}
+                    "code": list(self.map.m.canonical_code())}
         return {"cut": [self.cut.kind, list(self.cut.darts)],
                 "pieces": [p.to_dict() for p in self.pieces]}
 

@@ -26,7 +26,13 @@ from .errors import (
     NonTermination,
     NotSpanning,
 )
-from .maps import CombinatorialMap, FaceLabeledGraph
+from .maps import (
+    CombinatorialMap,
+    FaceLabeledGraph,
+    count_components,
+    directed_cycles,
+    left_faces,
+)
 
 TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red_b)
 
@@ -55,22 +61,12 @@ class EdgeLabeledTree:
         reds = sorted(r for e in self.edges for r in (e[3], e[4]))
         if reds != list(range(1, 2 * d - 1)):
             raise InvalidInput("red labels must be a bijection onto 1..2d-2")
-        # connectivity / acyclicity
-        parent = list(range(d))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for wa, wb, _, _, _ in self.edges:
             if not (0 <= wa < d and 0 <= wb < d) or wa == wb:
                 raise InvalidInput("bad white endpoints %r" % ((wa, wb),))
-            ra, rb = find(wa), find(wb)
-            if ra == rb:
-                raise InvalidInput("edges contain a cycle")
-            parent[ra] = rb
+        # with d-1 edges, acyclic is the same as connected
+        if count_components(d, ((e[0] + 1, e[1] + 1) for e in self.edges)) != 1:
+            raise InvalidInput("edges contain a cycle")
 
     def canonical_key(self) -> Tuple:
         """Invariant under renaming of the white vertices."""
@@ -243,52 +239,6 @@ def orient_greater_label_left(g: FaceLabeledGraph) -> EdgeOrientation:
     return EdgeOrientation(g, forward, root, root_face)
 
 
-def _directed_cycles(o: EdgeOrientation) -> List[Tuple[int, ...]]:
-    """Vertex-simple cycles following the orientation, minimal dart first."""
-    m = o.g.m
-    out_darts = {v: [] for v in m.vertex_ids()}
-    for e, f in o.forward.items():
-        out_darts[m.vertex_of[f]].append(f)
-    for v in out_darts:
-        out_darts[v].sort()
-    cycles = []
-
-    def extend(path, used, target):
-        head = m.vertex_of[m.alpha[path[-1]]]
-        if head == target:
-            cycles.append(tuple(path))
-        if head in used:
-            return
-        used.add(head)
-        for nxt in out_darts[head]:
-            if nxt > path[0]:
-                extend(path + [nxt], used, target)
-        used.remove(head)
-
-    for start in sorted(d for outs in out_darts.values() for d in outs):
-        extend([start], {m.vertex_of[start]}, m.vertex_of[start])
-    return cycles
-
-
-def _is_clockwise(o: EdgeOrientation, darts: Tuple[int, ...]) -> bool:
-    """Clockwise: the bounded side (the one without the root face) lies to
-    the right, i.e. the root face is on the left."""
-    m = o.g.m
-    cut = {m.edge_of(d) for d in darts}
-    left = {m.face_of[d] for d in darts}
-    frontier = list(left)
-    while frontier:
-        f = frontier.pop()
-        for d in m.faces[f]:
-            if m.edge_of(d) in cut:
-                continue
-            gface = m.face_of[m.alpha[d]]
-            if gface not in left:
-                left.add(gface)
-                frontier.append(gface)
-    return o.root_face in left
-
-
 def felsner_normalize(o: EdgeOrientation,
                       rng: Optional[random.Random] = None) -> EdgeOrientation:
     """Reverse clockwise cycles until none remain; the result is unique
@@ -297,7 +247,9 @@ def felsner_normalize(o: EdgeOrientation,
     out = o.copy()
     cap = m.num_edges * m.num_faces + 1
     for _ in range(cap):
-        cw = [c for c in _directed_cycles(out) if _is_clockwise(out, c)]
+        # clockwise: the bounded side (without the root face) is on the right
+        cw = [c for c in directed_cycles(m, out.forward.values())
+              if out.root_face in left_faces(m, c)]
         if not cw:
             return out
         pick = rng.choice(cw) if rng is not None else cw[0]

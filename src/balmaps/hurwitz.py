@@ -11,17 +11,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegreeTooSmall, LimitExceeded, Mismatch
-from .maps import ColoredMap, checkerboard
+from .maps import ColoredMap, checkerboard, count_components, perm_cycles
 from .realize import (
     TranspositionTuple,
+    _conjugate_flat,
     enrich,
     enumerate_matchings,
     graph_from_monodromy,
     integrate_labels,
+    left_multiply,
     monodromy,
 )
 
@@ -37,6 +40,12 @@ def hurwitz_count(d: int) -> int:
     """
     if d < 3:
         raise DegreeTooSmall("closed formula requires d >= 3")
+    # refuse, before computing, a count too long to print in decimal; the
+    # count has more than d digits once d > 12, so huge d never reaches lgamma
+    limit = sys.get_int_max_str_digits()
+    if limit and (d > limit or (math.lgamma(2 * d - 1) + (d - 3) * math.log(d)
+                                - math.lgamma(d + 1)) / math.log(10) + 1 > limit):
+        raise LimitExceeded("the count has more than %d decimal digits" % limit)
     return math.factorial(2 * d - 2) * d ** (d - 3) // math.factorial(d)
 
 
@@ -62,76 +71,34 @@ def _raw_tuples_first_fixed(d: int) -> List[Tuple[Pair, ...]]:
     trans = _transpositions(d)
     results: List[Tuple[Pair, ...]] = []
 
-    ident = tuple(range(d + 1))
-
-    def apply_t(perm: Tuple[int, ...], a: int, b: int) -> Tuple[int, ...]:
-        out = list(perm)
-        for x in range(1, d + 1):
-            if out[x] == a:
-                out[x] = b
-            elif out[x] == b:
-                out[x] = a
-        return tuple(out)
-
-    def ncycles(perm: Tuple[int, ...]) -> int:
-        seen = [False] * (d + 1)
-        c = 0
-        for x in range(1, d + 1):
-            if not seen[x]:
-                c += 1
-                y = x
-                while not seen[y]:
-                    seen[y] = True
-                    y = perm[y]
-        return c
-
-    def components(chosen: List[Pair]) -> int:
-        parent = list(range(d + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in chosen:
-            pa, pb = find(a), find(b)
-            if pa != pb:
-                parent[pa] = pb
-        return len({find(x) for x in range(1, d + 1)})
-
     chosen: List[Pair] = [(1, 2)]
-    start = apply_t(ident, 1, 2)
+    start = left_multiply(tuple(range(d + 1)), 1, 2)
 
     def rec(k: int, prod: Tuple[int, ...]):
         # k transpositions chosen so far, prod = tau_k o ... o tau_1
         if k == n - 1:
-            dist = d - ncycles(prod)
+            dist = d - len(perm_cycles(prod))
             if dist != 1:
                 return
             moved = [x for x in range(1, d + 1) if prod[x] != x]
             last = (moved[0], moved[1])  # inverse of a transposition is itself
             full = chosen + [last]
-            if components(full) == 1:
+            if count_components(d, full) == 1:
                 results.append(tuple(full))
             return
         r = n - 1 - k  # free slots left before the forced last one
-        dist = d - ncycles(prod)
+        dist = d - len(perm_cycles(prod))
         if dist > r + 1 or (dist + r) % 2 == 0:
             return
-        if components(chosen) - 1 > r + 1:
+        if count_components(d, chosen) - 1 > r + 1:
             return
         for a, b in trans:
             chosen.append((a, b))
-            rec(k + 1, apply_t(prod, a, b))
+            rec(k + 1, left_multiply(prod, a, b))
             chosen.pop()
 
     rec(1, start)
     return results
-
-
-def _conjugate_flat(taus: Tuple[Pair, ...], g: Tuple[int, ...]) -> Tuple[Pair, ...]:
-    return tuple((g[a], g[b]) if g[a] < g[b] else (g[b], g[a]) for a, b in taus)
 
 
 def enumerate_classes(d: int, limit: int = 5) -> List[TupleClass]:

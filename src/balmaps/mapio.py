@@ -43,17 +43,27 @@ def map_to_dict(obj: Union[CombinatorialMap, ColoredMap]) -> dict:
     return out
 
 
+def _int(x) -> int:
+    """A JSON integer, or TypeError for any other value (bools included);
+    the readers turn the TypeError into InvalidInput."""
+    if type(x) is not int:
+        raise TypeError("expected an integer, got %r" % (x,))
+    return x
+
+
 def map_from_dict(data: dict) -> Union[CombinatorialMap, ColoredMap]:
     try:
-        darts = int(data["darts"])
-        sigma = data["sigma"]
-        alpha = data["alpha"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput("map object needs darts, sigma, alpha: %s" % exc)
+        darts = _int(data["darts"])
+        sigma = [[_int(x) for x in cyc] for cyc in data["sigma"]]
+        alpha = [[_int(x) for x in pair] for pair in data["alpha"]]
+        blue = [_int(f) for f in data["blue_faces"]] if "blue_faces" in data else None
+    except (KeyError, TypeError) as exc:
+        raise InvalidInput("map object needs integer darts, sigma, alpha: %s" % exc)
+    # a valid map pairs every dart, so this bounds the tables before they exist
+    if darts != 2 * len(alpha):
+        raise InvalidInput("darts is %d but alpha has %d pairs" % (darts, len(alpha)))
     m = build_map(sigma, alpha, darts=darts)
-    if "blue_faces" in data:
-        return ColoredMap(m, data["blue_faces"])
-    return m
+    return m if blue is None else ColoredMap(m, blue)
 
 
 def dumps(data: dict) -> str:
@@ -75,9 +85,9 @@ def tuple_to_dict(t) -> dict:
 def tuple_from_dict(data: dict):
     from .realize import TranspositionTuple
     try:
-        d = int(data["d"])
-        taus = tuple(tuple(int(x) for x in p) for p in data["taus"])
-    except (KeyError, TypeError, ValueError) as exc:
+        d = _int(data["d"])
+        taus = tuple(tuple(_int(x) for x in p) for p in data["taus"])
+    except (KeyError, TypeError) as exc:
         raise InvalidInput("tuple object needs d and taus: %s" % exc)
     return TranspositionTuple(d, taus)
 
@@ -92,15 +102,19 @@ def dual_to_dict(g: FaceLabeledGraph) -> dict:
 
 
 def dual_from_dict(data: dict) -> FaceLabeledGraph:
-    m = map_from_dict({k: data[k] for k in ("darts", "sigma", "alpha")})
     try:
-        blue = frozenset(int(v) for v in data["blue_vertices"])
-        reds = tuple(int(r) for r in data["face_reds"])
+        fields = {k: data[k] for k in ("darts", "sigma", "alpha")}
+        blue = frozenset(_int(v) for v in data["blue_vertices"])
+        reds = tuple(_int(r) for r in data["face_reds"])
+        labels = data.get("blue_labels")
+        if labels is not None:
+            if not isinstance(labels, dict):
+                raise TypeError("blue_labels must be an object")
+            labels = tuple(sorted((int(v), _int(l)) for v, l in labels.items()))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput("dual object needs blue_vertices, face_reds: %s" % exc)
-    labels = None
-    if "blue_labels" in data:
-        labels = tuple(sorted((int(v), int(l)) for v, l in data["blue_labels"].items()))
+        raise InvalidInput("dual object needs darts, sigma, alpha, blue_vertices, "
+                           "face_reds and integer blue_labels: %s" % exc)
+    m = map_from_dict(fields)
     g = FaceLabeledGraph(m, blue, reds, labels)
     g.validate()
     return g
@@ -120,12 +134,12 @@ def tree_to_dict(t) -> dict:
 def tree_from_dict(data: dict):
     from .dps import EdgeLabeledTree
     try:
-        d = int(data["d"])
+        d = _int(data["d"])
         edges = tuple(
-            (int(e["white"][0]), int(e["white"][1]), int(e["blue"]),
-             int(e["red"][0]), int(e["red"][1]))
+            (_int(e["white"][0]), _int(e["white"][1]), _int(e["blue"]),
+             _int(e["red"][0]), _int(e["red"][1]))
             for e in data["edges"])
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, IndexError) as exc:
         raise InvalidInput("tree object needs d and edges: %s" % exc)
     t = EdgeLabeledTree(d, edges)
     t.validate()

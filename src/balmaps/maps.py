@@ -75,11 +75,36 @@ def _check_perm(img: Sequence[int], n: int, name: str) -> Perm:
     return tuple(img)
 
 
+def count_components(n: int, pairs: Iterable[Sequence[int]]) -> int:
+    """Connected components of the graph on points 1..n whose edges are
+    ``pairs`` (union-find)."""
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = n
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
+
+
+def _by_least_label(cycles: Sequence[Sequence[int]], lab: Sequence[int]) -> List[int]:
+    """Indices of disjoint dart cycles, ordered by their least dart label."""
+    return sorted(range(len(cycles)), key=lambda i: min(map(lab.__getitem__, cycles[i])))
+
+
 class CombinatorialMap:
     """An embedded graph on the oriented sphere, as a rotation system."""
 
     __slots__ = ("n", "sigma", "alpha", "phi", "faces", "face_of",
-                 "vertex_of", "_vertices", "_code", "_colored_codes")
+                 "vertex_of", "_vertices", "_code")
 
     def __init__(self, sigma: Sequence[int], alpha: Sequence[int], check: bool = True):
         n = len(sigma) - 1
@@ -120,7 +145,6 @@ class CombinatorialMap:
                     % (self.num_vertices - self.num_edges + self.num_faces))
 
         self._code = None
-        self._colored_codes = {}
 
     # -- basic counts --------------------------------------------------------
 
@@ -182,28 +206,36 @@ class CombinatorialMap:
     # -- isomorphism ----------------------------------------------------------
 
     def _bfs_trace(self, root: int) -> Tuple[List[int], List[int]]:
-        """Relabel darts by BFS discovery from ``root``; return (trace, order).
+        """Relabel darts by BFS discovery from ``root``; return (trace, lab).
 
         The trace lists, for each dart in discovery order, the discovery
-        labels of its sigma- and alpha-images.  Two rooted maps are
-        isomorphic iff their traces agree.
+        labels of its sigma- and alpha-images; ``lab`` maps each dart to its
+        label.  Two rooted maps are isomorphic iff their traces agree.
         """
+        sigma, alpha = self.sigma, self.alpha
         lab = [0] * (self.n + 1)
-        order = [root]
         lab[root] = 1
-        i = 0
-        while i < len(order):
-            d = order[i]
-            i += 1
-            for nb in (self.sigma[d], self.alpha[d]):
-                if not lab[nb]:
-                    lab[nb] = len(order) + 1
-                    order.append(nb)
+        order = [root]
         trace = []
         for d in order:
-            trace.append(lab[self.sigma[d]])
-            trace.append(lab[self.alpha[d]])
-        return trace, order
+            for nb in (sigma[d], alpha[d]):
+                if not lab[nb]:
+                    order.append(nb)
+                    lab[nb] = len(order)
+                trace.append(lab[nb])
+        return trace, lab
+
+    def _least_trace(self, decorate=None) -> Tuple[int, ...]:
+        """Least BFS trace over all root darts, each extended by
+        ``decorate(lab)`` when given, prefixed by the dart count."""
+        best = None
+        for root in range(1, self.n + 1):
+            trace, lab = self._bfs_trace(root)
+            if decorate is not None:
+                trace += decorate(lab)
+            if best is None or trace < best:
+                best = trace
+        return (self.n,) + tuple(best)
 
     def canonical_code(self) -> Tuple[int, ...]:
         """Lexicographically least BFS trace over all root darts.
@@ -212,19 +244,13 @@ class CombinatorialMap:
         relabeling commutes with both sigma and alpha.
         """
         if self._code is None:
-            best = None
-            for root in range(1, self.n + 1):
-                trace, _ = self._bfs_trace(root)
-                if best is None or trace < best:
-                    best = trace
-            self._code = (self.n,) + tuple(best)
+            self._code = self._least_trace()
         return self._code
 
     def canonical_roots(self) -> List[int]:
         """Roots whose BFS trace equals the canonical code; one per automorphism."""
-        code = self.canonical_code()[1:]
-        return [r for r in range(1, self.n + 1)
-                if tuple(self._bfs_trace(r)[0]) == code]
+        code = list(self.canonical_code()[1:])
+        return [r for r in range(1, self.n + 1) if self._bfs_trace(r)[0] == code]
 
     def relabeled(self, perm: Perm) -> "CombinatorialMap":
         """Conjugate sigma and alpha by a dart permutation (an isomorphic copy)."""
@@ -289,6 +315,67 @@ def isomorphism_brute_force(a: CombinatorialMap, b: CombinatorialMap) -> Optiona
     return None
 
 
+# -- cycles and regions -------------------------------------------------------
+
+
+def directed_cycles(m: CombinatorialMap, forward_darts: Iterable[int]) -> List[Tuple[int, ...]]:
+    """All vertex-simple directed cycles when each edge points along its
+    dart in ``forward_darts``.  Each cycle is listed from its minimal dart,
+    in depth-first order over ascending darts.  Exponential in general;
+    iterative, so the recursion limit plays no part."""
+    vertex_of, alpha = m.vertex_of, m.alpha
+    starts = sorted(forward_darts)
+    out: List[List[int]] = [[] for _ in range(m.n + 1)]
+    for f in starts:
+        out[vertex_of[f]].append(f)
+    cycles = []
+    for start in starts:
+        v0 = vertex_of[start]
+        # frames: per vertex the path has entered, its untried out-darts
+        path, used, frames = [start], {v0}, []
+        while path:
+            # path[-1] is new: record the cycle it closes, enter its head or drop it
+            head = vertex_of[alpha[path[-1]]]
+            if head == v0:
+                cycles.append(tuple(path))
+            if head in used:
+                path.pop()
+            else:
+                used.add(head)
+                frames.append((head, iter(out[head])))
+            # extend by the next untried dart, backtracking out of exhausted
+            # vertices; darts below the start belong to a cycle counted from there
+            while frames:
+                for nxt in frames[-1][1]:
+                    if nxt > start:
+                        break
+                else:
+                    used.remove(frames.pop()[0])
+                    path.pop()
+                    continue
+                path.append(nxt)
+                break
+    return cycles
+
+
+def left_faces(m: CombinatorialMap, darts: Sequence[int]) -> set:
+    """Faces reachable from the faces left of ``darts`` without crossing an
+    edge that carries one of them: for a directed cycle, its left side."""
+    cut = {m.edge_of(d) for d in darts}
+    region = {m.face_of[d] for d in darts}
+    frontier = list(region)
+    while frontier:
+        f = frontier.pop()
+        for d in m.faces[f]:
+            if m.edge_of(d) in cut:
+                continue
+            g = m.face_of[m.alpha[d]]
+            if g not in region:
+                region.add(g)
+                frontier.append(g)
+    return region
+
+
 # -- colored maps -------------------------------------------------------------
 
 
@@ -337,20 +424,9 @@ class ColoredMap:
     def colored_code(self) -> Tuple[int, ...]:
         """Canonical code refined by the blue/white bit of every face."""
         if self._colored_code is None:
-            m = self.m
-            best = None
-            for root in range(1, m.n + 1):
-                trace, order = m._bfs_trace(root)
-                lab = [0] * (m.n + 1)
-                for i, d in enumerate(order):
-                    lab[d] = i + 1
-                keyed = sorted((min(lab[d] for d in orbit), i)
-                               for i, orbit in enumerate(m.faces))
-                bits = [1 if i in self.blue_faces else 0 for _, i in keyed]
-                cand = trace + bits
-                if best is None or cand < best:
-                    best = cand
-            self._colored_code = (m.n,) + tuple(best)
+            faces, blue = self.m.faces, self.blue_faces
+            self._colored_code = self.m._least_trace(
+                lambda lab: [1 if i in blue else 0 for i in _by_least_label(faces, lab)])
         return self._colored_code
 
     def __eq__(self, other):
@@ -388,13 +464,6 @@ def checkerboard(m: CombinatorialMap) -> Tuple[ColoredMap, ColoredMap]:
     blue = frozenset(i for i, c in enumerate(color) if c == 1)
     first = ColoredMap(m, blue)
     return first, first.swapped()
-
-
-def canonical_form(obj) -> Tuple[int, ...]:
-    """Canonical code of a CombinatorialMap or ColoredMap."""
-    if isinstance(obj, ColoredMap):
-        return obj.colored_code()
-    return obj.canonical_code()
 
 
 # -- generators ---------------------------------------------------------------
@@ -564,26 +633,13 @@ class FaceLabeledGraph:
         """Canonical form refined by face reds and blue vertex labels."""
         m = self.m
         lab_map = self.blue_label_map()
-        best = None
-        for root in range(1, m.n + 1):
-            trace, order = m._bfs_trace(root)
-            lab = [0] * (m.n + 1)
-            for i, d in enumerate(order):
-                lab[d] = i + 1
-            fkey = sorted((min(lab[d] for d in orbit), i)
-                          for i, orbit in enumerate(m.faces))
-            deco = [self.face_red[i] for _, i in fkey]
-            vkey = sorted((min(lab[d] for d in cyc), cyc[0])
-                          for cyc in m._vertices)
-            for _, v in vkey:
-                if v in self.blue_vertices:
-                    deco.append(lab_map.get(v, -1))
-                else:
-                    deco.append(0)
-            cand = trace + deco
-            if best is None or cand < best:
-                best = cand
-        return (m.n,) + tuple(best)
+
+        def decorate(lab):
+            vertices = (m._vertices[i][0] for i in _by_least_label(m._vertices, lab))
+            return ([self.face_red[i] for i in _by_least_label(m.faces, lab)]
+                    + [lab_map.get(v, -1) if v in self.blue_vertices else 0
+                       for v in vertices])
+        return m._least_trace(decorate)
 
 
 def dual_bipartite(cm: ColoredMap, labels: Dict[int, int]) -> FaceLabeledGraph:

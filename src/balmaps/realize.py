@@ -11,6 +11,7 @@ balance conditions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -24,7 +25,7 @@ from .errors import (
     NoGenericRealization,
     NotBalanced,
 )
-from .maps import ColoredMap, CombinatorialMap
+from .maps import ColoredMap, CombinatorialMap, count_components
 
 Pair = Tuple[int, int]
 
@@ -51,47 +52,39 @@ class TranspositionTuple:
         for p in self.taus:
             if len(p) != 2 or not (1 <= p[0] <= d and 1 <= p[1] <= d) or p[0] == p[1]:
                 raise InvalidTuple("%r is not a transposition of 1..%d" % (p, d))
-        prod = list(range(d + 1))
+        ident = tuple(range(d + 1))
+        prod = ident
         for a, b in self.taus:
-            # left-multiply by (a b): prod becomes tau o prod
-            for x in range(1, d + 1):
-                if prod[x] == a:
-                    prod[x] = b
-                elif prod[x] == b:
-                    prod[x] = a
-        if prod != list(range(d + 1)):
+            prod = left_multiply(prod, a, b)
+        if prod != ident:
             raise InvalidTuple("product of the tuple is not the identity")
         if not self.is_transitive():
             raise InvalidTuple("tuple does not act transitively")
 
     def is_transitive(self) -> bool:
-        parent = list(range(self.d + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self.taus:
-            parent[find(a)] = find(b)
-        return len({find(x) for x in range(1, self.d + 1)}) == 1
+        return count_components(self.d, self.taus) == 1
 
     def conjugate(self, g: Tuple[int, ...]) -> "TranspositionTuple":
-        taus = tuple(tuple(sorted((g[a], g[b]))) for a, b in self.taus)
-        return TranspositionTuple(self.d, taus)
+        return TranspositionTuple(self.d, _conjugate_flat(self.taus, g))
+
+
+def left_multiply(perm: Tuple[int, ...], a: int, b: int) -> Tuple[int, ...]:
+    """(a b) o perm: the image table with the values a and b exchanged."""
+    out = list(perm)
+    i, j = out.index(a), out.index(b)
+    out[i], out[j] = b, a
+    return tuple(out)
+
+
+def _conjugate_flat(taus: Tuple[Pair, ...], g: Tuple[int, ...]) -> Tuple[Pair, ...]:
+    """Rename every point x as g[x], keeping each pair sorted."""
+    return tuple((g[a], g[b]) if g[a] < g[b] else (g[b], g[a]) for a, b in taus)
 
 
 def canonical_tuple(t: TranspositionTuple) -> Tuple[Pair, ...]:
     """Lexicographically least flat encoding over all diagonal conjugations."""
-    import itertools
-    best = None
-    for images in itertools.permutations(range(1, t.d + 1)):
-        g = (0,) + images
-        cand = tuple(tuple(sorted((g[a], g[b]))) for a, b in t.taus)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(_conjugate_flat(t.taus, (0,) + images)
+               for images in itertools.permutations(range(1, t.d + 1)))
 
 
 def tuples_conjugate(a: TranspositionTuple, b: TranspositionTuple) -> bool:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from balmaps import mapio, maps
+from balmaps import dps, mapio, maps
 from balmaps.cli import run
 
 
@@ -145,6 +145,44 @@ def test_dps_decode_malformed_tree(tmp_path, capsys, tree):
     code, out = run_capture(capsys, ["dps", "decode", str(p)])
     assert code == 2
     assert json.loads(out)["error"] == "InvalidInput"
+
+
+def _map_doc():
+    return mapio.map_to_dict(maps.checkerboard(maps.quadratic())[0])
+
+
+def _dual_doc():
+    tree = dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
+    return mapio.dual_to_dict(dps.tree_to_graph(tree))
+
+
+@pytest.mark.parametrize("argv,doc,key,edit", [
+    (["validate"], _map_doc, "sigma", lambda s: [["1"] + s[0][1:]] + s[1:]),
+    (["validate"], _map_doc, "blue_faces", lambda b: ["0"] + b[1:]),
+    (["validate"], _map_doc, "blue_faces", lambda b: [[0]] + b[1:]),
+    (["validate"], _map_doc, "sigma", lambda s: 5),
+    (["validate"], _map_doc, "darts", lambda n: 1e9),
+    (["validate"], _map_doc, "darts", lambda n: 10 ** 9),
+    (["dps", "encode"], _dual_doc, "blue_labels", lambda lab: list(lab.values())),
+    (["dps", "encode"], _dual_doc, "blue_labels", lambda lab: dict(lab, x=1)),
+], ids=["string-sigma-dart", "string-blue-face", "nested-blue-face", "int-sigma",
+        "float-darts", "huge-darts", "list-blue-labels", "string-blue-label-key"])
+def test_malformed_json_exits_two(tmp_path, capsys, argv, doc, key, edit):
+    data = doc()
+    data[key] = edit(data[key])
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(data))
+    code = run(argv + [str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"] == "InvalidInput"
+    assert "Traceback" not in captured.err
+
+
+def test_hurwitz_count_too_long_to_print(capsys):
+    code, out = run_capture(capsys, ["hurwitz", "count", "2000"])
+    assert code == 2
+    assert json.loads(out)["error"] == "LimitExceeded"
 
 
 def test_corpus_command(capsys):

@@ -59,6 +59,13 @@ def test_enumerate_trees_cap():
         dps.enumerate_trees(6)
 
 
+def test_dual_code_format_pinned():
+    t = dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
+    assert dps.tree_to_graph(t).canonical_code() == (
+        16, 2, 3, 1, 4, 5, 1, 6, 2, 3, 7, 8, 9, 10, 5, 11, 12, 7, 6, 13, 11, 4,
+        10, 14, 8, 9, 15, 12, 16, 16, 13, 15, 14, 1, 2, 3, 4, 1, 0, 0, 2, 3, 0)
+
+
 def test_tree_validation():
     t = dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
     t.validate()
@@ -115,8 +122,8 @@ def test_orientation_rejects_scrambled_labels(duals3):
 def test_felsner_no_clockwise_cycles(duals3):
     for g in duals3:
         o = dps.felsner_normalize(dps.orient_greater_label_left(g))
-        assert not [c for c in dps._directed_cycles(o)
-                    if dps._is_clockwise(o, c)]
+        assert not [c for c in maps.directed_cycles(g.m, o.forward.values())
+                    if o.root_face in maps.left_faces(g.m, c)]
 
 
 def test_felsner_fixed_point(duals3):

@@ -204,3 +204,23 @@ def test_dual_bipartite_octahedron():
     assert len(g.blue_vertices) == 4
     assert g.m.num_vertices == 8
     assert g.m.num_faces == 6
+
+
+# Literal codes pin the code format: a change to it fails here, not only as a
+# mismatch between two codes computed by the same new kernel.
+OCTAHEDRON_COLORED = (
+    24, 2, 3, 4, 5, 6, 1, 7, 8, 9, 2, 10, 11, 1, 12, 13, 4, 14, 15, 15, 16, 12,
+    6, 17, 7, 18, 19, 19, 20, 3, 9, 21, 10, 22, 23, 23, 24, 5, 13, 16, 14, 24,
+    22, 11, 21, 8, 17, 20, 18, 0, 1, 0, 1, 1, 0, 1, 0)
+
+
+def test_colored_code_format_pinned():
+    first, second = maps.checkerboard(maps.octahedron())
+    assert first.colored_code() == OCTAHEDRON_COLORED
+    assert second.colored_code() == OCTAHEDRON_COLORED
+
+
+def test_canonical_code_format_pinned():
+    assert maps.turkshead(2).canonical_code() == (
+        16, 2, 3, 4, 5, 6, 1, 7, 8, 3, 2, 9, 10, 1, 11, 12, 4, 5, 12, 11, 6, 13,
+        7, 14, 9, 15, 16, 16, 15, 10, 14, 8, 13)
