@@ -2,10 +2,17 @@
 
 With the vertex rotation fixed to the standard blocks (1 2 3 4)(5 6 7 8)...,
 every 4-valent map appears as some edge involution alpha; the search pairs
-the smallest unpaired dart first, normalizing the choice of a fresh vertex
-block (least untouched block, first dart), and prunes by tracking partial
-face orbits so that only genus-0 completions survive.  Duplicates are
-removed by canonical form.
+the smallest unpaired dart first, opening a fresh vertex block only at
+its first dart, so each rooted map (rooted at dart 1) comes out once, in
+lexicographic order of alpha[1..n].  Opened blocks always form a prefix;
+once the smallest unpaired dart lies past them they are closed into one
+component and the branch is cut.  Partial face orbits are tracked so that
+only genus-0 completions survive.
+
+Generation is orderly (Read, "Every one a winner", 1978): a completion is
+kept only if no other root, relabeled by the same rule, gives a smaller
+alpha, so each class yields its lex-least rooted labeling once and no
+dedup by canonical form is needed; canonical codes only sort the result.
 
 The mass formula sum(4V / |Aut|) over the classes equals the number of
 rooted 4-valent sphere maps with V vertices, 2 * 3^V (2V)! / (V! (V+2)!),
@@ -31,7 +38,8 @@ def rooted_count(v: int) -> int:
 
 def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
     """All connected 4-valent sphere maps with the given number of vertices,
-    one representative per orientation-preserving isomorphism class."""
+    one representative per orientation-preserving isomorphism class: the
+    lex-least rooted labeling, sorted by canonical code."""
     V = n_vertices
     n = 4 * V
     target_faces = V + 2
@@ -42,8 +50,7 @@ def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
 
     alpha = [0] * (n + 1)
     phi_next = [0] * (n + 1)  # partial phi, 0 = undefined
-    touched = [False] * V
-    found = {}
+    kept: List[CombinatorialMap] = []
 
     def closed_faces(d: int, c: int) -> int:
         # new arrows d -> sigma[c] and c -> sigma[d] were just added;
@@ -66,52 +73,63 @@ def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
             x = phi_next[x]
         return closed + (1 if x == c else 0)
 
-    def rec(first_free: int, faces_done: int, pairs_left: int):
+    def is_least() -> bool:
+        # relabel the completed map from every other root by the search's
+        # own rule (the root's block becomes 1..4, each newly reached block
+        # is opened at the dart that reaches it) and compare with alpha,
+        # which is the relabeling from root 1, up to the first difference
+        for r in range(2, n + 1):
+            lab = [0] * (n + 1)  # dart -> new label
+            orig = [0] * (n + 1)  # new label -> dart
+            x = r
+            for k in range(1, 5):
+                lab[x] = k
+                orig[k] = x
+                x = sigma[x]
+            top = 5  # first label of the next block to open
+            for d in range(1, n + 1):
+                y = alpha[orig[d]]
+                if not lab[y]:
+                    for k in range(top, top + 4):
+                        lab[y] = k
+                        orig[k] = y
+                        y = sigma[y]  # back at y after the 4-cycle
+                    top += 4
+                if lab[y] != alpha[d]:
+                    if lab[y] < alpha[d]:
+                        return False
+                    break
+        return True
+
+    def rec(first_free: int, faces_done: int, pairs_left: int, opened: int):
+        # vertex blocks 0 .. opened - 1 are in use; the rest are untouched
         d = first_free
         while d <= n and alpha[d]:
             d += 1
         if d > n:
-            if faces_done == target_faces:
-                try:
-                    m = CombinatorialMap(sigma, alpha)
-                except Exception:
-                    return
-                code = m.canonical_code()
-                if code not in found:
-                    found[code] = m
+            # the face-count prune admits a last pair only if it brings
+            # the faces to V + 2, so every completion is a sphere map
+            if is_least():
+                kept.append(CombinatorialMap(sigma, alpha))
             return
-        blk_d = (d - 1) // 4
-        was_touched_d = touched[blk_d]
-        touched[blk_d] = True
-        cands = []
-        fresh = None
-        for c in range(d + 1, n + 1):
-            if alpha[c]:
-                continue
-            blk = (c - 1) // 4
-            if touched[blk]:
-                cands.append(c)
-            elif fresh is None and c == 4 * blk + 1:
-                fresh = c
-        if fresh is not None:
-            cands.append(fresh)
+        top = 4 * opened
+        if d > top:
+            return  # the opened blocks are closed: disconnected
+        cands = [c for c in range(d + 1, top + 1) if not alpha[c]]
+        if opened < V:
+            cands.append(top + 1)  # a fresh block, entered at its first dart
         for c in cands:
-            blk_c = (c - 1) // 4
-            was_touched_c = touched[blk_c]
-            touched[blk_c] = True
             alpha[d], alpha[c] = c, d
             phi_next[d] = sigma[c]
             phi_next[c] = sigma[d]
             fd = faces_done + closed_faces(d, c)
             if fd <= target_faces and fd + 2 * (pairs_left - 1) >= target_faces:
-                rec(d + 1, fd, pairs_left - 1)
+                rec(d + 1, fd, pairs_left - 1, opened + (c > top))
             alpha[d] = alpha[c] = 0
             phi_next[d] = phi_next[c] = 0
-            touched[blk_c] = was_touched_c
-        touched[blk_d] = was_touched_d
 
-    rec(1, 0, n // 2)
-    return [found[c] for c in sorted(found)]
+    rec(1, 0, n // 2, 1)
+    return sorted(kept, key=CombinatorialMap.canonical_code)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -191,6 +192,13 @@ def test_corpus_command(capsys):
     data = json.loads(out)
     assert data["uncolored"] == 3
     assert data["colored"] == len(data["codes"])
+
+
+def test_corpus_six_output_pinned(capsys):
+    code, out = run_capture(capsys, ["corpus", "6"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "901cda8e7dc16585843f659ec613c5770304559050e45ba6f9c7407ef8389118")
 
 
 def test_dps_verify_positional_degree(capsys):

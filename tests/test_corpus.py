@@ -1,13 +1,77 @@
+import hashlib
+
+import pytest
+
 from balmaps import corpus, maps
+
+# first 16 hex digits of sha256(repr([m.alpha for m in maps])): the kept
+# representatives and their order, pinned
+ALPHA_DIGESTS = {
+    1: "e59e1ef76dda1de0",
+    2: "ef06bf55d6db3822",
+    3: "0621e86edb685a2e",
+    4: "ffa6a720f9e0499f",
+    5: "3429bcfc7bad7135",
+    6: "faac3a537fc5f9c5",
+}
+
+
+def _alpha_digest(ms):
+    return hashlib.sha256(repr([m.alpha for m in ms]).encode()).hexdigest()[:16]
+
+
+def _relabeled_alpha(m, root):
+    """alpha after relabeling from ``root``: the root's vertex gets 1..4 in
+    sigma order, and darts are scanned in new-label order, each unlabeled
+    partner opening the next vertex with its own dart first."""
+    new, order = {}, []
+
+    def open_vertex(x):
+        y = x
+        while True:
+            new[y] = len(order) + 1
+            order.append(y)
+            y = m.sigma[y]
+            if y == x:
+                return
+
+    open_vertex(root)
+    out = [0]
+    for x in order:
+        partner = m.alpha[x]
+        if partner not in new:
+            open_vertex(partner)
+        out.append(new[partner])
+    return tuple(out)
 
 
 def test_mass_formula_small():
     """Exhaustiveness: sum of 4V/|Aut| over classes equals the number of
     rooted 4-valent sphere maps, which has a closed form."""
-    for v in (1, 2, 3, 4):
+    for v in (1, 2, 3, 4, 5):
         ms = corpus.enumerate_four_valent(v)
         mass = sum(4 * v // len(m.canonical_roots()) for m in ms)
         assert mass == corpus.rooted_count(v)
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
+def test_alpha_lists_pinned(v):
+    assert _alpha_digest(corpus.enumerate_four_valent(v)) == ALPHA_DIGESTS[v]
+
+
+def test_alpha_list_pinned_six(corpus6):
+    six = [m for m in corpus6.uncolored if m.num_vertices == 6]
+    assert _alpha_digest(six) == ALPHA_DIGESTS[6]
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
+def test_orderly_representatives(v):
+    """Each kept alpha is the least relabeling over all roots, and the roots
+    that reproduce it are exactly the automorphisms."""
+    for m in corpus.enumerate_four_valent(v):
+        relabelings = [_relabeled_alpha(m, r) for r in range(1, m.n + 1)]
+        assert min(relabelings) == m.alpha
+        assert relabelings.count(m.alpha) == len(m.canonical_roots())
 
 
 def test_known_small_counts():
