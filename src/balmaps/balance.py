@@ -132,7 +132,9 @@ class _FlowNet:
         self.cap[(u, v)] = self.cap.get((u, v), 0) + c
         self.cap.setdefault((v, u), 0)
 
-    def max_flow(self, s, t) -> Tuple[int, Dict[Tuple[object, object], int]]:
+    def max_flow(self, s, t):
+        """(value, flow, the source side of a minimum cut: all the last,
+        failed search reaches in the residual network)."""
         flow: Dict[Tuple[object, object], int] = {k: 0 for k in self.cap}
         total = 0
         while True:
@@ -145,7 +147,7 @@ class _FlowNet:
                         parent[v] = u
                         q.append(v)
             if t not in parent:
-                return total, flow
+                return total, flow, set(parent)
             # bottleneck along the BFS path
             path = []
             v = t
@@ -183,14 +185,22 @@ def _build_network(cm: ColoredMap):
 def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Matching], dict]:
     """Local balance via max flow: balanced iff the flow fills the whole
     blue supply.  On success the flow is decomposed into a Matching, each
-    blue-white pair's flow going to its least shared edge."""
+    blue-white pair's flow going to its least shared edge.  On failure
+    ``info`` holds the Hall violator on the source side of the minimum cut:
+    blue faces outweighing all their white neighbours, which lie on that
+    side too because blue-white links are never cut."""
     jordan, wit = check_jordan(cm)
     if not jordan or not check_global(cm):
         raise PreconditionFailed("flow test requires Jordan faces and global balance")
     net, w, total_blue, shared = _build_network(cm)
-    value, flow = net.max_flow("D", "A")
+    value, flow, source_side = net.max_flow("D", "A")
     info = {"flow_value": value, "capacity": total_blue}
     if value < total_blue:
+        blues = sorted(f for kind, f in source_side - {"D"} if kind == "b")
+        whites = sorted(f for kind, f in source_side - {"D"} if kind == "w")
+        info.update(blue_faces=blues, white_faces=whites,
+                    blue_weight=sum(w[f] for f in blues),
+                    white_weight=sum(w[f] for f in whites))
         return False, None, info
     counts: Dict[int, int] = {}
     for (b, wh), edges in sorted(shared.items()):

@@ -14,7 +14,7 @@ import sys
 from typing import List, Optional
 
 from . import balance, corpus, decompose, dps, hurwitz, mapio, maps, realize
-from .errors import MapError
+from .errors import MapError, NotBalanced
 
 
 def _read(path: str) -> str:
@@ -62,8 +62,8 @@ def cmd_realize(args) -> int:
     cm = _load_colored(args.map)
     try:
         em, lab = realize.realize_generic(cm)
-    except MapError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
+    except NotBalanced as exc:
+        _emit({"error": "NotBalanced", "message": str(exc), "witness": exc.witness})
         return 1
     t = realize.monodromy(em, lab)
     _emit({

@@ -64,12 +64,12 @@ class InconsistentCocycle(MapError):
     """Cocycle integration failed; unreachable for a valid sphere map."""
 
 
-class NoGenericRealization(MapError):
-    """No matching/offset gives pairwise distinct critical labels."""
-
-
 class NotBalanced(MapError):
-    pass
+    """Negative verdict; ``witness`` is the failed balance condition's."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InvalidTuple(MapError):

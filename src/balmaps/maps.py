@@ -167,10 +167,12 @@ class CombinatorialMap:
         return [cyc[0] for cyc in self._vertices]
 
     def vertex_cycle(self, v: int) -> Tuple[int, ...]:
-        for cyc in self._vertices:
-            if cyc[0] == v:
-                return cyc
-        raise InvalidInput("no vertex %d" % v)
+        if not 1 <= v <= self.n or self.vertex_of[v] != v:
+            raise InvalidInput("no vertex %d" % v)
+        cyc = [v]
+        while self.sigma[cyc[-1]] != v:
+            cyc.append(self.sigma[cyc[-1]])
+        return tuple(cyc)
 
     def degree(self, v: int) -> int:
         return len(self.vertex_cycle(v))

@@ -7,6 +7,14 @@ read off the blue/white sheet pairings.  The inverse direction glues d
 blue and d white n-gons according to a transposition tuple and recovers
 the diagram, which makes realizability checkable with no reference to the
 balance conditions.
+
+Any solution of the face equations serves, with no search.  Labels run +1
+along blue and -1 along white faces, and an enriched face has n steps, so
+its labels wind once around it and only vertices sharing no face can tie.
+Ranking the critical vertices by (label, vertex id) keeps the cyclic order
+of every face, so counts read off the ranks solve the face equations again
+and integrate back to pairwise distinct labels: the constructive
+balanced => realizable half of the theorem.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from .errors import (
     InvalidMatching,
     InvalidTuple,
     LimitExceeded,
-    NoGenericRealization,
     NotBalanced,
 )
 from .maps import ColoredMap, CombinatorialMap, count_components
@@ -58,11 +65,8 @@ class TranspositionTuple:
             prod = left_multiply(prod, a, b)
         if prod != ident:
             raise InvalidTuple("product of the tuple is not the identity")
-        if not self.is_transitive():
+        if count_components(self.d, self.taus) != 1:
             raise InvalidTuple("tuple does not act transitively")
-
-    def is_transitive(self) -> bool:
-        return count_components(self.d, self.taus) == 1
 
     def conjugate(self, g: Tuple[int, ...]) -> "TranspositionTuple":
         return TranspositionTuple(self.d, _conjugate_flat(self.taus, g))
@@ -143,40 +147,37 @@ def enumerate_matchings(cm: ColoredMap, cap: int = 100000) -> Iterator[Matching]
         return
     sides = [m.edge_sides(e) for e in edges]
     k = len(edges)
-    future = [[0] * (k + 1) for _ in range(m.num_faces)]
-    for i in range(k - 1, -1, -1):
-        for f in range(m.num_faces):
-            future[f][i] = future[f][i + 1]
-        f1, f2 = sides[i]
-        future[f1][i] += 1
-        if f2 != f1:
-            future[f2][i] += 1
-
-    counts = [0] * k
-    yielded = [0]
-    nf = m.num_faces
-
-    def rec(i: int):
+    last = [0] * m.num_faces  # index of the last edge on each face
+    for i, (f1, f2) in enumerate(sides):
+        last[f1] = last[f2] = i
+    # depth first with an explicit stack: counts[i] is the count tried on
+    # edge i (-1 before the first).  A face must be full at its last edge,
+    # so all faces are full once every edge has a count.
+    counts = [-1] * k
+    yielded = 0
+    i = 0
+    while i >= 0:
         if i == k:
-            if all(r == 0 for r in rem):
-                yielded[0] += 1
-                if yielded[0] > cap:
-                    raise LimitExceeded("matching enumeration cap exceeded")
-                yield Matching({edges[j]: counts[j] for j in range(k) if counts[j]})
-            return
+            yielded += 1
+            if yielded > cap:
+                raise LimitExceeded("matching enumeration cap exceeded")
+            yield Matching({edges[j]: counts[j] for j in range(k) if counts[j]})
+            i -= 1
+            continue
         f1, f2 = sides[i]
-        hi = min(rem[f1], rem[f2])
-        for c in range(hi + 1):
-            counts[i] = c
-            rem[f1] -= c
-            rem[f2] -= c
-            if all(rem[f] == 0 or future[f][i + 1] > 0 for f in range(nf)):
-                yield from rec(i + 1)
+        c = counts[i] + 1
+        if c:
+            rem[f1] -= 1
+            rem[f2] -= 1
+        if rem[f1] < 0 or rem[f2] < 0:
             rem[f1] += c
             rem[f2] += c
-        counts[i] = 0
-
-    yield from rec(0)
+            counts[i] = -1
+            i -= 1
+            continue
+        counts[i] = c
+        if (rem[f1] == 0 or last[f1] > i) and (rem[f2] == 0 or last[f2] > i):
+            i += 1
 
 
 def enrich(cm: ColoredMap, matching: Matching) -> EnrichedMap:
@@ -230,9 +231,8 @@ def _directed_edges(em: EnrichedMap) -> List[Tuple[int, int, int]]:
     return out
 
 
-def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None,
-                     seed_label: int = 1) -> Labeling:
-    """Integrate the +1 coboundary from a seed vertex.
+def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None) -> Labeling:
+    """Integrate the +1 coboundary from a seed vertex labeled 1.
 
     Always succeeds on a valid enrichment: every face has n boundary steps,
     so the increments cancel around every face and the sphere has no other
@@ -246,7 +246,7 @@ def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None,
     for d, tail, head in _directed_edges(em):
         adj[tail].append((head, 1))
         adj[head].append((tail, -1))
-    labels = {seed_vertex: (seed_label - 1) % n + 1}
+    labels = {seed_vertex: 1}
     stack = [seed_vertex]
     while stack:
         v = stack.pop()
@@ -264,10 +264,6 @@ def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None,
 # -- monodromy extraction -----------------------------------------------------------
 
 
-class _ExtractionFailed(Exception):
-    """Internal: the enriched labeling does not define sheet bijections."""
-
-
 def _sheet_bijections(em: EnrichedMap, lab: Labeling):
     """Per label j, the blue-to-white face pairing across arcs from label j
     to label j+1."""
@@ -278,13 +274,13 @@ def _sheet_bijections(em: EnrichedMap, lab: Labeling):
         j = lab.labels[tail]
         bf, wf = full.face_of[d], full.face_of[full.alpha[d]]
         if bf in p[j] and p[j][bf] != wf:
-            raise _ExtractionFailed("blue face crosses arc %d twice" % j)
+            raise InvalidInput("blue face crosses arc %d twice" % j)
         p[j][bf] = wf
     blues = sorted(em.full_blue)
     whites = sorted(set(range(full.num_faces)) - em.full_blue)
     for j in range(1, n + 1):
         if set(p[j]) != set(blues) or sorted(p[j].values()) != whites:
-            raise _ExtractionFailed("arc %d pairing is not a bijection" % j)
+            raise InvalidInput("arc %d pairing is not a bijection" % j)
     return p, blues, whites
 
 
@@ -299,31 +295,18 @@ def monodromy(em: EnrichedMap, lab: Labeling) -> TranspositionTuple:
     n = em.n
     if sorted(crit.values()) != list(range(1, n + 1)):
         raise InvalidInput("critical labels must be pairwise distinct")
-    try:
-        p, blues, whites = _sheet_bijections(em, lab)
-    except _ExtractionFailed as exc:
-        raise InvalidInput(str(exc))
+    p, blues, whites = _sheet_bijections(em, lab)
     d = len(blues)
     sheet = {f: i + 1 for i, f in enumerate(blues)}
     whitenum = {p[n][f]: sheet[f] for f in blues}
-    # P[j] on sheets 1..d
-    P = [None] * (n + 1)
-    for j in range(1, n + 1):
-        P[j] = (0,) + tuple(whitenum[p[j][blues[i - 1]]] for i in range(1, d + 1))
-    Pinv = [None] * (n + 1)
-    for j in range(1, n + 1):
-        inv = [0] * (d + 1)
-        for x in range(1, d + 1):
-            inv[P[j][x]] = x
-        Pinv[j] = tuple(inv)
+    # P[j - 1][i - 1]: the sheet paired with blue sheet i across arc j
+    P = [[whitenum[p[j][f]] for f in blues] for j in range(1, n + 1)]
     taus = []
-    for j in range(1, n + 1):
-        prev = P[j - 1] if j > 1 else P[n]
-        perm = tuple(Pinv[j][prev[x]] if x else 0 for x in range(d + 1))
-        moved = [x for x in range(1, d + 1) if perm[x] != x]
-        if len(moved) != 2 or perm[moved[0]] != moved[1]:
-            raise InvalidInput("arc pairings at label %d are not a transposition" % j)
-        taus.append((moved[0], moved[1]))
+    for j in range(n):
+        moved = tuple(i + 1 for i in range(d) if P[j][i] != P[j - 1][i])
+        if len(moved) != 2:
+            raise InvalidInput("arc pairings at label %d are not a transposition" % (j + 1))
+        taus.append(moved)
     t = TranspositionTuple(d, tuple(taus))
     t.validate()
     return t
@@ -337,12 +320,10 @@ class Realization:
     colored: ColoredMap
     enriched: EnrichedMap
     labeling: Labeling
-    critical_labels: Optional[Dict[int, int]] = None  # keyed by colored-map vertex
+    critical_labels: Dict[int, int]  # keyed by colored-map vertex
 
     def diagram_labels(self) -> Dict[int, int]:
-        if self.critical_labels is not None:
-            return dict(self.critical_labels)
-        return {v: self.labeling.labels[v] for v in self.colored.m.vertex_ids()}
+        return dict(self.critical_labels)
 
 
 def graph_from_monodromy(t: TranspositionTuple) -> Realization:
@@ -447,49 +428,60 @@ def _suppress_two_valent(full: CombinatorialMap, full_blue: frozenset,
 # -- top-level decision procedures ----------------------------------------------------
 
 
-def realize_generic(cm: ColoredMap, cap: int = 100000) -> Tuple[EnrichedMap, Labeling]:
-    """First matching (in canonical order) whose integrated labeling gives
-    pairwise distinct critical labels.
+def _ranked(cm: ColoredMap, matching: Matching) -> Tuple[EnrichedMap, Labeling]:
+    """Enrich by a face-equation solution, then re-enrich so that the
+    critical labels become their ranks under (label, vertex id).
 
-    Label offsets shift every label equally, so they never affect
-    distinctness; the returned labeling uses offset 1.
+    A face's corners carry distinct labels that wind once around it, and
+    the ranking keeps their cyclic order, so the counts
+    (rank(head) - rank(tail) - 1) mod n solve the face equations again;
+    integrating them from the lowest-ranked vertex gives back the ranks.
+    Raises InvalidMatching if an enrichment fails.
+    """
+    em = enrich(cm, matching)
+    lab = integrate_labels(em)
+    order = sorted(em.crit, key=lambda v: (lab.labels[v], v))
+    rank = {v: i for i, v in enumerate(order)}
+    m, n = cm.m, em.n
+    counts = {}
+    for e in m.edges():
+        d = cm.forward_dart(e)
+        c = (rank[m.vertex_of[m.alpha[d]]] - rank[m.vertex_of[d]] - 1) % n
+        if c:
+            counts[e] = c
+    em = enrich(cm, Matching(counts))
+    return em, integrate_labels(em, order[0])
+
+
+def realize_generic(cm: ColoredMap) -> Tuple[EnrichedMap, Labeling]:
+    """Enrichment and labeling with pairwise distinct critical labels,
+    ranked from the balance flow's matching.
+
+    Raises NotBalanced, carrying the balance report's witness, when the
+    map is not balanced.
     """
     report = is_balanced(cm)
     if not report.balanced:
-        raise NotBalanced("map is not balanced")
-    for matching in enumerate_matchings(cm, cap):
-        em = enrich(cm, matching)
-        lab = integrate_labels(em)
-        crit = lab.critical(em)
-        if len(set(crit.values())) == em.n:
-            return em, lab
-    raise NoGenericRealization(
-        "no matching yields pairwise distinct critical labels")
+        raise NotBalanced("map is not balanced", report.witness)
+    return _ranked(cm, report.matching)
 
 
-def is_realizable(cm: ColoredMap, cap: int = 100000) -> bool:
+def is_realizable(cm: ColoredMap) -> bool:
     """Whether the diagram is the preimage of a circle under some generic
     branched self-cover of the sphere.
 
-    Fully constructive and independent of the balance conditions: search
-    matchings, integrate labels, extract a monodromy tuple, reglue, and
+    Fully constructive and independent of the balance conditions: rank the
+    first face-equation solution, extract a monodromy tuple, reglue, and
     compare with the input.
     """
     m = cm.m
     if m.num_vertices % 2 or m.num_vertices < 2:
         return False
-    target = cm.colored_code()
-    for matching in enumerate_matchings(cm, cap):
-        em = enrich(cm, matching)
-        lab = integrate_labels(em)
-        crit = lab.critical(em)
-        if len(set(crit.values())) != em.n:
-            continue
-        try:
-            t = monodromy(em, lab)
-        except (InvalidInput, InvalidTuple):
-            continue
-        rebuilt = graph_from_monodromy(t)
-        if rebuilt.colored.colored_code() == target:
-            return True
-    return False
+    matching = next(enumerate_matchings(cm), None)
+    if matching is None:
+        return False
+    try:
+        t = monodromy(*_ranked(cm, matching))
+    except (InvalidMatching, InvalidInput, InvalidTuple):
+        return False
+    return graph_from_monodromy(t).colored.colored_code() == cm.colored_code()

@@ -128,6 +128,30 @@ def test_matching_from_flow_is_valid(corpus6):
     assert checked > 0
 
 
+def test_flow_failure_carries_hall_violator(corpus6):
+    local = []
+    for cm in corpus6.colored:
+        rep = balance.is_balanced(cm)
+        if rep.jordan_ok and rep.global_ok and not rep.local_ok:
+            local.append((cm, rep.witness))
+    assert len(local) == 2
+    for cm, wit in local:
+        ok, matching, info = balance.check_balance_flow(cm)
+        assert not ok and info == wit
+        w = balance.face_weights(cm)
+        blues = wit["blue_faces"]
+        assert blues and set(blues) <= cm.blue_faces
+        neighbours = set()
+        for e in cm.m.edges():
+            f1, f2 = cm.m.edge_sides(e)
+            if f1 in blues or f2 in blues:
+                neighbours |= {f1, f2} - cm.blue_faces
+        assert wit["white_faces"] == sorted(neighbours)
+        assert wit["blue_weight"] == sum(w[f] for f in blues) == 8
+        assert wit["white_weight"] == sum(w[f] for f in neighbours) == 4
+        assert wit["blue_weight"] - wit["white_weight"] == wit["capacity"] - wit["flow_value"]
+
+
 def test_murasugi_sum_preserves_global_balance_counts():
     from balmaps import decompose
     a = colored(maps.quadratic())

@@ -69,7 +69,46 @@ def test_realize_unbalanced_is_exit_one(tmp_path, capsys):
     path = write_map(tmp_path, maps.checkerboard(fig8)[0])
     code, out = run_capture(capsys, ["realize", path])
     assert code == 1
-    assert json.loads(out)["error"] == "NotBalanced"
+    data = json.loads(out)
+    assert data["error"] == "NotBalanced"
+    assert data["witness"] == {"face": 0, "vertex": 1}
+
+
+def test_realize_other_errors_exit_two(tmp_path, capsys, monkeypatch):
+    # exit 1 is only for the negative verdict; any other MapError is exit 2
+    from balmaps import realize
+    from balmaps.errors import InvalidMatching
+
+    def fail(cm):
+        raise InvalidMatching("a face does not have exactly 6 boundary vertices")
+    monkeypatch.setattr(realize, "realize_generic", fail)
+    path = write_map(tmp_path, maps.checkerboard(maps.octahedron())[0])
+    code, out = run_capture(capsys, ["realize", path])
+    assert code == 2
+    assert json.loads(out)["error"] == "InvalidMatching"
+
+
+def test_realize_locally_unbalanced_witness(tmp_path, capsys, corpus6):
+    cm = corpus6.colored[2117]
+    path = write_map(tmp_path, cm)
+    code, out = run_capture(capsys, ["realize", path])
+    assert code == 1
+    wit = json.loads(out)["witness"]
+    assert wit["blue_weight"] == 8 and wit["white_weight"] == 4
+
+
+@pytest.mark.parametrize("kind,args,digest", [
+    ("quadratic", (), "241498e63baf450aeb385776c91bfcd8f72cbfde15077d8ccac0081dc702af5f"),
+    ("octahedron", (), "267bc3344d6f8d749b2cc79664b26f58e1d9f4ab8226db7500e119b53dc7a4c1"),
+    ("turkshead", (4,), "cb014adcc5491edc8e33d47404a8282257be56bd93456f7fc946b155bbad9069"),
+])
+def test_realize_output_pinned(tmp_path, capsys, kind, args, digest):
+    # the quadratic output is unchanged by ranking; the other two changed
+    m = maps.generate(kind, *args)
+    path = write_map(tmp_path, maps.checkerboard(m)[0])
+    code, out = run_capture(capsys, ["realize", path])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_hurwitz_commands(capsys):

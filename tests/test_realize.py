@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -146,7 +150,8 @@ def test_matching_enumeration_order_and_validity():
 
 def test_duplicate_critical_labels_are_rejected(corpus6):
     """Some balanced diagram must have an early matching whose labeling
-    repeats a critical label; the search skips it and still succeeds."""
+    repeats a critical label; ranking by (label, vertex id) breaks the tie
+    and realization still gives distinct labels."""
     found_duplicate_case = False
     for cm in corpus6.colored:
         if not balance.is_balanced(cm).balanced:
@@ -169,3 +174,100 @@ def test_rebuilt_labels_occupy_positions(classes4):
     assert set(counts.values()) == {3}
     crit = real.diagram_labels()
     assert sorted(crit.values()) == list(range(1, 7))
+
+
+def _first_solutions_digest(cm):
+    sols = [sorted(m.counts.items())
+            for m in itertools.islice(realize.enumerate_matchings(cm), 50)]
+    return len(sols), hashlib.sha256(repr(sols).encode()).hexdigest()
+
+
+def test_matching_enumeration_order_pinned(corpus6):
+    # digests of the first 50 solutions, captured from the recursive search
+    assert _first_solutions_digest(colored(maps.octahedron())) == (
+        50, "71585a14344b596d3f320767216bb982d0b44f4060a4f44a7041ad436e35d16d")
+    cm = corpus6.colored[2105]
+    assert cm.m.num_vertices == 6
+    assert _first_solutions_digest(cm) == (
+        46, "379c1aa2b97fa8bf3681cca3e3b6789c467bcf5fe739d4c9a0f6f5c3075b76aa")
+
+
+def test_matching_enumeration_ignores_recursion_limit():
+    cm = colored(maps.turkshead(100))
+    stack_depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        stack_depth += 1
+        frame = frame.f_back
+    margin = 50
+    assert stack_depth + margin < cm.m.num_edges  # 400 edges, one level each
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth + margin)
+    try:
+        first = next(realize.enumerate_matchings(cm))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert balance.matching_is_valid(cm, first)
+
+
+def assert_realizes(cm):
+    """realize_generic gives distinct critical labels whose monodromy
+    reglues to the input diagram."""
+    em, lab = realize.realize_generic(cm)
+    assert sorted(lab.critical(em).values()) == list(range(1, em.n + 1))
+    t = realize.monodromy(em, lab)
+    assert realize.graph_from_monodromy(t).colored.colored_code() == cm.colored_code()
+
+
+def test_balanced_corpus_maps_realize_and_reglue(corpus6):
+    balanced = [cm for cm in corpus6.colored if balance.is_balanced(cm).balanced]
+    assert len(balanced) == 18
+    for cm in balanced:
+        assert_realizes(cm)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 12, 30])
+def test_turkshead_realizes_and_reglues(n):
+    assert_realizes(colored(maps.turkshead(n)))
+
+
+def braid_sample(d, rng):
+    """A degree-d cover reached from ((1 2), (1 2), (2 3), (2 3), ...) by
+    20 d^2 random Hurwitz moves (t_i, t_i+1) -> (t_i+1, t_i+1 t_i t_i+1) and
+    a random conjugation.  By Clebsch-Hurwitz the moves reach every cover.
+    """
+    taus = [(a, a + 1) for a in range(1, d) for _ in range(2)]
+    for _ in range(20 * d * d):
+        i = rng.randrange(len(taus) - 1)
+        a, b = taus[i + 1]
+        x, y = ({a: b, b: a}.get(p, p) for p in taus[i])
+        taus[i], taus[i + 1] = taus[i + 1], (min(x, y), max(x, y))
+    g = list(range(1, d + 1))
+    rng.shuffle(g)
+    return realize.TranspositionTuple(d, tuple(taus)).conjugate((0,) + tuple(g))
+
+
+def braid_sample_map(d, rng):
+    """The diagram of braid_sample(d, rng), its darts relabeled at random."""
+    cm = realize.graph_from_monodromy(braid_sample(d, rng)).colored
+    perm = list(range(1, cm.m.n + 1))
+    rng.shuffle(perm)
+    perm = (0,) + tuple(perm)
+    m = cm.m.relabeled(perm)
+    blue = {m.face_of[perm[cm.m.faces[f][0]]] for f in cm.blue_faces}
+    return maps.ColoredMap(m, blue)
+
+
+@pytest.mark.parametrize("d", [7, 8, 10, 12, 16, 20])
+def test_realize_braid_samples(d):
+    rng = random.Random("braid-%d" % d)
+    for _ in range(3):
+        assert_realizes(braid_sample_map(d, rng))
+
+
+def test_is_realizable_braid_samples():
+    # the first-solution search is not the flow, so stay at small degree
+    rng = random.Random("braid-small")
+    for d in (2, 3, 4, 5):
+        for _ in range(4):
+            assert realize.is_realizable(braid_sample_map(d, rng))
