@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegreeTooSmall, LimitExceeded, Mismatch
-from .maps import ColoredMap, checkerboard, count_components, perm_cycles
+from .maps import ColoredMap, checkerboard
 from .realize import (
     TranspositionTuple,
     _conjugate_flat,
@@ -24,7 +24,6 @@ from .realize import (
     enumerate_matchings,
     graph_from_monodromy,
     integrate_labels,
-    left_multiply,
     monodromy,
 )
 
@@ -63,41 +62,68 @@ def _transpositions(d: int) -> List[Pair]:
 def _raw_tuples_first_fixed(d: int) -> List[Tuple[Pair, ...]]:
     """All valid tuples whose first transposition is (1 2).
 
-    DFS over the remaining slots with parity/distance pruning (the final
-    product of the first n-1 factors must itself be a transposition) and a
-    connectivity-potential bound.
+    Depth first over the free slots on an explicit stack.  The product
+    tau_1 o ... o tau_k of the chosen factors, the inverse of
+    tau_k o ... o tau_1, is kept in place (multiplying by (a b) on the
+    right swaps two entries), with its distance d - #cycles and the
+    component labels of the chosen pairs per depth.  (a b) splits
+    the product's cycle through a and b or merges their two cycles, so one
+    walk along a's cycle gives the new distance, one less or one more,
+    before the factor is applied.  A factor is applied only if the distance
+    and the component count less one stay within the factors left; at the
+    last free slot the product must become a transposition, the forced last
+    factor.  The distance changes parity with every factor, so it always
+    has the parity the factors left need.
     """
     n = 2 * d - 2
+    if n == 2:
+        return [((1, 2), (1, 2))]
     trans = _transpositions(d)
     results: List[Tuple[Pair, ...]] = []
-
-    chosen: List[Pair] = [(1, 2)]
-    start = left_multiply(tuple(range(d + 1)), 1, 2)
-
-    def rec(k: int, prod: Tuple[int, ...]):
-        # k transpositions chosen so far, prod = tau_k o ... o tau_1
-        if k == n - 1:
-            dist = d - len(perm_cycles(prod))
-            if dist != 1:
-                return
-            moved = [x for x in range(1, d + 1) if prod[x] != x]
-            last = (moved[0], moved[1])  # inverse of a transposition is itself
-            full = chosen + [last]
-            if count_components(d, full) == 1:
-                results.append(tuple(full))
-            return
-        r = n - 1 - k  # free slots left before the forced last one
-        dist = d - len(perm_cycles(prod))
-        if dist > r + 1 or (dist + r) % 2 == 0:
-            return
-        if count_components(d, chosen) - 1 > r + 1:
-            return
-        for a, b in trans:
-            chosen.append((a, b))
-            rec(k + 1, left_multiply(prod, a, b))
-            chosen.pop()
-
-    rec(1, start)
+    prod = list(range(d + 1))
+    prod[1], prod[2] = 2, 1
+    taus: List[Pair] = [(1, 2)] * (n - 2)  # the factors before the last two
+    # per depth (factors chosen): distance, component labels and count, next candidate
+    dist = [1] * n
+    comp = [[0, 1, 1] + list(range(3, d + 1))] * n
+    ncomp = [d - 1] * n
+    nxt = [0] * n
+    k = 1
+    while k:
+        c = nxt[k]
+        if c == len(trans):
+            k -= 1
+            if k:
+                a, b = taus[k]
+                prod[a], prod[b] = prod[b], prod[a]
+            continue
+        nxt[k] = c + 1
+        a, b = trans[c]
+        x = prod[a]
+        while x != a and x != b:
+            x = prod[x]
+        dk = dist[k] - 1 if x == b else dist[k] + 1
+        lab = comp[k]
+        ca, cb = lab[a], lab[b]
+        ck = ncomp[k] - (ca != cb)
+        if k == n - 2:
+            if dk == 1:
+                prod[a], prod[b] = prod[b], prod[a]
+                p, q = [y for y in range(1, d + 1) if prod[y] != y]
+                prod[a], prod[b] = prod[b], prod[a]
+                # (p q) must join what is left once (a b) has merged cb into ca
+                cp, cq = (ca if lab[y] == cb else lab[y] for y in (p, q))
+                if ck - (cp != cq) == 1:
+                    results.append(tuple(taus) + ((a, b), (p, q)))
+            continue
+        left = n - k - 1  # factors still to choose, the forced last one included
+        if dk > left or ck - 1 > left:
+            continue
+        prod[a], prod[b] = prod[b], prod[a]
+        taus[k] = (a, b)
+        k += 1
+        dist[k], ncomp[k], nxt[k] = dk, ck, 0
+        comp[k] = [ca if y == cb else y for y in lab] if ca != cb else lab
     return results
 
 
@@ -113,29 +139,26 @@ def enumerate_classes(d: int, limit: int = 5) -> List[TupleClass]:
         t.validate()
         return [TupleClass(t, 1)]
     raw = set(_raw_tuples_first_fixed(d))
-    expected_slice = 2 * math.factorial(d - 2)  # conjugations fixing (1 2)
+    # a conjugate stays in the (1 2) slice iff the conjugation fixes {1, 2},
+    # so these 2 (d-2)! conjugations reach the orbit's whole slice, and the
+    # lex-least conjugate, which starts with (1 2), lies in it
+    stabilizer = [(0,) + ab + rest
+                  for ab in ((1, 2), (2, 1))
+                  for rest in itertools.permutations(range(3, d + 1))]
     classes = []
     visited = set()
     dfact = math.factorial(d)
-    conjugators = [(0,) + g for g in itertools.permutations(range(1, d + 1))]
     for taus in sorted(raw):
         if taus in visited:
             continue
-        best = None
-        slice_imgs = set()
-        for g in conjugators:
-            img = _conjugate_flat(taus, g)
-            if best is None or img < best:
-                best = img
-            if img[0] == (1, 2):
-                slice_imgs.add(img)
-        if len(slice_imgs) != expected_slice:
+        slice_imgs = {_conjugate_flat(taus, g) for g in stabilizer}
+        if len(slice_imgs) != len(stabilizer):
             # conjugation acts freely on transitive tuples for d >= 3
             raise Mismatch("conjugation orbit of %r is not free" % (taus,))
         if not slice_imgs <= raw:
             raise Mismatch("enumeration missed a conjugate of %r" % (taus,))
         visited.update(slice_imgs)
-        t = TranspositionTuple(d, best)
+        t = TranspositionTuple(d, min(slice_imgs))
         t.validate()
         classes.append(TupleClass(t, dfact))
     classes.sort(key=lambda c: c.representative.taus)

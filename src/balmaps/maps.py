@@ -174,9 +174,6 @@ class CombinatorialMap:
             cyc.append(self.sigma[cyc[-1]])
         return tuple(cyc)
 
-    def degree(self, v: int) -> int:
-        return len(self.vertex_cycle(v))
-
     def edges(self) -> List[int]:
         """Edge ids: the smaller dart of each alpha-pair, ascending."""
         return [d for d in range(1, self.n + 1) if d < self.alpha[d]]
@@ -207,37 +204,55 @@ class CombinatorialMap:
 
     # -- isomorphism ----------------------------------------------------------
 
-    def _bfs_trace(self, root: int) -> Tuple[List[int], List[int]]:
+    def _bfs_trace(self, root: int, bound: Optional[Sequence[int]] = None
+                   ) -> Optional[Tuple[List[int], List[int]]]:
         """Relabel darts by BFS discovery from ``root``; return (trace, lab).
 
         The trace lists, for each dart in discovery order, the discovery
         labels of its sigma- and alpha-images; ``lab`` maps each dart to its
         label.  Two rooted maps are isomorphic iff their traces agree.
+        Given a ``bound`` trace, return None at the first entry that makes
+        the trace larger than it; comparison stops at the first difference.
         """
         sigma, alpha = self.sigma, self.alpha
         lab = [0] * (self.n + 1)
         lab[root] = 1
         order = [root]
         trace = []
+        tied = bound is not None
         for d in order:
             for nb in (sigma[d], alpha[d]):
-                if not lab[nb]:
+                x = lab[nb]
+                if not x:
                     order.append(nb)
-                    lab[nb] = len(order)
-                trace.append(lab[nb])
+                    x = lab[nb] = len(order)
+                if tied:
+                    b = bound[len(trace)]
+                    if x != b:
+                        if x > b:
+                            return None
+                        tied = False
+                trace.append(x)
         return trace, lab
 
     def _least_trace(self, decorate=None) -> Tuple[int, ...]:
         """Least BFS trace over all root darts, each extended by
-        ``decorate(lab)`` when given, prefixed by the dart count."""
-        best = None
+        ``decorate(lab)`` when given, prefixed by the dart count.
+
+        Every trace has length 2n, so a root whose trace exceeds the best
+        one is dropped at its first larger entry, and only a root whose
+        trace ties or beats the best is decorated."""
+        best = best_dec = None
         for root in range(1, self.n + 1):
-            trace, lab = self._bfs_trace(root)
-            if decorate is not None:
-                trace += decorate(lab)
-            if best is None or trace < best:
-                best = trace
-        return (self.n,) + tuple(best)
+            res = self._bfs_trace(root, best)
+            if res is None:
+                continue
+            trace, lab = res
+            dec = decorate(lab) if decorate is not None else []
+            # the trace is not above the best: it beats it unless they are equal
+            if trace != best or dec < best_dec:
+                best, best_dec = trace, dec
+        return (self.n,) + tuple(best + best_dec)
 
     def canonical_code(self) -> Tuple[int, ...]:
         """Lexicographically least BFS trace over all root darts.
@@ -251,8 +266,9 @@ class CombinatorialMap:
 
     def canonical_roots(self) -> List[int]:
         """Roots whose BFS trace equals the canonical code; one per automorphism."""
-        code = list(self.canonical_code()[1:])
-        return [r for r in range(1, self.n + 1) if self._bfs_trace(r)[0] == code]
+        code = self.canonical_code()[1:]
+        # no trace is below the code, so one not above it equals it
+        return [r for r in range(1, self.n + 1) if self._bfs_trace(r, code) is not None]
 
     def relabeled(self, perm: Perm) -> "CombinatorialMap":
         """Conjugate sigma and alpha by a dart permutation (an isomorphic copy)."""

@@ -19,7 +19,6 @@ balanced => realizable half of the theorem.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -59,11 +58,10 @@ class TranspositionTuple:
         for p in self.taus:
             if len(p) != 2 or not (1 <= p[0] <= d and 1 <= p[1] <= d) or p[0] == p[1]:
                 raise InvalidTuple("%r is not a transposition of 1..%d" % (p, d))
-        ident = tuple(range(d + 1))
-        prod = ident
+        prod = list(range(d + 1))  # tau_1 o ... o tau_n, identity iff its inverse is
         for a, b in self.taus:
-            prod = left_multiply(prod, a, b)
-        if prod != ident:
+            prod[a], prod[b] = prod[b], prod[a]
+        if prod != list(range(d + 1)):
             raise InvalidTuple("product of the tuple is not the identity")
         if count_components(self.d, self.taus) != 1:
             raise InvalidTuple("tuple does not act transitively")
@@ -72,23 +70,49 @@ class TranspositionTuple:
         return TranspositionTuple(self.d, _conjugate_flat(self.taus, g))
 
 
-def left_multiply(perm: Tuple[int, ...], a: int, b: int) -> Tuple[int, ...]:
-    """(a b) o perm: the image table with the values a and b exchanged."""
-    out = list(perm)
-    i, j = out.index(a), out.index(b)
-    out[i], out[j] = b, a
-    return tuple(out)
-
-
 def _conjugate_flat(taus: Tuple[Pair, ...], g: Tuple[int, ...]) -> Tuple[Pair, ...]:
     """Rename every point x as g[x], keeping each pair sorted."""
     return tuple((g[a], g[b]) if g[a] < g[b] else (g[b], g[a]) for a, b in taus)
 
 
 def canonical_tuple(t: TranspositionTuple) -> Tuple[Pair, ...]:
-    """Lexicographically least flat encoding over all diagonal conjugations."""
-    return min(_conjugate_flat(t.taus, (0,) + images)
-               for images in itertools.permutations(range(1, t.d + 1)))
+    """Lexicographically least flat encoding over all diagonal conjugations.
+
+    A point met for the first time takes the least unused name: swapping
+    any other unused name with that one leaves the earlier pairs alone and
+    makes this pair smaller.  Only a pair of two new points leaves a
+    choice, which of the two takes the smaller name; the search branches
+    there and drops a branch once its prefix exceeds the best encoding
+    found.
+    """
+    best: Optional[List[Pair]] = None
+    stack = [([0] * (t.d + 1), [])]  # (name per point, 0 for none yet; encoding so far)
+    while stack:
+        name, img = stack.pop()
+        tied = best is not None
+        if tied and img != best[:len(img)]:
+            if img > best[:len(img)]:
+                continue
+            tied = False
+        free = max(name) + 1
+        for a, b in t.taus[len(img):]:
+            if not name[a] and not name[b]:
+                alt = name[:]
+                alt[a], alt[b] = free + 1, free
+                stack.append((alt, img + [(free, free + 1)]))
+            for x in (a, b):
+                if not name[x]:
+                    name[x] = free
+                    free += 1
+            pair = (name[a], name[b]) if name[a] < name[b] else (name[b], name[a])
+            if tied and pair != best[len(img)]:
+                if pair > best[len(img)]:
+                    break
+                tied = False
+            img.append(pair)
+        else:
+            best = img
+    return tuple(best)
 
 
 def tuples_conjugate(a: TranspositionTuple, b: TranspositionTuple) -> bool:
@@ -375,8 +399,9 @@ def graph_from_monodromy(t: TranspositionTuple) -> Realization:
     full_blue = frozenset(full.face_of[bdart(i, 1)] for i in range(1, d + 1))
     if len(full_blue) != d:
         raise InvalidTuple("blue polygons did not stay distinct")
-    crit = frozenset(v for v in full.vertex_ids() if full.degree(v) == 4)
-    if len(crit) != n or any(full.degree(v) not in (2, 4) for v in full.vertex_ids()):
+    cycles = full.vertices()
+    crit = frozenset(cyc[0] for cyc in cycles if len(cyc) == 4)
+    if len(crit) != n or any(len(cyc) not in (2, 4) for cyc in cycles):
         raise InvalidTuple("glued complex is not a generic diagram")
 
     reduced, red_blue, counts, keep = _suppress_two_valent(full, full_blue, crit)

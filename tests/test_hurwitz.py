@@ -1,10 +1,52 @@
+import hashlib
+import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from balmaps import hurwitz, maps, realize
-from balmaps.errors import DegreeTooSmall, LimitExceeded
+from balmaps.errors import DegreeTooSmall, InvalidTuple, LimitExceeded, Mismatch
+
+# sha256 of repr([(representative taus, orbit size), ...]) per degree, and of
+# repr of the list of the glued diagrams' canonical codes for d=5, in class order
+CLASS_PINS = {
+    3: "3d50a1c9246ca0bb890dd532e3e1484c7364aeac9203be2d598bdfeabb863116",
+    4: "4a6e525a5c448a1c192674fad99695b69736c555cae8e9387b9b3eb2ada4019f",
+    5: "9f67ee4330fa8bf7014af4cf5ddbf511e278f3799aa78975c017447e1e96bf70",
+}
+GLUED_CODES_5 = "e545dda0cefc9aa1f37c296d230e45991751069e5d0881b126cec87943d5bb1f"
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def class_digest(classes) -> str:
+    return digest([(c.representative.taus, c.orbit_size) for c in classes])
+
+
+def headroom() -> int:
+    """Nested calls that still fit below the recursion limit."""
+    def dive(k):
+        try:
+            return dive(k + 1)
+        except RecursionError:
+            return k
+    return dive(0)
+
+
+@pytest.fixture(scope="module")
+def classes5():
+    """enumerate_classes(5) with only six nested calls left below the
+    recursion limit: the search may not recurse once per slot."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - headroom() + 6)
+    try:
+        return hurwitz.enumerate_classes(5)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_hurwitz_count_values():
@@ -120,3 +162,80 @@ def test_census_stable_under_shuffled_regeneration(census4):
         code = realize.graph_from_monodromy(cls.representative).colored.m.canonical_code()
         groups[code] = groups.get(code, 0) + 1
     assert groups == {e.underlying: e.class_count for e in census4}
+
+
+def test_class_representatives_pinned(classes4, classes5):
+    assert class_digest(hurwitz.enumerate_classes(3)) == CLASS_PINS[3]
+    assert class_digest(classes4) == CLASS_PINS[4]
+    assert class_digest(classes5) == CLASS_PINS[5]
+
+
+def test_glued_codes_pinned(classes5):
+    codes = [realize.graph_from_monodromy(c.representative).colored.m.canonical_code()
+             for c in classes5]
+    assert len(set(codes)) == 89
+    assert digest(codes) == GLUED_CODES_5
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_raw_tuples_match_brute_force(d):
+    valid = []
+    for rest in itertools.product(hurwitz._transpositions(d), repeat=2 * d - 3):
+        t = realize.TranspositionTuple(d, ((1, 2),) + rest)
+        try:
+            t.validate()
+        except InvalidTuple:
+            continue
+        valid.append(t.taus)
+    raw = hurwitz._raw_tuples_first_fixed(d)
+    assert len(raw) == len(set(raw))
+    assert sorted(raw) == valid
+
+
+def test_enumerate_classes_detects_a_missed_conjugate(monkeypatch):
+    full = hurwitz._raw_tuples_first_fixed
+    monkeypatch.setattr(hurwitz, "_raw_tuples_first_fixed", lambda d: sorted(full(d))[1:])
+    with pytest.raises(Mismatch, match="missed a conjugate"):
+        hurwitz.enumerate_classes(4)
+
+
+def test_enumerate_classes_detects_a_fixed_tuple(monkeypatch):
+    full = hurwitz._raw_tuples_first_fixed
+    monkeypatch.setattr(hurwitz, "_raw_tuples_first_fixed",
+                        lambda d: full(d) + [((1, 2), (1, 2), (1, 2), (1, 2))])
+    with pytest.raises(Mismatch, match="not free"):
+        hurwitz.enumerate_classes(3)
+
+
+def brute_canonical_tuple(t):
+    return min(t.conjugate((0,) + g).taus
+               for g in itertools.permutations(range(1, t.d + 1)))
+
+
+def random_conjugate(t, rng):
+    g = list(range(1, t.d + 1))
+    rng.shuffle(g)
+    return t.conjugate((0,) + tuple(g))
+
+
+def test_canonical_tuple_matches_brute_force(classes4, classes5):
+    rng = random.Random(13)
+    small = [c.representative for d in (2, 3) for c in hurwitz.enumerate_classes(d)]
+    for t in small + [c.representative for c in classes4]:
+        conj = random_conjugate(t, rng)
+        assert realize.canonical_tuple(conj) == brute_canonical_tuple(conj) == t.taus
+    for c in rng.sample(classes5, 200):
+        conj = random_conjugate(c.representative, rng)
+        assert realize.canonical_tuple(conj) == brute_canonical_tuple(conj)
+        assert realize.canonical_tuple(conj) == c.representative.taus
+
+
+def test_canonical_tuple_on_degree_twelve():
+    from test_realize import braid_sample
+    rng = random.Random("braid-12")
+    for _ in range(3):
+        t = braid_sample(12, rng)
+        code = realize.canonical_tuple(t)
+        assert code[0] == (1, 2)
+        assert realize.canonical_tuple(random_conjugate(t, rng)) == code
+        assert realize.tuples_conjugate(t, realize.TranspositionTuple(12, code))

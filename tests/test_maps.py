@@ -224,3 +224,87 @@ def test_canonical_code_format_pinned():
     assert maps.turkshead(2).canonical_code() == (
         16, 2, 3, 4, 5, 6, 1, 7, 8, 3, 2, 9, 10, 1, 11, 12, 4, 5, 12, 11, 6, 13,
         7, 14, 9, 15, 16, 16, 15, 10, 14, 8, 13)
+
+
+# -- the least-trace kernel against a full scan ----------------------------------------
+
+
+def relabeled_copy(m, rng):
+    """A random dart relabeling of m and the permutation used."""
+    perm = list(range(1, m.n + 1))
+    rng.shuffle(perm)
+    perm = (0,) + tuple(perm)
+    return m.relabeled(perm), perm
+
+
+def relabeled_colored(cm, rng):
+    m, perm = relabeled_copy(cm.m, rng)
+    return maps.ColoredMap(m, {m.face_of[perm[cm.m.faces[f][0]]] for f in cm.blue_faces})
+
+
+def relabeled_dual(g, rng):
+    m, perm = relabeled_copy(g.m, rng)
+    reds = [0] * m.num_faces
+    for f, orbit in enumerate(g.m.faces):
+        reds[m.face_of[perm[orbit[0]]]] = g.face_red[f]
+    labels = None
+    if g.blue_labels is not None:
+        labels = tuple(sorted((m.vertex_of[perm[v]], l) for v, l in g.blue_labels))
+    return maps.FaceLabeledGraph(
+        m, frozenset(m.vertex_of[perm[v]] for v in g.blue_vertices), tuple(reds), labels)
+
+
+def full_scan(m, decorate):
+    """Every root's whole trace and decoration; the least one."""
+    best = min(trace + (decorate(lab) if decorate else [])
+               for trace, lab in (m._bfs_trace(r) for r in range(1, m.n + 1)))
+    return (m.n,) + tuple(best)
+
+
+@pytest.fixture
+def least_trace_calls(monkeypatch):
+    """Record (map, decorate) of every _least_trace call."""
+    calls = []
+    kernel = maps.CombinatorialMap._least_trace
+
+    def spy(self, decorate=None):
+        calls.append((self, decorate))
+        return kernel(self, decorate)
+    monkeypatch.setattr(maps.CombinatorialMap, "_least_trace", spy)
+    return calls
+
+
+def assert_kernel_matches_scan(code, calls):
+    (m, decorate), = calls
+    calls.clear()
+    assert code == full_scan(m, decorate)
+
+
+def test_least_trace_matches_full_scan(corpus6, duals4, least_trace_calls):
+    rng = random.Random(11)
+    heads = [maps.turkshead(k) for k in range(3, 13)]
+    for m in list(corpus6.uncolored) + heads:
+        m2 = relabeled_copy(m, rng)[0]
+        assert_kernel_matches_scan(m2.canonical_code(), least_trace_calls)
+        assert m2.canonical_code() == m.canonical_code()
+        least_trace_calls.clear()
+    colored = list(corpus6.colored) + [cm for m in heads for cm in maps.checkerboard(m)]
+    for cm in colored:
+        cm2 = relabeled_colored(cm, rng)
+        assert_kernel_matches_scan(cm2.colored_code(), least_trace_calls)
+        assert cm2.colored_code() == cm.colored_code()
+        least_trace_calls.clear()
+    for g in duals4:
+        g2 = relabeled_dual(g, rng)
+        assert_kernel_matches_scan(g2.canonical_code(), least_trace_calls)
+        assert g2.canonical_code() == g.canonical_code()
+        least_trace_calls.clear()
+
+
+def test_canonical_roots_are_the_roots_of_the_code(corpus6):
+    rng = random.Random(12)
+    for m in list(corpus6.uncolored) + [maps.turkshead(k) for k in range(3, 13)]:
+        m2 = relabeled_copy(m, rng)[0]
+        code = list(m2.canonical_code()[1:])
+        assert m2.canonical_roots() == [
+            r for r in range(1, m2.n + 1) if m2._bfs_trace(r)[0] == code]
