@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -24,13 +23,8 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load_map(path: str):
-    obj = mapio.map_from_json(_read(path))
-    return obj
-
-
 def _load_colored(path: str) -> maps.ColoredMap:
-    obj = _load_map(path)
+    obj = mapio.map_from_json(_read(path))
     if isinstance(obj, maps.ColoredMap):
         return obj
     return maps.checkerboard(obj)[0]
@@ -41,7 +35,7 @@ def _emit(data) -> None:
 
 
 def cmd_validate(args) -> int:
-    obj = _load_map(args.map)
+    obj = mapio.map_from_json(_read(args.map))
     m = obj.m if isinstance(obj, maps.ColoredMap) else obj
     _emit({"valid": True, "vertices": m.num_vertices, "edges": m.num_edges,
            "faces": m.num_faces, "four_valent": m.is_four_valent()})
@@ -193,7 +187,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    obj = _load_map(args.map)
+    obj = mapio.map_from_json(_read(args.map))
     sys.stdout.write(mapio.export_dot(obj))
     return 0
 
@@ -261,16 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    threads = os.environ.get("BALMAPS_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write("BALMAPS_THREADS must be a positive integer\n")
-            return 2
-        # accepted for interface compatibility; execution is sequential and
-        # deterministic regardless
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

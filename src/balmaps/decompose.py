@@ -23,7 +23,7 @@ from .errors import (
     NotApplicable,
     TrivialCut,
 )
-from .maps import ColoredMap, CombinatorialMap, pinch, quadratic
+from .maps import ColoredMap, CombinatorialMap, pinch
 
 
 @dataclass(frozen=True)
@@ -58,29 +58,24 @@ def _four_cut_canonical(m: CombinatorialMap, ys: Tuple[int, ...]) -> Tuple[int, 
     return min(cands)
 
 
-# -- 2-point cuts -----------------------------------------------------------------
+# -- cut sides and stub fusion ---------------------------------------------------
 
 
-def find_two_cuts(cm: ColoredMap) -> List[CutCurve]:
-    """All nontrivial curves meeting the diagram in two points, i.e. pairs
-    of distinct edges with the same two side faces."""
-    m = cm.m
-    by_sides: Dict[Tuple[int, int], List[int]] = {}
-    for e in m.edges():
-        f1, f2 = m.edge_sides(e)
-        by_sides.setdefault((min(f1, f2), max(f1, f2)), []).append(e)
-    out = []
-    for sides, edges in sorted(by_sides.items()):
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                e1, e2 = edges[i], edges[j]
-                a = e1
-                b = e2 if m.face_of[e2] == m.face_of[a] else m.alpha[e2]
-                comps = _side_components(m, [e1, e2])
-                if len(comps) == 2 and all(comps):
-                    out.append(CutCurve("two_point", (a, b)))
-    out.sort(key=lambda c: c.signature(m))
-    return out
+def _cut_sides(m: CombinatorialMap, ys, min_side: int) -> Optional[Tuple[set, set]]:
+    """The sides (X, Y) of the closed curve crossing the darts ``ys``: X
+    holds the head and Y the base of every y.  None unless removing the
+    crossed edges leaves exactly these two components, each with at least
+    ``min_side`` vertices.  A two-point cut (a, b) is the curve (a, alpha(b))."""
+    comps = _side_components(m, [m.edge_of(d) for d in ys])
+    if len(comps) != 2:
+        return None
+    X, Y = comps if m.vertex_of[m.alpha[ys[0]]] in comps[0] else comps[::-1]
+    for y in ys:
+        if m.vertex_of[m.alpha[y]] not in X or m.vertex_of[y] not in Y:
+            return None
+    if len(X) < min_side or len(Y) < min_side:
+        return None  # a four-point curve around a single vertex
+    return X, Y
 
 
 def _side_components(m: CombinatorialMap, cut_edges) -> List[set]:
@@ -146,6 +141,40 @@ def _piece(cm: ColoredMap, vertices: set,
     return ColoredMap(piece, blue)
 
 
+def _fuse(cm: ColoredMap, side: set, darts, arcs) -> ColoredMap:
+    """The piece on one side of a cut, with the stubs ``darts[i]`` and
+    ``darts[i + 1]`` (cyclically) fused into one edge for each arc i."""
+    over = {}
+    for i in arcs:
+        d1, d2 = darts[i], darts[(i + 1) % len(darts)]
+        over[d1] = d2
+        over[d2] = d1
+    return _piece(cm, side, over)
+
+
+# -- 2-point cuts -----------------------------------------------------------------
+
+
+def find_two_cuts(cm: ColoredMap) -> List[CutCurve]:
+    """All nontrivial curves meeting the diagram in two points, i.e. pairs
+    of distinct edges with the same two side faces."""
+    m = cm.m
+    by_sides: Dict[Tuple[int, int], List[int]] = {}
+    for e in m.edges():
+        f1, f2 = m.edge_sides(e)
+        by_sides.setdefault((min(f1, f2), max(f1, f2)), []).append(e)
+    out = []
+    for sides, edges in sorted(by_sides.items()):
+        for i in range(len(edges)):
+            for j in range(i + 1, len(edges)):
+                a, e2 = edges[i], edges[j]
+                b = e2 if m.face_of[e2] == m.face_of[a] else m.alpha[e2]
+                if _cut_sides(m, (a, m.alpha[b]), 1) is not None:
+                    out.append(CutCurve("two_point", (a, b)))
+    out.sort(key=lambda c: c.signature(m))
+    return out
+
+
 def split_two_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap]:
     """Cut along a two-point curve; on each side the two half-edges fuse
     into one edge through a regular point."""
@@ -153,17 +182,12 @@ def split_two_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap
     a, b = cut.darts
     if m.edge_of(a) == m.edge_of(b):
         raise TrivialCut("both intersection points on one edge")
-    comps = _side_components(m, [m.edge_of(a), m.edge_of(b)])
-    if len(comps) != 2:
-        raise TrivialCut("curve does not separate the diagram")
-    X = next(c for c in comps if m.vertex_of[m.alpha[a]] in c)
-    Y = next(c for c in comps if c is not X)
-    if m.vertex_of[b] not in X or m.vertex_of[a] not in Y:
-        raise TrivialCut("cut ends do not separate coherently")
-    ap, bp = m.alpha[a], m.alpha[b]
-    px = _piece(cm, X, {ap: b, b: ap})
-    py = _piece(cm, Y, {a: bp, bp: a})
-    return px, py
+    ys = (a, m.alpha[b])
+    sides = _cut_sides(m, ys, 1)
+    if sides is None:
+        raise TrivialCut("curve does not separate the diagram coherently")
+    X, Y = sides
+    return _fuse(cm, X, [m.alpha[y] for y in ys], [0]), _fuse(cm, Y, ys, [0])
 
 
 # -- 4-point cuts -----------------------------------------------------------------
@@ -193,25 +217,37 @@ def find_four_cuts(cm: ColoredMap) -> List[CutCurve]:
                     if sig in seen:
                         continue
                     seen.add(sig)
-                    if _four_cut_sides(cm, ys) is not None:
+                    if _cut_sides(m, ys, 2) is not None:
                         out.append(CutCurve("four_point", sig))
     out.sort(key=lambda c: c.signature(m))
     return out
 
 
-def _four_cut_sides(cm: ColoredMap, ys) -> Optional[Tuple[set, set]]:
+def _classify(cm: ColoredMap, ys):
+    """The sides (X, Y) of a four-point cut and whether both are odd, when a
+    surgery applies; otherwise the reason none does.
+
+    Odd/odd sides always split.  Even/even sides split only in a globally
+    balanced diagram, along a curve whose four faces are distinct and
+    alternate in color.  A 2-cut piece can have an odd vertex count, so
+    mixed-parity curves occur; neither surgery applies to them.
+    """
     m = cm.m
-    comps = _side_components(m, [m.edge_of(d) for d in ys])
-    if len(comps) != 2:
-        return None
-    X = next(c for c in comps if m.vertex_of[m.alpha[ys[0]]] in c)
-    Y = next(c for c in comps if c is not X)
-    for y in ys:
-        if m.vertex_of[m.alpha[y]] not in X or m.vertex_of[y] not in Y:
-            return None
-    if len(X) < 2 or len(Y) < 2:
-        return None  # the curve goes around a single vertex
-    return X, Y
+    sides = _cut_sides(m, ys, 2)
+    if sides is None:
+        return "not a valid four-point cut"
+    X, Y = sides
+    odd = len(X) % 2 == 1
+    if odd != (len(Y) % 2 == 1):
+        return "no surgery applies to mixed-parity sides"
+    if not odd:
+        if not check_global(cm):
+            return "even/even cut needs global balance"
+        if sum(cm.is_blue(m.face_of[y]) for y in ys) != 2:
+            return "cut faces do not alternate in color"
+        if len({m.face_of[y] for y in ys}) != 4:
+            return "curve visits a face twice"
+    return X, Y, odd
 
 
 def split_four_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap]:
@@ -221,80 +257,44 @@ def split_four_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMa
     Even/even (requires global balance): each side seals by folding the
     arcs of its minority color, fusing the corresponding half-edges.
     """
+    verdict = _classify(cm, cut.darts)
+    if isinstance(verdict, str):
+        raise NotApplicable(verdict)
+    return _split_four(cm, cut.darts, *verdict)
+
+
+def _split_four(cm: ColoredMap, ys, X, Y, odd: bool) -> Tuple[ColoredMap, ColoredMap]:
     m = cm.m
-    ys = cut.darts
-    sides = _four_cut_sides(cm, ys)
-    if sides is None:
-        raise NotApplicable("not a valid four-point cut")
-    X, Y = sides
-    if len(X) % 2 == 1 and len(Y) % 2 == 1:
-        return _split_odd(cm, ys, X, Y)
-    if len(X) % 2 == 0 and len(Y) % 2 == 0:
-        if not check_global(cm):
-            raise NotApplicable("even/even cut needs global balance")
-        return _split_even(cm, ys, X, Y)
-    raise NotApplicable("no surgery applies to mixed-parity sides")
-
-
-def _split_odd(cm: ColoredMap, ys, X, Y) -> Tuple[ColoredMap, ColoredMap]:
-    m = cm.m
-    base = m.n
-    zx = [base + 1, base + 2, base + 3, base + 4]
-    zy = [base + 5, base + 6, base + 7, base + 8]
-    over_x = {}
-    over_y = {}
-    for i, y in enumerate(ys):
-        over_x[m.alpha[y]] = zx[i]
-        over_x[zx[i]] = m.alpha[y]
-        over_y[y] = zy[i]
-        over_y[zy[i]] = y
-    # the wound circle keeps X on its left when run against the curve
-    px = _piece(cm, X, over_x, extra_cycles=[[zx[3], zx[2], zx[1], zx[0]]])
-    py = _piece(cm, Y, over_y, extra_cycles=[[zy[0], zy[1], zy[2], zy[3]]])
-    return px, py
-
-
-def _split_even(cm: ColoredMap, ys, X, Y) -> Tuple[ColoredMap, ColoredMap]:
-    m = cm.m
-    arc_blue = [cm.is_blue(m.face_of[y]) for y in ys]  # color of F_{i,i+1}
-    if arc_blue.count(True) != 2:
-        raise NotApplicable("cut faces do not alternate in color")
-    interior = {f: None for f in range(m.num_faces)}
-    bx = wx = 0
+    if odd:
+        base = m.n
+        zx = [base + 1, base + 2, base + 3, base + 4]
+        zy = [base + 5, base + 6, base + 7, base + 8]
+        over_x = {}
+        over_y = {}
+        for i, y in enumerate(ys):
+            over_x[m.alpha[y]] = zx[i]
+            over_x[zx[i]] = m.alpha[y]
+            over_y[y] = zy[i]
+            over_y[zy[i]] = y
+        # the wound circle keeps X on its left when run against the curve
+        px = _piece(cm, X, over_x, extra_cycles=[[zx[3], zx[2], zx[1], zx[0]]])
+        py = _piece(cm, Y, over_y, extra_cycles=[[zy[0], zy[1], zy[2], zy[3]]])
+        return px, py
+    # the side with more interior whites merges its whites, folding the
+    # blue arcs (arc i runs through the face of y_i); the other side folds
+    # the white arcs
     curve_faces = {m.face_of[y] for y in ys}
-    if len(curve_faces) != 4:
-        raise NotApplicable("curve visits a face twice")
-    for i, orbit in enumerate(m.faces):
-        if i in curve_faces:
-            continue
-        inside_x = m.vertex_of[orbit[0]] in X
-        if inside_x:
-            if i in cm.blue_faces:
+    bx = wx = 0
+    for f, orbit in enumerate(m.faces):
+        if f not in curve_faces and m.vertex_of[orbit[0]] in X:
+            if f in cm.blue_faces:
                 bx += 1
             else:
                 wx += 1
-    # the side with more interior whites merges its whites, folding the
-    # blue arcs; fusion pairs stubs across arcs of the folded color
-    def overrides(side_darts, fold_blue):
-        over = {}
-        for i in range(4):
-            if arc_blue[i] == fold_blue:
-                d1, d2 = side_darts[i], side_darts[(i + 1) % 4]
-                over[d1] = d2
-                over[d2] = d1
-        return over
-
-    x_darts = [m.alpha[y] for y in ys]
-    y_darts = list(ys)
-    if wx > bx:
-        over_x = overrides(x_darts, True)
-        over_y = overrides(y_darts, False)
-    else:
-        over_x = overrides(x_darts, False)
-        over_y = overrides(y_darts, True)
-    px = _piece(cm, X, over_x)
-    py = _piece(cm, Y, over_y)
-    return px, py
+    blue = [i for i, y in enumerate(ys) if cm.is_blue(m.face_of[y])]
+    white = [i for i in range(4) if i not in blue]
+    x_arcs, y_arcs = (blue, white) if wx > bx else (white, blue)
+    return _fuse(cm, X, [m.alpha[y] for y in ys], x_arcs), _fuse(cm, Y, ys, y_arcs)
 
 
 # -- Murasugi sum ------------------------------------------------------------------
@@ -399,37 +399,11 @@ class DecompositionTree:
                 "pieces": [p.to_dict() for p in self.pieces]}
 
 
-_QUADRATIC_CODE = None
-
-
-def _is_quadratic(cm: ColoredMap) -> bool:
-    global _QUADRATIC_CODE
-    if _QUADRATIC_CODE is None:
-        _QUADRATIC_CODE = quadratic().canonical_code()
-    return cm.m.canonical_code() == _QUADRATIC_CODE
-
-
 def applicable_four_cuts(cm: ColoredMap) -> List[CutCurve]:
     """Four-point cuts whose split applies (odd/odd always; even/even only
     under global balance)."""
-    m = cm.m
-    out = []
-    for cut in find_four_cuts(cm):
-        sides = _four_cut_sides(cm, cut.darts)
-        if sides is None:
-            continue
-        X, Y = sides
-        if len(X) % 2 == 1 and len(Y) % 2 == 1:
-            out.append(cut)
-        elif len(X) % 2 == 0 and len(Y) % 2 == 0:
-            if not check_global(cm):
-                continue
-            arc_blue = [cm.is_blue(m.face_of[y]) for y in cut.darts]
-            if arc_blue.count(True) == 2 and len({m.face_of[y] for y in cut.darts}) == 4:
-                out.append(cut)
-        # a 2-cut piece can have odd vertex count, making mixed-parity
-        # 4-point curves possible; neither surgery applies to those
-    return out
+    return [cut for cut in find_four_cuts(cm)
+            if not isinstance(_classify(cm, cut.darts), str)]
 
 
 def decompose_full(cm: ColoredMap) -> DecompositionTree:
@@ -437,13 +411,13 @@ def decompose_full(cm: ColoredMap) -> DecompositionTree:
     4-point) until only quadratic and hyperbolic pieces remain."""
     two = find_two_cuts(cm)
     if two:
-        cut = two[0]
-        p1, p2 = split_two_cut(cm, cut)
-        return DecompositionTree(cm, cut, (decompose_full(p1), decompose_full(p2)))
-    four = applicable_four_cuts(cm)
-    if four:
-        cut = four[0]
-        p1, p2 = split_four_cut(cm, cut)
-        return DecompositionTree(cm, cut, (decompose_full(p1), decompose_full(p2)))
-    kind = "quadratic" if _is_quadratic(cm) else "hyperbolic"
+        p1, p2 = split_two_cut(cm, two[0])
+        return DecompositionTree(cm, two[0], (decompose_full(p1), decompose_full(p2)))
+    for cut in find_four_cuts(cm):
+        verdict = _classify(cm, cut.darts)
+        if not isinstance(verdict, str):
+            p1, p2 = _split_four(cm, cut.darts, *verdict)
+            return DecompositionTree(cm, cut, (decompose_full(p1), decompose_full(p2)))
+    # the quadratic is the only 2-vertex map with no 2-cut
+    kind = "quadratic" if cm.m.num_vertices == 2 else "hyperbolic"
     return DecompositionTree(cm, kind=kind)

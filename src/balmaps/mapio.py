@@ -15,7 +15,7 @@ Face indices are positions in the list of phi-orbits sorted by minimal dart.
 from __future__ import annotations
 
 import json
-from typing import Dict, Union
+from typing import Union
 
 from .errors import InvalidInput
 from .maps import (
@@ -123,11 +123,7 @@ def dual_from_dict(data: dict) -> FaceLabeledGraph:
 def tree_to_dict(t) -> dict:
     edges = [{"white": [wa, wb], "blue": blue, "red": [ra, rb]}
              for (wa, wb, blue, ra, rb) in t.edges]
-    rotation: Dict[str, list] = {}
-    for w in range(t.d):
-        inc = sorted((blue, e) for e, (wa, wb, blue, ra, rb) in enumerate(t.edges)
-                     if w in (wa, wb))
-        rotation[str(w)] = [blue for blue, _ in inc]
+    rotation = {str(w): [blue for blue, _ in t.white_rotation(w)] for w in range(t.d)}
     return {"fmt": FMT, "d": t.d, "edges": edges, "rotation": rotation}
 
 

@@ -12,7 +12,6 @@ their index in the list of phi-orbits sorted by minimal dart.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -22,6 +21,7 @@ from .errors import (
     Disconnected,
     InvalidInput,
     InvalidPinch,
+    LimitExceeded,
     NonZeroGenus,
     NotFourValent,
 )
@@ -312,27 +312,6 @@ def isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
     return a.canonical_code() == b.canonical_code()
 
 
-def isomorphism_brute_force(a: CombinatorialMap, b: CombinatorialMap) -> Optional[Perm]:
-    """Search all dart bijections for one commuting with sigma and alpha.
-
-    Exponential; a test oracle for maps with at most ~8 darts.
-    """
-    if a.n != b.n:
-        return None
-    darts = range(1, a.n + 1)
-    for images in itertools.permutations(darts):
-        perm = (0,) + images
-        ok = True
-        for d in darts:
-            if (perm[a.sigma[d]] != b.sigma[perm[d]]
-                    or perm[a.alpha[d]] != b.alpha[perm[d]]):
-                ok = False
-                break
-        if ok:
-            return perm
-    return None
-
-
 # -- cycles and regions -------------------------------------------------------
 
 
@@ -535,10 +514,13 @@ def turkshead(n: int) -> CombinatorialMap:
 
     Vertices a_1..a_n on an outer circle and b_1..b_n on an inner one;
     edges are the outer arcs a_k-a_{k+1}, inner arcs b_k-b_{k+1} and the
-    cords a_k-b_k, b_k-a_{k+1}.  V=2n, E=4n, F=2n+2.
+    cords a_k-b_k, b_k-a_{k+1}.  V=2n, E=4n, F=2n+2.  The index is capped
+    at 10**5 (about 360 MB) so that a huge n is refused before allocation.
     """
     if n < 1:
         raise InvalidInput("turkshead index must be >= 1")
+    if n > 10 ** 5:
+        raise LimitExceeded("turkshead index capped at 100000")
     # edge ids: outer_k = k, inner_k = n+k, cordA_k (a_k-b_k) = 2n+k,
     # cordB_k (b_k-a_{k+1}) = 3n+k
     rot = []
@@ -621,9 +603,6 @@ class FaceLabeledGraph:
     @property
     def d(self) -> int:
         return len(self.blue_vertices)
-
-    def white_vertices(self) -> frozenset:
-        return frozenset(self.m.vertex_ids()) - self.blue_vertices
 
     def blue_label_map(self) -> Dict[int, int]:
         return dict(self.blue_labels) if self.blue_labels else {}

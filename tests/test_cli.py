@@ -225,6 +225,13 @@ def test_hurwitz_count_too_long_to_print(capsys):
     assert json.loads(out)["error"] == "LimitExceeded"
 
 
+def test_generate_huge_turkshead_is_refused(capsys):
+    # refused before any table is built, so no memory is spent on it
+    code, out = run_capture(capsys, ["generate", "turkshead", str(10 ** 9)])
+    assert code == 2
+    assert json.loads(out)["error"] == "LimitExceeded"
+
+
 def test_corpus_command(capsys):
     code, out = run_capture(capsys, ["corpus", "2"])
     assert code == 0
@@ -248,13 +255,6 @@ def test_dps_verify_positional_degree(capsys):
 
 def test_missing_file(capsys):
     assert run(["validate", "/nonexistent/x.json"]) == 2
-
-
-def test_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("BALMAPS_THREADS", "zero")
-    assert run(["hurwitz", "count", "3"]) == 2
-    monkeypatch.setenv("BALMAPS_THREADS", "2")
-    assert run(["hurwitz", "count", "3"]) == 0
 
 
 def test_map_file_round_trip(corpus6):

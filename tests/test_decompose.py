@@ -1,10 +1,18 @@
-import itertools
+import hashlib
+import json
 import random
 
 import pytest
 
 from balmaps import balance, decompose, maps
-from balmaps.errors import ColorMismatch, InvalidArc, InvalidRectangle
+from balmaps.corpus import enumerate_four_valent
+from balmaps.errors import (
+    ColorMismatch,
+    InvalidArc,
+    InvalidRectangle,
+    NotApplicable,
+    TrivialCut,
+)
 
 
 def colored(m):
@@ -160,7 +168,7 @@ def test_four_cut_vertex_accounting(corpus6):
         if checked >= 40:
             break
         for cut in decompose.applicable_four_cuts(cm):
-            sides = decompose._four_cut_sides(cm, cut.darts)
+            sides = decompose._cut_sides(cm.m, cut.darts, 2)
             X, Y = sides
             p1, p2 = decompose.split_four_cut(cm, cut)
             total = p1.m.num_vertices + p2.m.num_vertices
@@ -196,3 +204,85 @@ def test_leaf_soundness(corpus6):
             assert decompose.applicable_four_cuts(leaf.map) == []
             if leaf.kind == "quadratic":
                 assert maps.isomorphic(leaf.map.m, maps.quadratic())
+
+
+def _quadratic_chain(n):
+    """A Murasugi sum of n quadratics, each glued into the least white face
+    of the sum so far."""
+    q = colored(maps.quadratic())
+    s = q
+    ob = q.m.faces[min(q.blue_faces)]
+    for _ in range(n - 1):
+        oa = s.m.faces[min(s.white_faces)]
+        s = decompose.murasugi_sum(s, oa[0], oa[1], q, ob[0], ob[1])
+    return s
+
+
+def _tree_digest(cms):
+    data = [decompose.decompose_full(cm).to_dict() for cm in cms]
+    return hashlib.sha256(json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+
+
+def test_decomposition_pinned_corpus(corpus6):
+    assert _tree_digest(corpus6.colored) == \
+        "f592b9e4ad7f313786570333be030b500f467f04cc39ccb9998fa33c59c406d1"
+
+
+def test_decomposition_pinned_turksheads_and_chains():
+    assert _tree_digest(colored(maps.turkshead(n)) for n in range(3, 9)) == \
+        "63eac9fd9e335e16306d93f6bf848cc2c1e5396ffdd49be9b36bce5694a536b3"
+    chains = [_quadratic_chain(n) for n in (5, 10, 20)]
+    assert [cm.m.num_vertices for cm in chains] == [10, 20, 40]
+    assert _tree_digest(chains) == \
+        "92242c6b39b1144a5a268ee49dfe717bf87068fc1576ad8099776e88231a120f"
+
+
+def test_even_even_cut_needs_global_balance(corpus6):
+    refused = 0
+    for cm in corpus6.colored:
+        if balance.check_global(cm):
+            continue
+        for cut in decompose.find_four_cuts(cm):
+            try:
+                p1, p2 = decompose.split_four_cut(cm, cut)
+            except NotApplicable as exc:
+                assert str(exc) == "even/even cut needs global balance"
+                refused += 1
+            else:
+                # V is even, so every other cut is odd/odd and adds a vertex per side
+                assert p1.m.num_vertices + p2.m.num_vertices == cm.m.num_vertices + 2
+    assert refused == 2600
+
+
+def test_mixed_parity_cut_of_pinched_map():
+    cm = colored(maps.turkshead(3))
+    orb = cm.m.faces[min(cm.blue_faces)]
+    pinched = maps.pinch(cm, orb[0], orb[1])
+    assert pinched.m.num_vertices == 7
+    cuts = decompose.find_four_cuts(pinched)
+    assert cuts
+    assert decompose.applicable_four_cuts(pinched) == []
+    for cut in cuts:
+        with pytest.raises(NotApplicable, match="mixed-parity"):
+            decompose.split_four_cut(pinched, cut)
+
+
+def test_two_cut_on_one_edge_is_trivial():
+    cm = colored(maps.turkshead(3))
+    for d in (1, 5):
+        cut = decompose.CutCurve("two_point", (d, cm.m.alpha[d]))
+        with pytest.raises(TrivialCut, match="one edge"):
+            decompose.split_two_cut(cm, cut)
+
+
+def test_only_the_quadratic_is_a_quadratic_leaf():
+    # a leaf is quadratic when it has 2 vertices, because the other two
+    # 2-vertex maps always have a 2-cut
+    seen = []  # (has a quadratic leaf, is the quadratic) per colored map
+    for m in enumerate_four_valent(2):
+        for cm in maps.checkerboard(m):
+            is_quadratic = maps.isomorphic(m, maps.quadratic())
+            assert bool(decompose.find_two_cuts(cm)) != is_quadratic
+            leaves = [l.kind for l in decompose.decompose_full(cm).leaves()]
+            seen.append(("quadratic" in leaves, is_quadratic))
+    assert sorted(seen) == [(False, False)] * 4 + [(True, True)] * 2
