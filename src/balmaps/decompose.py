@@ -227,12 +227,20 @@ def _classify(cm: ColoredMap, ys):
     """The sides (X, Y) of a four-point cut and whether both are odd, when a
     surgery applies; otherwise the reason none does.
 
+    A valid curve crosses four distinct edges and leaves the face of y_i
+    across y_{i+1}, so that face is also the face of alpha(y_{i+1}).
+
     Odd/odd sides always split.  Even/even sides split only in a globally
     balanced diagram, along a curve whose four faces are distinct and
     alternate in color.  A 2-cut piece can have an odd vertex count, so
     mixed-parity curves occur; neither surgery applies to them.
     """
     m = cm.m
+    if (len(ys) != 4 or not all(1 <= y <= m.n for y in ys)
+            or len({m.edge_of(y) for y in ys}) != 4
+            or any(m.face_of[m.alpha[ys[(i + 1) % 4]]] != m.face_of[y]
+                   for i, y in enumerate(ys))):
+        return "not a valid four-point cut"
     sides = _cut_sides(m, ys, 2)
     if sides is None:
         return "not a valid four-point cut"

@@ -1,12 +1,15 @@
 """Bijection between face-labeled bipartite duals and edge-labeled trees.
 
 One direction orients the dual greater-label-left, removes clockwise
-cycles (Felsner's unique normalization), runs a rightmost depth-first
-search against the orientation (Bernardi's spanning tree), chops the root,
-and reads a red label off each surviving segment.  The other direction
-grows hairs on the tree, slot-indexed by the red labels, sews them up by a
-last-in-first-out matching run around the cyclic contour walk until one lap
-repeats the previous one, and collapses the 2-gon faces in a single pass.
+cycles, runs a rightmost depth-first search against the orientation
+(Bernardi's spanning tree), chops the root, and reads a red label off each
+surviving segment.  Felsner's clockwise-free orientation (EJC 2004) is
+read off the greatest face potential, a distance in the dual (Khuller, Naor
+and Klein, SIAM J. Discrete Math. 1993), by one 0-1 breadth-first search.
+The other direction grows hairs on the tree, slot-indexed by the red
+labels, sews them up by a last-in-first-out matching run around the cyclic
+contour walk until one lap repeats the previous one, and collapses the
+2-gon faces in a single pass.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -26,13 +29,7 @@ from .errors import (
     NonTermination,
     NotSpanning,
 )
-from .maps import (
-    CombinatorialMap,
-    FaceLabeledGraph,
-    count_components,
-    directed_cycles,
-    left_faces,
-)
+from .maps import CombinatorialMap, FaceLabeledGraph, count_components
 
 TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red_b)
 
@@ -198,12 +195,6 @@ class EdgeOrientation:
         m = self.g.m
         return self.forward[m.edge_of(c)] == m.alpha[c]
 
-    def reverse_cycle(self, darts: Tuple[int, ...]) -> None:
-        m = self.g.m
-        for dart in darts:
-            e = m.edge_of(dart)
-            self.forward[e] = m.alpha[self.forward[e]]
-
     def copy(self) -> "EdgeOrientation":
         return EdgeOrientation(self.g, dict(self.forward),
                                self.root_vertex, self.root_face)
@@ -239,22 +230,39 @@ def orient_greater_label_left(g: FaceLabeledGraph) -> EdgeOrientation:
     return EdgeOrientation(g, forward, root, root_face)
 
 
-def felsner_normalize(o: EdgeOrientation,
-                      rng: Optional[random.Random] = None) -> EdgeOrientation:
-    """Reverse clockwise cycles until none remain; the result is unique
-    whatever the reversal schedule."""
+def felsner_normalize(o: EdgeOrientation) -> EdgeOrientation:
+    """The orientation with the same out-degrees and no clockwise cycle
+    (bounded side on the right of the cycle, root face on its left).
+
+    Any orientation with the out-degrees of o differs from o by a
+    circulation, on the sphere the coboundary of a face potential p with
+    p(root face) = 0: every edge of o, with faces L and R on its left and
+    right, has 0 <= p(R) - p(L) <= 1 and is reversed where it is 1.
+    Reversing a clockwise cycle raises p by 1 on its bounded side, so the
+    orientation without clockwise cycles (Felsner, "Lattice structures from
+    planar graphs", EJC 2004) has the greatest feasible p: the distance from
+    the root face when crossing an edge from left to right costs 1 and back
+    costs 0 (Khuller, Naor and Klein, "The lattice structure of flow in
+    planar graphs", SIAM J. Discrete Math. 1993). One 0-1 breadth-first
+    search over the faces finds it.
+    """
     m = o.g.m
+    dist = [m.num_faces] * m.num_faces
+    dist[o.root_face] = 0
+    queue = deque([o.root_face])
+    while queue:
+        f = queue.popleft()
+        for c in m.faces[f]:
+            step = o.forward[m.edge_of(c)] == c
+            g = m.face_of[m.alpha[c]]
+            if dist[f] + step < dist[g]:
+                dist[g] = dist[f] + step
+                (queue.append if step else queue.appendleft)(g)
     out = o.copy()
-    cap = m.num_edges * m.num_faces + 1
-    for _ in range(cap):
-        # clockwise: the bounded side (without the root face) is on the right
-        cw = [c for c in directed_cycles(m, out.forward.values())
-              if out.root_face in left_faces(m, c)]
-        if not cw:
-            return out
-        pick = rng.choice(cw) if rng is not None else cw[0]
-        out.reverse_cycle(pick)
-    raise NonTermination("clockwise cycles persist after %d reversals" % cap)
+    for e, c in o.forward.items():
+        if dist[m.face_of[m.alpha[c]]] - dist[m.face_of[c]] == 1:
+            out.forward[e] = m.alpha[c]
+    return out
 
 
 @dataclass
@@ -327,18 +335,17 @@ def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
     kept = st.edges - {root_tree_edges[0]}
     whites = sorted(v for v in m.vertex_ids() if v not in g.blue_vertices)
     widx = {v: i for i, v in enumerate(whites)}
+    # (white, red) of each kept edge, bucketed by its blue end
+    ends_at: Dict[int, List[Tuple[int, int]]] = {v: [] for v in g.blue_vertices}
+    for e in kept:
+        c = e if m.vertex_of[e] not in g.blue_vertices else m.alpha[e]
+        ends_at[m.vertex_of[m.alpha[c]]].append(
+            (widx[m.vertex_of[c]], g.face_red[m.face_of[m.alpha[c]]]))
     edges = []
     for mid in sorted(g.blue_vertices - {root}):
-        inc = [e for e in kept
-               if mid in (m.vertex_of[e], m.vertex_of[m.alpha[e]])]
-        if len(inc) != 2:
-            raise NotSpanning("midpoint %d has tree degree %d" % (mid, len(inc)))
-        ends = []
-        for e in inc:
-            c = e if m.vertex_of[e] != mid else m.alpha[e]
-            w = m.vertex_of[c]
-            red = g.face_red[m.face_of[m.alpha[c]]]
-            ends.append((widx[w], red))
+        ends = ends_at[mid]
+        if len(ends) != 2:
+            raise NotSpanning("midpoint %d has tree degree %d" % (mid, len(ends)))
         (wa, ra), (wb, rb) = sorted(ends)
         edges.append((wa, wb, labels[mid], ra, rb))
     t = EdgeLabeledTree(d, tuple(edges))

@@ -43,3 +43,31 @@ def duals3():
 @pytest.fixture(scope="session")
 def duals4():
     return make_labeled_duals(4)
+
+
+def clockwise_cycles(o):
+    """The directed cycles of an orientation with the root face on their
+    left, i.e. with their bounded side on the right."""
+    m = o.g.m
+    return [c for c in maps.directed_cycles(m, o.forward.values())
+            if o.root_face in maps.left_faces(m, c)]
+
+
+def reverse_cycle(o, darts):
+    m = o.g.m
+    for dart in darts:
+        e = m.edge_of(dart)
+        o.forward[e] = m.alpha[o.forward[e]]
+
+
+def felsner_by_reversals(o, rng=None):
+    """Oracle for dps.felsner_normalize: reverse clockwise cycles, the first
+    one listed or a random one, until none remains."""
+    m = o.g.m
+    out = o.copy()
+    for _ in range(m.num_edges * m.num_faces + 1):
+        cw = clockwise_cycles(out)
+        if not cw:
+            return out
+        reverse_cycle(out, rng.choice(cw) if rng is not None else cw[0])
+    raise AssertionError("clockwise cycles persist")

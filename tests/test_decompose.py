@@ -1,15 +1,17 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from balmaps import balance, decompose, maps
-from balmaps.corpus import enumerate_four_valent
+from balmaps.corpus import build_corpus, enumerate_four_valent
 from balmaps.errors import (
     ColorMismatch,
     InvalidArc,
     InvalidRectangle,
+    MapError,
     NotApplicable,
     TrivialCut,
 )
@@ -286,3 +288,37 @@ def test_only_the_quadratic_is_a_quadratic_leaf():
             leaves = [l.kind for l in decompose.decompose_full(cm).leaves()]
             seen.append(("quadratic" in leaves, is_quadratic))
     assert sorted(seen) == [(False, False)] * 4 + [(True, True)] * 2
+
+
+def test_malformed_four_cut_is_not_applicable():
+    cm = build_corpus(4).colored[42]
+    with pytest.raises(NotApplicable, match="not a valid four-point cut"):
+        decompose.split_four_cut(cm, decompose.CutCurve("four_point", (4, 6, 8, 7)))
+
+
+def test_random_four_cuts_raise_only_map_errors():
+    rng = random.Random(4)
+    outcomes = Counter()
+    for cm in build_corpus(4).colored:
+        m = cm.m
+        for _ in range(100):
+            if rng.random() < 0.3:
+                ys = [rng.randrange(-1, m.n + 2) for _ in range(4)]
+            else:
+                # a face walk, closed up when some crossing allows it
+                ys = [rng.randrange(1, m.n + 1)]
+                for _ in range(3):
+                    ys.append(m.alpha[rng.choice(m.faces[m.face_of[ys[-1]]])])
+                closing = [m.alpha[c] for c in m.faces[m.face_of[ys[2]]]
+                           if m.face_of[c] == m.face_of[m.alpha[ys[0]]]]
+                if closing:
+                    ys[3] = rng.choice(closing)
+            try:
+                decompose.split_four_cut(cm, decompose.CutCurve("four_point", tuple(ys)))
+            except MapError as exc:
+                outcomes[str(exc)] += 1
+            else:
+                outcomes["split"] += 1
+    assert outcomes["split"] > 0
+    assert outcomes["not a valid four-point cut"] > 0
+    assert outcomes["even/even cut needs global balance"] > 0

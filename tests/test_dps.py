@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from balmaps import dps, maps
 from balmaps.errors import DegreePropertyFailed, InvalidInput, LimitExceeded
+from tests.conftest import clockwise_cycles, felsner_by_reversals, reverse_cycle
 
 
 def random_tree(rng, d):
@@ -121,9 +122,20 @@ def test_orientation_rejects_scrambled_labels(duals3):
 
 def test_felsner_no_clockwise_cycles(duals3):
     for g in duals3:
-        o = dps.felsner_normalize(dps.orient_greater_label_left(g))
-        assert not [c for c in maps.directed_cycles(g.m, o.forward.values())
-                    if o.root_face in maps.left_faces(g.m, c)]
+        assert not clockwise_cycles(
+            dps.felsner_normalize(dps.orient_greater_label_left(g)))
+
+
+def test_felsner_no_clockwise_cycles_random_trees():
+    rng = random.Random(59)
+    for d in range(5, 10):
+        for _ in range(3):
+            g = dps.tree_to_graph(random_tree(rng, d))
+            o = dps.orient_greater_label_left(g)
+            assert clockwise_cycles(o)
+            normal = dps.felsner_normalize(o)
+            assert not clockwise_cycles(normal)
+            assert felsner_by_reversals(o).forward == normal.forward
 
 
 def test_felsner_fixed_point(duals3):
@@ -134,12 +146,39 @@ def test_felsner_fixed_point(duals3):
 
 
 def test_felsner_schedule_independence(duals3):
+    """Every schedule of clockwise-cycle reversals ends at the potential."""
     for i, g in enumerate(duals3):
         o = dps.orient_greater_label_left(g)
         base = dps.felsner_normalize(o).forward
+        assert felsner_by_reversals(o).forward == base
         for s in range(10):
             rng = random.Random(100 * i + s)
-            assert dps.felsner_normalize(o, rng=rng).forward == base
+            assert felsner_by_reversals(o, rng).forward == base
+
+
+def test_felsner_from_other_orientations(duals3, duals4):
+    """Reversing any directed cycle keeps the out-degrees, so orientations
+    reached by reversals in both senses normalize to the same result."""
+    rng = random.Random(31)
+    duals = duals3 + rng.sample(duals4, 12)
+    clockwise = counterclockwise = others = 0
+    for g in duals:
+        o = dps.orient_greater_label_left(g)
+        start = dict(o.forward)
+        base = dps.felsner_normalize(o).forward
+        for _ in range(4):
+            for _ in range(rng.randrange(1, 5)):
+                cycle = rng.choice(maps.directed_cycles(g.m, o.forward.values()))
+                if o.root_face in maps.left_faces(g.m, cycle):
+                    clockwise += 1
+                else:
+                    counterclockwise += 1
+                reverse_cycle(o, cycle)
+            others += o.forward not in (start, base)
+            assert dps.felsner_normalize(o).forward == base
+            assert felsner_by_reversals(o, rng).forward == base
+    assert clockwise > 0 and counterclockwise > 0
+    assert others > len(duals)
 
 
 def test_bernardi_spanning_tree(duals3):
@@ -228,20 +267,20 @@ def test_tree_round_trip_from_tree_side():
 
 
 @settings(max_examples=50, deadline=None)
-@given(d=st.integers(6, 16), rng=st.randoms(use_true_random=False))
+@given(d=st.integers(6, 40), rng=st.randoms(use_true_random=False))
 def test_round_trip_random_trees(d, rng):
     t = random_tree(rng, d)
     t2 = dps.graph_to_tree(dps.tree_to_graph(t))
     assert t2.canonical_key() == t.canonical_key()
 
 
-def test_decode_large_tree():
-    """Decode only: encoding still enumerates every directed cycle."""
+def test_round_trip_large_tree():
     d = 60
-    g = dps.tree_to_graph(random_tree(random.Random(60), d))
-    g.validate()
+    t = random_tree(random.Random(60), d)
+    g = dps.tree_to_graph(t)
     assert g.m.num_vertices == 2 * d
     assert g.m.num_faces == 2 * d - 2
+    assert dps.graph_to_tree(g).canonical_key() == t.canonical_key()
 
 
 def test_decode_builds_two_maps(monkeypatch):

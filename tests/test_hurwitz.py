@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -55,6 +56,64 @@ def test_hurwitz_count_values():
     assert hurwitz.hurwitz_count(5) == 8400
     with pytest.raises(DegreeTooSmall):
         hurwitz.hurwitz_count(2)
+
+
+def partitions(n, most=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def dim_and_content(shape):
+    """The degree of the irreducible character of S_n for ``shape`` (hook
+    length formula) and the sum of its cells' contents, which is the
+    scalar by which the sum of all transpositions acts."""
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= (row - j) + (cols[j] - i) - 1
+    content = sum(j - i for i, row in enumerate(shape) for j in range(row))
+    return math.factorial(sum(shape)) // hooks, content
+
+
+def transitive_tuple_counts(top):
+    """c[n][k]: tuples of k transpositions in S_n with trivial product and
+    a transitive action, for n <= top and k <= 2 top - 2.
+
+    Frobenius: all such tuples number (1/n!) sum_shape dim^2 content^k.
+    Split a tuple by the orbit of point 1 (its points and the positions of
+    its transpositions): that is the exponential formula in both labels,
+    solved here for the transitive part."""
+    kmax = 2 * top - 2
+    a = [[int(k == 0) for k in range(kmax + 1)]]
+    for n in range(1, top + 1):
+        chars = [dim_and_content(shape) for shape in partitions(n)]
+        row = []
+        for k in range(kmax + 1):
+            total = sum(dim * dim * content ** k for dim, content in chars)
+            assert total % math.factorial(n) == 0
+            row.append(total // math.factorial(n))
+        a.append(row)
+    c = [[0] * (kmax + 1)]
+    for n in range(1, top + 1):
+        c.append([a[n][k] - sum(
+            math.comb(n - 1, m - 1) * math.comb(k, j) * c[m][j] * a[n - m][k - j]
+            for m in range(1, n) for j in range(k + 1))
+            for k in range(kmax + 1)])
+    return c
+
+
+def test_hurwitz_count_matches_character_oracle():
+    c = transitive_tuple_counts(12)
+    assert c[1][0] == 1 and c[2][2] == 1 and c[3][4] == 24
+    for d in range(3, 13):
+        # conjugation acts freely on transitive tuples once d >= 3
+        assert c[d][2 * d - 2] % math.factorial(d) == 0
+        assert c[d][2 * d - 2] // math.factorial(d) == hurwitz.hurwitz_count(d)
 
 
 def test_enumerate_classes_degree_two():
