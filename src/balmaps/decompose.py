@@ -395,16 +395,28 @@ class DecompositionTree:
     kind: Optional[str] = None  # for leaves: "quadratic" | "hyperbolic"
 
     def leaves(self) -> List["DecompositionTree"]:
-        if self.pieces is None:
-            return [self]
-        return self.pieces[0].leaves() + self.pieces[1].leaves()
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.pieces is None:
+                out.append(node)
+            else:
+                stack += reversed(node.pieces)
+        return out
 
     def to_dict(self) -> dict:
-        if self.pieces is None:
-            return {"kind": self.kind,
-                    "code": list(self.map.m.canonical_code())}
-        return {"cut": [self.cut.kind, list(self.cut.darts)],
-                "pieces": [p.to_dict() for p in self.pieces]}
+        root: dict = {}
+        stack = [(self, root)]
+        while stack:
+            node, out = stack.pop()
+            if node.pieces is None:
+                out["kind"] = node.kind
+                out["code"] = list(node.map.m.canonical_code())
+            else:
+                out["cut"] = [node.cut.kind, list(node.cut.darts)]
+                out["pieces"] = [{}, {}]
+                stack += zip(node.pieces, out["pieces"])
+        return root
 
 
 def applicable_four_cuts(cm: ColoredMap) -> List[CutCurve]:
@@ -414,18 +426,36 @@ def applicable_four_cuts(cm: ColoredMap) -> List[CutCurve]:
             if not isinstance(_classify(cm, cut.darts), str)]
 
 
-def decompose_full(cm: ColoredMap) -> DecompositionTree:
-    """Greedily apply the lowest-signature cut (2-point first, then
-    4-point) until only quadratic and hyperbolic pieces remain."""
+def _first_split(cm: ColoredMap) -> Optional[Tuple[CutCurve, Tuple[ColoredMap, ColoredMap]]]:
+    """The lowest-signature cut that applies, 2-point first, with its
+    pieces; None for a leaf."""
     two = find_two_cuts(cm)
     if two:
-        p1, p2 = split_two_cut(cm, two[0])
-        return DecompositionTree(cm, two[0], (decompose_full(p1), decompose_full(p2)))
+        return two[0], split_two_cut(cm, two[0])
     for cut in find_four_cuts(cm):
         verdict = _classify(cm, cut.darts)
         if not isinstance(verdict, str):
-            p1, p2 = _split_four(cm, cut.darts, *verdict)
-            return DecompositionTree(cm, cut, (decompose_full(p1), decompose_full(p2)))
-    # the quadratic is the only 2-vertex map with no 2-cut
-    kind = "quadratic" if cm.m.num_vertices == 2 else "hyperbolic"
-    return DecompositionTree(cm, kind=kind)
+            return cut, _split_four(cm, cut.darts, *verdict)
+    return None
+
+
+def decompose_full(cm: ColoredMap) -> DecompositionTree:
+    """Greedily apply the lowest-signature cut (2-point first, then
+    4-point) until only quadratic and hyperbolic pieces remain.
+
+    The pieces wait on an explicit stack, so the tree's depth does not
+    meet the recursion limit.
+    """
+    root = DecompositionTree(cm)
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        split = _first_split(node.map)
+        if split is None:
+            # the quadratic is the only 2-vertex map with no 2-cut
+            node.kind = "quadratic" if node.map.m.num_vertices == 2 else "hyperbolic"
+            continue
+        node.cut, (p1, p2) = split
+        node.pieces = (DecompositionTree(p1), DecompositionTree(p2))
+        stack += reversed(node.pieces)
+    return root

@@ -1,9 +1,12 @@
 """Enumeration of monodromy tuples and the quartic census.
 
 Tuples of 2d-2 transpositions in S_d with trivial product and transitive
-action are enumerated with the first transposition pinned to (1 2) (every
-diagonal-conjugacy class meets that slice), then grouped into classes by
-exhausting conjugation orbits.  The census maps each class through the
+action are enumerated with the first transposition pinned to (1 2): the
+lex-least tuple of each diagonal-conjugacy class lies in that slice, and
+the 2(d-2)! conjugations fixing {1, 2} are the ones that keep a tuple
+there.  An orderly search emits only the slice tuples that are least among
+their images under those conjugations, one per class, and the closed-form
+count checks that none was missed.  The census maps each class through the
 polygon gluing and groups by the underlying 4-valent diagram.
 """
 
@@ -59,10 +62,32 @@ def _transpositions(d: int) -> List[Pair]:
     return [(a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)]
 
 
-def _raw_tuples_first_fixed(d: int) -> List[Tuple[Pair, ...]]:
-    """All valid tuples whose first transposition is (1 2).
+def _stabilizer(d: int) -> List[Tuple[int, ...]]:
+    """The 2 (d-2)! conjugations that fix {1, 2}, the identity first."""
+    return [(0,) + ab + rest
+            for ab in ((1, 2), (2, 1))
+            for rest in itertools.permutations(range(3, d + 1))]
 
-    Depth first over the free slots on an explicit stack.  The product
+
+def _tied(tables: List[List[int]], c: int) -> Optional[List[List[int]]]:
+    """The tables that fix transposition index c, or None if one maps c
+    below itself."""
+    keep = []
+    for tab in tables:
+        i = tab[c]
+        if i < c:
+            return None
+        if i == c:
+            keep.append(tab)
+    return keep
+
+
+def _least_slice_tuples(d: int) -> List[Tuple[Pair, ...]]:
+    """The valid tuples that start with (1 2) and are least among their
+    images under the conjugations fixing {1, 2}, in ascending order; d >= 3.
+
+    Depth first over the free slots on an explicit stack, trying the
+    transpositions in lexicographic order.  The product
     tau_1 o ... o tau_k of the chosen factors, the inverse of
     tau_k o ... o tau_1, is kept in place (multiplying by (a b) on the
     right swaps two entries), with its distance d - #cycles and the
@@ -74,19 +99,33 @@ def _raw_tuples_first_fixed(d: int) -> List[Tuple[Pair, ...]]:
     last free slot the product must become a transposition, the forced last
     factor.  The distance changes parity with every factor, so it always
     has the parity the factors left need.
+
+    The search is orderly (McKay, "Isomorph-free exhaustive generation",
+    1998): per depth it keeps the conjugations fixing {1, 2} that fix the
+    factors chosen so far, each as a table from a transposition's index to
+    its image's.  The indices follow the lexicographic order of the pairs,
+    so a candidate that one of them maps below itself makes every
+    completion greater than its image and is pruned, and a conjugation
+    that maps the candidate above itself is no longer tied.  The forced
+    last factor is the product of the others, so a conjugation that fixes
+    them fixes it too and needs no test; one still tied at a leaf fixes
+    the tuple, which is emitted for the caller to reject as not free.
     """
     n = 2 * d - 2
-    if n == 2:
-        return [((1, 2), (1, 2))]
     trans = _transpositions(d)
+    index = {p: i for i, p in enumerate(trans)}
+    tables = [[index[(g[a], g[b]) if g[a] < g[b] else (g[b], g[a])] for a, b in trans]
+              for g in _stabilizer(d)[1:]]
     results: List[Tuple[Pair, ...]] = []
     prod = list(range(d + 1))
     prod[1], prod[2] = 2, 1
     taus: List[Pair] = [(1, 2)] * (n - 2)  # the factors before the last two
-    # per depth (factors chosen): distance, component labels and count, next candidate
+    # per depth (factors chosen): distance, component labels and count,
+    # conjugations still tied, next candidate
     dist = [1] * n
     comp = [[0, 1, 1] + list(range(3, d + 1))] * n
     ncomp = [d - 1] * n
+    tied = [tables] * n
     nxt = [0] * n
     k = 1
     while k:
@@ -113,59 +152,59 @@ def _raw_tuples_first_fixed(d: int) -> List[Tuple[Pair, ...]]:
                 prod[a], prod[b] = prod[b], prod[a]
                 # (p q) must join what is left once (a b) has merged cb into ca
                 cp, cq = (ca if lab[y] == cb else lab[y] for y in (p, q))
-                if ck - (cp != cq) == 1:
+                if ck - (cp != cq) == 1 and _tied(tied[k], c) is not None:
                     results.append(tuple(taus) + ((a, b), (p, q)))
             continue
         left = n - k - 1  # factors still to choose, the forced last one included
         if dk > left or ck - 1 > left:
             continue
+        keep = _tied(tied[k], c)
+        if keep is None:
+            continue
         prod[a], prod[b] = prod[b], prod[a]
         taus[k] = (a, b)
         k += 1
-        dist[k], ncomp[k], nxt[k] = dk, ck, 0
+        dist[k], ncomp[k], tied[k], nxt[k] = dk, ck, keep, 0
         comp[k] = [ca if y == cb else y for y in lab] if ca != cb else lab
     return results
 
 
-def enumerate_classes(d: int, limit: int = 5) -> List[TupleClass]:
+def enumerate_classes(d: int) -> List[TupleClass]:
     """All diagonal-conjugacy classes of valid transposition tuples,
-    canonical representatives in ascending order."""
-    if d > limit:
-        raise LimitExceeded("enumeration capped at degree %d" % limit)
+    canonical representatives in ascending order.
+
+    Each class's lex-least conjugate starts with (1 2), so it is the least
+    of its images under the conjugations fixing {1, 2}, which are the ones
+    that keep a tuple in the (1 2) slice: the search emits exactly these.
+    Each is checked to be least with a free orbit, and the count against
+    the closed formula stands for completeness.
+    """
+    if d > 5:
+        raise LimitExceeded("enumeration capped at degree 5")
     if d < 2:
         raise DegreeTooSmall("degree must be at least 2")
     if d == 2:
         t = TranspositionTuple(2, ((1, 2), (1, 2)))
         t.validate()
         return [TupleClass(t, 1)]
-    raw = set(_raw_tuples_first_fixed(d))
-    # a conjugate stays in the (1 2) slice iff the conjugation fixes {1, 2},
-    # so these 2 (d-2)! conjugations reach the orbit's whole slice, and the
-    # lex-least conjugate, which starts with (1 2), lies in it
-    stabilizer = [(0,) + ab + rest
-                  for ab in ((1, 2), (2, 1))
-                  for rest in itertools.permutations(range(3, d + 1))]
+    stabilizer = _stabilizer(d)
     classes = []
-    visited = set()
     dfact = math.factorial(d)
-    for taus in sorted(raw):
-        if taus in visited:
-            continue
+    for taus in _least_slice_tuples(d):
         slice_imgs = {_conjugate_flat(taus, g) for g in stabilizer}
         if len(slice_imgs) != len(stabilizer):
             # conjugation acts freely on transitive tuples for d >= 3
             raise Mismatch("conjugation orbit of %r is not free" % (taus,))
-        if not slice_imgs <= raw:
-            raise Mismatch("enumeration missed a conjugate of %r" % (taus,))
-        visited.update(slice_imgs)
-        t = TranspositionTuple(d, min(slice_imgs))
+        if min(slice_imgs) != taus:
+            raise Mismatch("%r is not the least of its conjugates" % (taus,))
+        t = TranspositionTuple(d, taus)
         t.validate()
         classes.append(TupleClass(t, dfact))
-    classes.sort(key=lambda c: c.representative.taus)
     count = hurwitz_count(d)
     if len(classes) != count:
-        raise Mismatch("enumerated %d classes, formula gives %d"
-                       % (len(classes), count))
+        why = "missed a conjugate" if len(classes) < count else "kept a class twice"
+        raise Mismatch("enumerated %d classes, formula gives %d: the search %s"
+                       % (len(classes), count, why))
     return classes
 
 

@@ -118,6 +118,10 @@ def test_hurwitz_commands(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["count"] == 4 and len(data["classes"]) == 4
+    code, out = run_capture(capsys, ["hurwitz", "enumerate", "4"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8ab204e9059c63c7431b8e45a4887ee45c2fbb4ff43ddc46be732e70cf38bcb9")
 
 
 def test_census_command(capsys):

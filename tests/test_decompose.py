@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -237,6 +238,31 @@ def test_decomposition_pinned_turksheads_and_chains():
     assert [cm.m.num_vertices for cm in chains] == [10, 20, 40]
     assert _tree_digest(chains) == \
         "92242c6b39b1144a5a268ee49dfe717bf87068fc1576ad8099776e88231a120f"
+
+
+def test_decomposition_ignores_recursion_limit():
+    """A 16-piece chain decomposes, lists its leaves and serializes with
+    only twelve nested calls left below the recursion limit, though its
+    tree is 16 levels deep.  Twelve leaves room for the deepest chain of
+    helpers below decompose_full (eight calls, down to the piece's
+    4-valence check), not for one call per level."""
+    from test_hurwitz import headroom
+
+    def depth(tree):
+        return 1 if tree.pieces is None else 1 + max(map(depth, tree.pieces))
+
+    cm = _quadratic_chain(16)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - headroom() + 12)
+    try:
+        tree = decompose.decompose_full(cm)
+        kinds = [leaf.kind for leaf in tree.leaves()]
+        data = tree.to_dict()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert depth(tree) == 16
+    assert kinds == ["quadratic"] * 16
+    assert data == decompose.decompose_full(cm).to_dict()
 
 
 def test_even_even_cut_needs_global_balance(corpus6):

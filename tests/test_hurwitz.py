@@ -237,32 +237,48 @@ def test_glued_codes_pinned(classes5):
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_raw_tuples_match_brute_force(d):
-    valid = []
+def test_least_slice_tuples_match_brute_force(d):
+    """The orderly search emits exactly the valid (1 2)-slice tuples that
+    are least among their images under the conjugations fixing {1, 2}, in
+    ascending order."""
+    stabilizer = [(0,) + g for g in itertools.permutations(range(1, d + 1))
+                  if {g[0], g[1]} == {1, 2}]
+    least = []
     for rest in itertools.product(hurwitz._transpositions(d), repeat=2 * d - 3):
         t = realize.TranspositionTuple(d, ((1, 2),) + rest)
         try:
             t.validate()
         except InvalidTuple:
             continue
-        valid.append(t.taus)
-    raw = hurwitz._raw_tuples_first_fixed(d)
-    assert len(raw) == len(set(raw))
-    assert sorted(raw) == valid
+        if all(t.conjugate(g).taus >= t.taus for g in stabilizer):
+            least.append(t.taus)
+    assert len(least) == hurwitz.hurwitz_count(d)
+    assert hurwitz._least_slice_tuples(d) == least
 
 
 def test_enumerate_classes_detects_a_missed_conjugate(monkeypatch):
-    full = hurwitz._raw_tuples_first_fixed
-    monkeypatch.setattr(hurwitz, "_raw_tuples_first_fixed", lambda d: sorted(full(d))[1:])
+    full = hurwitz._least_slice_tuples
+    monkeypatch.setattr(hurwitz, "_least_slice_tuples", lambda d: full(d)[1:])
     with pytest.raises(Mismatch, match="missed a conjugate"):
         hurwitz.enumerate_classes(4)
 
 
 def test_enumerate_classes_detects_a_fixed_tuple(monkeypatch):
-    full = hurwitz._raw_tuples_first_fixed
-    monkeypatch.setattr(hurwitz, "_raw_tuples_first_fixed",
+    full = hurwitz._least_slice_tuples
+    monkeypatch.setattr(hurwitz, "_least_slice_tuples",
                         lambda d: full(d) + [((1, 2), (1, 2), (1, 2), (1, 2))])
     with pytest.raises(Mismatch, match="not free"):
+        hurwitz.enumerate_classes(3)
+
+
+def test_enumerate_classes_detects_a_tuple_that_is_not_least(monkeypatch):
+    full = hurwitz._least_slice_tuples
+    # swapping 1 and 2 keeps a tuple in the (1 2) slice; the image of a
+    # least tuple with a free orbit is greater
+    swapped = realize._conjugate_flat(full(3)[0], (0, 2, 1, 3))
+    assert swapped > full(3)[0]
+    monkeypatch.setattr(hurwitz, "_least_slice_tuples", lambda d: full(d) + [swapped])
+    with pytest.raises(Mismatch, match="not the least"):
         hurwitz.enumerate_classes(3)
 
 
