@@ -1,31 +1,31 @@
 """Exhaustive generation of connected 4-valent sphere maps.
 
 With the vertex rotation fixed to the standard blocks (1 2 3 4)(5 6 7 8)...,
-every 4-valent map appears as some edge involution alpha; the search pairs
-the smallest unpaired dart first, opening a fresh vertex block only at
-its first dart, so each rooted map (rooted at dart 1) comes out once, in
-lexicographic order of alpha[1..n].  Opened blocks always form a prefix;
-once the smallest unpaired dart lies past them they are closed into one
-component and the branch is cut.  Partial face orbits are tracked so that
-only genus-0 completions survive.
+every 4-valent map is some edge involution alpha.  The search pairs the
+smallest unpaired dart first and opens a fresh vertex block only at its
+first dart, so each rooted map (rooted at dart 1) is reached once.  Opened
+blocks that close early cut the branch; face orbits keep genus 0 only.
 
-Generation is orderly (Read, "Every one a winner", 1978): a completion is
-kept only if no other root, relabeled by the same rule, gives a smaller
-alpha, so each class yields its lex-least rooted labeling once and no
-dedup by canonical form is needed; canonical codes only sort the result.
+Generation is orderly (Read, "Every one a winner", 1978), with the test run
+on partial labelings (McKay, "Isomorph-free exhaustive generation", 1998):
+after every pair, each live root is relabeled by the search's own rule and
+compared with alpha up to the first position undefined on either side.
+Pairing fixes that prefix for every completion, so a smaller root prunes
+the branch, a larger one leaves the live set, and ties pass down.  On the
+complete alpha this is the full test: each class yields its lex-least
+rooted labeling once, canonical codes only sort the result.
 
-The mass formula sum(4V / |Aut|) over the classes equals the number of
-rooted 4-valent sphere maps with V vertices, 2 * 3^V (2V)! / (V! (V+2)!),
-which the test suite uses as an exhaustiveness oracle.
+The mass formula sum(4V / |Aut|) over the classes equals 2 * 3^V (2V)! /
+(V! (V+2)!), the rooted count: the test suite's exhaustiveness oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
-from .errors import LimitExceeded
+from .errors import InvalidInput, LimitExceeded
 from .maps import ColoredMap, CombinatorialMap, checkerboard
 
 
@@ -40,6 +40,8 @@ def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
     """All connected 4-valent sphere maps with the given number of vertices,
     one representative per orientation-preserving isomorphism class: the
     lex-least rooted labeling, sorted by canonical code."""
+    if n_vertices < 1:
+        raise InvalidInput(f"n_vertices must be at least 1, got {n_vertices}")
     V = n_vertices
     n = 4 * V
     target_faces = V + 2
@@ -54,63 +56,69 @@ def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
 
     def closed_faces(d: int, c: int) -> int:
         # new arrows d -> sigma[c] and c -> sigma[d] were just added;
-        # count freshly completed phi-cycles (1 if both arrows lie on the
-        # same cycle, else one per returning walk)
-        x = phi_next[d]
-        through_c = False
-        while x and x != d:
-            if x == c:
-                through_c = True
-            x = phi_next[x]
-        if x == d:
-            if through_c:
-                return 1
-            closed = 1
-        else:
-            closed = 0
-        x = phi_next[c]
-        while x and x != c:
-            x = phi_next[x]
-        return closed + (1 if x == c else 0)
+        # count freshly completed phi-cycles: the walk from d if it returns,
+        # and the walk from c if it returns without meeting d (one cycle)
+        closed = 0
+        for start, meet in ((d, 0), (c, d)):
+            x = phi_next[start]
+            while x and x != start and x != meet:
+                x = phi_next[x]
+            closed += x == start
+        return closed
 
-    def is_least() -> bool:
-        # relabel the completed map from every other root by the search's
-        # own rule (the root's block becomes 1..4, each newly reached block
-        # is opened at the dart that reaches it) and compare with alpha,
-        # which is the relabeling from root 1, up to the first difference
-        for r in range(2, n + 1):
-            lab = [0] * (n + 1)  # dart -> new label
-            orig = [0] * (n + 1)  # new label -> dart
+    lab = [0] * (n + 1)  # scratch: dart -> label from the tested root
+    orig = [0] * (n + 1)  # scratch: label -> dart, 0 = not yet reached
+
+    def tied(roots: List[Tuple[int, int]]):
+        # relabel the partial alpha from each root by the search's rule (root
+        # block 1..4, each new block opened at the dart reaching it); compare
+        # with alpha, root 1's relabeling, up to the first position undefined
+        # on either side, a prefix every completion keeps: None if a root is
+        # smaller there, else the tied roots with the dart each scan stopped at
+        out = []
+        for r, stop in roots:
+            if not alpha[stop]:  # nothing this scan reads has changed
+                out.append((r, stop))
+                continue
             x = r
             for k in range(1, 5):
                 lab[x] = k
                 orig[k] = x
                 x = sigma[x]
-            top = 5  # first label of the next block to open
+            top, diff = 5, 0  # top: first label of the next block to open
             for d in range(1, n + 1):
-                y = alpha[orig[d]]
+                stop = orig[d]  # 0 past the labeled blocks
+                y = alpha[stop]
+                if not (y and alpha[d]):
+                    break
                 if not lab[y]:
                     for k in range(top, top + 4):
                         lab[y] = k
                         orig[k] = y
                         y = sigma[y]  # back at y after the 4-cycle
                     top += 4
-                if lab[y] != alpha[d]:
-                    if lab[y] < alpha[d]:
-                        return False
+                diff = lab[y] - alpha[d]
+                if diff:
                     break
-        return True
+            for k in range(1, top):
+                lab[orig[k]] = orig[k] = 0
+            if diff < 0:
+                return None
+            if not diff:
+                out.append((r, stop))
+        return out
 
-    def rec(first_free: int, faces_done: int, pairs_left: int, opened: int):
-        # vertex blocks 0 .. opened - 1 are in use; the rest are untouched
+    def rec(first_free: int, faces_done: int, pairs_left: int, opened: int,
+            live: List[Tuple[int, int]]):
+        # vertex blocks 0 .. opened - 1 are in use; the rest are untouched;
+        # live holds the roots whose relabeling still ties with root 1
         d = first_free
         while d <= n and alpha[d]:
             d += 1
         if d > n:
-            # the face-count prune admits a last pair only if it brings
-            # the faces to V + 2, so every completion is a sphere map
-            if is_least():
-                kept.append(CombinatorialMap(sigma, alpha))
+            # the face-count prune admits a last pair only if it brings the
+            # faces to V + 2 (a sphere map), and tied() was the orderly test
+            kept.append(CombinatorialMap(sigma, alpha))
             return
         top = 4 * opened
         if d > top:
@@ -124,11 +132,12 @@ def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
             phi_next[c] = sigma[d]
             fd = faces_done + closed_faces(d, c)
             if fd <= target_faces and fd + 2 * (pairs_left - 1) >= target_faces:
-                rec(d + 1, fd, pairs_left - 1, opened + (c > top))
+                if (still := tied(live)) is not None:
+                    rec(d + 1, fd, pairs_left - 1, opened + (c > top), still)
             alpha[d] = alpha[c] = 0
             phi_next[d] = phi_next[c] = 0
 
-    rec(1, 0, n // 2, 1)
+    rec(1, 0, n // 2, 1, [(r, r) for r in range(2, n + 1)])
     return sorted(kept, key=CombinatorialMap.canonical_code)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from balmaps import corpus, maps
+from balmaps.errors import InvalidInput
 
 # first 16 hex digits of sha256(repr([m.alpha for m in maps])): the kept
 # representatives and their order, pinned
@@ -13,6 +14,7 @@ ALPHA_DIGESTS = {
     4: "ffa6a720f9e0499f",
     5: "3429bcfc7bad7135",
     6: "faac3a537fc5f9c5",
+    7: "8960d1dffb5db0fb",
 }
 
 
@@ -64,14 +66,40 @@ def test_alpha_list_pinned_six(corpus6):
     assert _alpha_digest(six) == ALPHA_DIGESTS[6]
 
 
-@pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
-def test_orderly_representatives(v):
+def _assert_orderly(ms):
     """Each kept alpha is the least relabeling over all roots, and the roots
     that reproduce it are exactly the automorphisms."""
-    for m in corpus.enumerate_four_valent(v):
+    for m in ms:
         relabelings = [_relabeled_alpha(m, r) for r in range(1, m.n + 1)]
         assert min(relabelings) == m.alpha
         assert relabelings.count(m.alpha) == len(m.canonical_roots())
+
+
+@pytest.mark.parametrize("v", [1, 2, 3, 4, 5])
+def test_orderly_representatives(v):
+    _assert_orderly(corpus.enumerate_four_valent(v))
+
+
+def test_orderly_representatives_six(corpus6):
+    six = [m for m in corpus6.uncolored if m.num_vertices == 6]
+    assert len(six) == 1070
+    _assert_orderly(six)
+
+
+def test_seven_vertices():
+    """V=7 is past the build_corpus cap, so it is enumerated directly: the
+    class count, the mass formula and the pinned representatives."""
+    ms = corpus.enumerate_four_valent(7)
+    assert len(ms) == 7515
+    mass = sum(4 * 7 // len(m.canonical_roots()) for m in ms)
+    assert mass == corpus.rooted_count(7)
+    assert _alpha_digest(ms) == ALPHA_DIGESTS[7]
+
+
+@pytest.mark.parametrize("v", [0, -1])
+def test_nonpositive_vertex_count_rejected(v):
+    with pytest.raises(InvalidInput, match="n_vertices"):
+        corpus.enumerate_four_valent(v)
 
 
 def test_known_small_counts():
