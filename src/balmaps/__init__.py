@@ -17,6 +17,7 @@ from .balance import (
     enumerate_blue_left_curves,
     face_weights,
     is_balanced,
+    solve_face_equations,
 )
 from .corpus import Corpus, build_corpus, enumerate_four_valent
 from .decompose import (
@@ -39,6 +40,7 @@ from .dps import (
     graph_to_tree,
     orient_greater_label_left,
     tree_to_graph,
+    tree_to_tuple,
 )
 from .hurwitz import CensusEntry, TupleClass, census, enumerate_classes, hurwitz_count
 from .maps import (

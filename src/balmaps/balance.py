@@ -17,6 +17,9 @@ from typing import Dict, List, Optional, Tuple
 from .errors import PreconditionFailed, TooLarge
 from .maps import ColoredMap, directed_cycles, left_faces
 
+# the curve oracle is exponential in the vertex count
+CURVE_ORACLE_MAX_VERTICES = 10
+
 
 @dataclass
 class Matching:
@@ -76,15 +79,15 @@ def check_global(cm: ColoredMap) -> bool:
 # -- curve oracle ---------------------------------------------------------------
 
 
-def enumerate_blue_left_curves(cm: ColoredMap, max_vertices: int = 10):
+def enumerate_blue_left_curves(cm: ColoredMap):
     """All vertex-simple directed cycles following the blue-left edge
     directions, each with the blue/white face counts of its left side.
 
     Returns a list of (darts, B, W).  Exponential; guarded by a vertex cap.
     """
     m = cm.m
-    if m.num_vertices > max_vertices:
-        raise TooLarge("curve oracle capped at %d vertices" % max_vertices)
+    if m.num_vertices > CURVE_ORACLE_MAX_VERTICES:
+        raise TooLarge("curve oracle capped at %d vertices" % CURVE_ORACLE_MAX_VERTICES)
     forward = [cm.forward_dart(e) for e in m.edges()]
     return [(darts,) + curve_left_counts(cm, darts)
             for darts in directed_cycles(m, forward)]
@@ -106,9 +109,9 @@ def curve_left_counts(cm: ColoredMap, darts: Tuple[int, ...]) -> Tuple[int, int]
     return B, W
 
 
-def check_local_curves(cm: ColoredMap, max_vertices: int = 10):
+def check_local_curves(cm: ColoredMap):
     """Local balance via the exhaustive curve oracle."""
-    for darts, B, W in enumerate_blue_left_curves(cm, max_vertices):
+    for darts, B, W in enumerate_blue_left_curves(cm):
         if B <= W:
             return False, {"curve": list(darts), "blue_left": B, "white_left": W}
     return True, None
@@ -161,38 +164,37 @@ class _FlowNet:
             total += aug
 
 
-def _build_network(cm: ColoredMap):
+def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Matching], dict]]:
+    """The face equations corners(F) + inserted(F) = V by one max flow.
+
+    Blue faces supply w(F) = V - corners(F), white faces demand as much,
+    and each edge carries any amount from its blue side to its white side.
+    None when a face has more corners than V or the blue and white weights
+    differ, as then nothing solves them.  Otherwise (matching, info): the
+    equations are solvable iff the flow fills the whole blue supply, and
+    then each blue-white pair's flow goes to its least shared edge.  On
+    failure the matching is None and ``info`` holds the Hall violator on
+    the source side of the minimum cut: blue faces outweighing all their
+    white neighbours, which lie on that side too because blue-white links
+    are never cut.
+    """
+    m = cm.m
     w = face_weights(cm)
-    blue = sorted(cm.blue_faces)
-    white = sorted(cm.white_faces)
-    total_blue = sum(w[f] for f in blue)
+    total_blue = sum(w[f] for f in cm.blue_faces)
+    if min(w) < 0 or total_blue != sum(w[f] for f in cm.white_faces):
+        return None
     net = _FlowNet()
-    for f in blue:
+    for f in sorted(cm.blue_faces):
         net.add_edge("D", ("b", f), w[f])
-    for f in white:
+    for f in sorted(cm.white_faces):
         net.add_edge(("w", f), "A", w[f])
     shared: Dict[Tuple[int, int], List[int]] = {}
-    m = cm.m
     for e in m.edges():
         f1, f2 = m.edge_sides(e)
         b, wh = (f1, f2) if f1 in cm.blue_faces else (f2, f1)
         shared.setdefault((b, wh), []).append(e)
-    for (b, wh), edges in sorted(shared.items()):
+    for b, wh in sorted(shared):
         net.add_edge(("b", b), ("w", wh), total_blue)  # effectively unbounded
-    return net, w, total_blue, shared
-
-
-def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Matching], dict]:
-    """Local balance via max flow: balanced iff the flow fills the whole
-    blue supply.  On success the flow is decomposed into a Matching, each
-    blue-white pair's flow going to its least shared edge.  On failure
-    ``info`` holds the Hall violator on the source side of the minimum cut:
-    blue faces outweighing all their white neighbours, which lie on that
-    side too because blue-white links are never cut."""
-    jordan, wit = check_jordan(cm)
-    if not jordan or not check_global(cm):
-        raise PreconditionFailed("flow test requires Jordan faces and global balance")
-    net, w, total_blue, shared = _build_network(cm)
     value, flow, source_side = net.max_flow("D", "A")
     info = {"flow_value": value, "capacity": total_blue}
     if value < total_blue:
@@ -201,13 +203,25 @@ def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Matching], dict]:
         info.update(blue_faces=blues, white_faces=whites,
                     blue_weight=sum(w[f] for f in blues),
                     white_weight=sum(w[f] for f in whites))
-        return False, None, info
+        return None, info
     counts: Dict[int, int] = {}
     for (b, wh), edges in sorted(shared.items()):
         f = flow.get((("b", b), ("w", wh)), 0)
         if f > 0:
             counts[min(edges)] = counts.get(min(edges), 0) + f
-    return True, Matching(counts), info
+    return Matching(counts), info
+
+
+def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Matching], dict]:
+    """Local balance via max flow: balanced iff solve_face_equations
+    solves the face equations.  Under the preconditions it never returns
+    None: a Jordan face has at most V corners, and equal face counts give
+    equal weights, as every vertex has two corners of each color."""
+    jordan, wit = check_jordan(cm)
+    if not jordan or not check_global(cm):
+        raise PreconditionFailed("flow test requires Jordan faces and global balance")
+    matching, info = solve_face_equations(cm)
+    return matching is not None, matching, info
 
 
 def matching_is_valid(cm: ColoredMap, matching: Matching) -> bool:
@@ -222,8 +236,7 @@ def matching_is_valid(cm: ColoredMap, matching: Matching) -> bool:
     return all(c >= 0 for c in matching.counts.values())
 
 
-def is_balanced(cm: ColoredMap, oracle: str = "flow",
-                max_vertices: int = 10) -> BalanceReport:
+def is_balanced(cm: ColoredMap, oracle: str = "flow") -> BalanceReport:
     """Conjunction of the three balance conditions.
 
     ``oracle`` selects how local balance is decided: "flow" (default),
@@ -243,7 +256,7 @@ def is_balanced(cm: ColoredMap, oracle: str = "flow",
     if oracle in ("flow", "both"):
         ok_flow, matching, info = check_balance_flow(cm)
     if oracle in ("curves", "both"):
-        ok_curves, cwit = check_local_curves(cm, max_vertices)
+        ok_curves, cwit = check_local_curves(cm)
     if oracle == "flow":
         local, wit = ok_flow, (None if ok_flow else info)
     elif oracle == "curves":

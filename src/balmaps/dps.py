@@ -7,9 +7,11 @@ surviving segment.  Felsner's clockwise-free orientation (EJC 2004) is
 read off the greatest face potential, a distance in the dual (Khuller, Naor
 and Klein, SIAM J. Discrete Math. 1993), by one 0-1 breadth-first search.
 The other direction grows hairs on the tree, slot-indexed by the red
-labels, sews them up by a last-in-first-out matching run around the cyclic
-contour walk until one lap repeats the previous one, and collapses the
-2-gon faces in a single pass.
+labels, and sews them up by a last-in-first-out matching run around the
+cyclic contour walk until one lap repeats the previous one.  The sewing
+pairs every sheet with a white polygon in every slot, which is the
+cover's monodromy tuple; the realize module glues its polygons and the
+dual of that diagram is the decoded graph.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ from .errors import (
     NonTermination,
     NotSpanning,
 )
-from .maps import CombinatorialMap, FaceLabeledGraph, count_components
+from .maps import FaceLabeledGraph, count_components, dual_bipartite
+from .realize import TranspositionTuple, graph_from_monodromy
 
 TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red_b)
+
+# enumerate_trees lists (2d-2)! d^(d-3) trees: 1,008,000 at degree 5
+TREE_DEGREE_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -152,10 +158,10 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
     return sorted(shapes)
 
 
-def enumerate_trees(d: int, limit: int = 5) -> List[EdgeLabeledTree]:
+def enumerate_trees(d: int) -> List[EdgeLabeledTree]:
     """All edge-labeled, red-labeled trees: (2d-2)! d^(d-3) of them."""
-    if d > limit:
-        raise LimitExceeded("tree enumeration capped at degree %d" % limit)
+    if d > TREE_DEGREE_CAP:
+        raise LimitExceeded("tree enumeration capped at degree %d" % TREE_DEGREE_CAP)
     if d < 2:
         raise InvalidInput("degree must be at least 2")
     shapes = _edge_labeled_shapes(d)
@@ -354,7 +360,7 @@ def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
 
 
 # germ encoding for the hairy tree: ("seg", edge index, end) or
-# ("hair", vertex, slot); vertices are ("w", i), ("m", edge index), ("root",)
+# ("hair", vertex, slot); vertices are ("w", i) and ("m", edge index)
 
 
 def _match_hairs(walk):
@@ -372,13 +378,14 @@ def _match_hairs(walk):
     that lap's matching is returned.
 
     Why the stable lap is the planar sewing is not proved here.  The
-    evidence: it gave exactly the map of the earlier decoder, which cut
+    evidence: it gave exactly the map of an earlier decoder, which cut
     the walk at each position in turn and kept the first cut that sewed up
     into a valid sphere, on all 2905 trees with d <= 4 and on 230 random
     trees with d = 5..14; the laps settled within 5 laps on random trees up
-    to d = 60.  A sewing that is not a sphere is still rejected by the
-    checked map construction in _sew_hairy_tree.  Laps are capped at
-    len(walk) + 2, past which NonTermination is raised.
+    to d = 60.  tree_to_tuple reads the tuple off the sewing, so a sewing
+    that breaks the tuple (a slot change that is not one transposition, or
+    an intransitive action) is rejected by TranspositionTuple.validate.
+    Laps are capped at len(walk) + 2, past which NonTermination is raised.
     """
     hairs = [side for side in walk if side[1][0] == "hair"]
     stack: List[Tuple] = []
@@ -420,7 +427,7 @@ def _hairy_rotations(t: EdgeLabeledTree):
     d = t.d
     n = 2 * d - 2
     vertices = [("w", w) for w in range(d)] + [("m", i) for i in range(d - 1)]
-    slots: Dict[Tuple, Dict[int, Tuple]] = {v: {} for v in vertices + [("root",)]}
+    slots: Dict[Tuple, Dict[int, Tuple]] = {v: {} for v in vertices}
 
     def slot(red):
         return (red - 2) % n + 1
@@ -447,11 +454,7 @@ def _contour_ccw(t: EdgeLabeledTree, rot) -> List[Tuple[Tuple, Tuple]]:
     def mate(side):
         v, g = side
         _, i, end = g
-        wa, wb, blue, ra, rb = t.edges[i]
-        if v[0] == "m":
-            w = ("w", wa) if end == 0 else ("w", wb)
-            return (w, g)
-        return (("m", i), g)
+        return (("w", t.edges[i][end]) if v[0] == "m" else ("m", i), g)
 
     def rot_next(side):
         v, g = side
@@ -471,143 +474,59 @@ def _contour_ccw(t: EdgeLabeledTree, rot) -> List[Tuple[Tuple, Tuple]]:
             side = rot_next(side)
         if side == start:
             break
-    # the root floats in the tree's face and is sewn in afterwards
-    total = sum(len(germs) for v, germs in rot.items() if v[0] != "root")
+    total = sum(len(germs) for germs in rot.values())
     if len(out) != total:
         raise MatchingStuck("contour misses germs (%d of %d)" % (len(out), total))
     return out
 
 
-def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
-    """Inverse of graph_to_tree.
+def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
+    """The monodromy tuple of the cover that the tree encodes.
 
-    Hairs grow to valence 2d-2 in the red slots, one pass of the cyclic
-    contour walk sews same-slot hairs together under the planar
-    (last-in-first-out) discipline, the root lands in the leftover region
-    with its 2d-2 hairs, and the 2-gon faces collapse away.
+    The sewn hairy tree is the dual of the glued preimage: a vertex per
+    polygon (the midpoints and the root blue, the whites white) and an edge
+    per glued side, joining a blue and a white in one slot.  So each slot s
+    pairs every sheet with a white: a segment with red r pairs its
+    midpoint's blue label with its white in slot (r-2) mod n + 1, a sewn
+    midpoint hair does the same in its own slot, and the root (sheet d)
+    takes the one white left unsewn in each slot.  With slot 0 read as slot
+    n, tau_j swaps the sheets whose white changes between slots j-1 and j.
     """
     t.validate()
-    rot = _hairy_rotations(t)
-    return _sew_hairy_tree(t, rot, _match_hairs(_contour_ccw(t, rot)))
-
-
-def _sew_hairy_tree(t: EdgeLabeledTree, rot, matched) -> FaceLabeledGraph:
-    """Complete a phase-1 matching into the preimage map and collapse it."""
     d = t.d
     n = 2 * d - 2
-    matched = dict(matched)
-    # phase 2: the root germ of slot s takes the remaining white hair there
-    white_hairs = [(v, g) for v, germs in rot.items() for g in germs
-                   if g[0] == "hair" and v[0] == "w" and (v, g) not in matched]
-    by_slot: Dict[int, List[Tuple]] = {}
-    for side in white_hairs:
-        by_slot.setdefault(side[1][2], []).append(side)
+    white = [[0] * (d + 1) for _ in range(n + 1)]  # white[s][sheet]
+    for wa, wb, blue, ra, rb in t.edges:
+        white[(ra - 2) % n + 1][blue] = wa
+        white[(rb - 2) % n + 1][blue] = wb
+    sewn = _match_hairs(_contour_ccw(t, _hairy_rotations(t)))
+    for (v, (_, _, s)), (w, _) in sewn.items():
+        if v[0] == "m":
+            white[s][t.edges[v[1]][2]] = w[1]
+    white[0] = white[n]  # slot 0 is slot n
     for s in range(1, n + 1):
-        if len(by_slot.get(s, [])) != 1:
-            raise MatchingStuck("slot %d has %d unmatched white hairs"
-                                % (s, len(by_slot.get(s, []))))
-        other = by_slot[s][0]
-        rg = (("root",), ("hair", ("root",), s))
-        matched[rg] = other
-        matched[other] = rg
+        white[s][d] = d * (d - 1) // 2 - sum(white[s][1:d])
+    taus = tuple(tuple(i for i in range(1, d + 1) if white[j - 1][i] != white[j][i])
+                 for j in range(1, n + 1))
+    return TranspositionTuple(d, taus)
 
-    sides = [(v, g) for v, germs in rot.items() for g in germs]
-    dart_id = {side: i + 1 for i, side in enumerate(sides)}
-    total = len(sides)
-    sigma = [0] * (total + 1)
-    alpha = [0] * (total + 1)
-    for v, germs in rot.items():
-        k = len(germs)
-        for i, g in enumerate(germs):
-            sigma[dart_id[(v, g)]] = dart_id[(v, germs[(i + 1) % k])]
-    for i, (wa, wb, blue, ra, rb) in enumerate(t.edges):
-        a = dart_id[(("m", i), ("seg", i, 0))]
-        b = dart_id[(("w", wa), ("seg", i, 0))]
-        alpha[a], alpha[b] = b, a
-        a = dart_id[(("m", i), ("seg", i, 1))]
-        b = dart_id[(("w", wb), ("seg", i, 1))]
-        alpha[a], alpha[b] = b, a
-    for side, other in matched.items():
-        alpha[dart_id[side]] = dart_id[other]
-    full = CombinatorialMap(sigma, alpha)
 
-    vertex_name = {dart_id[(v, g)]: v
-                   for v, germs in rot.items() for g in germs}
+def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
+    """Inverse of graph_to_tree: the labeled dual of the glued preimage of
+    tree_to_tuple(t).
 
-    # the red of a segment names the face left of its blue-end germ; that
-    # face is a quadrilateral of the full preimage and survives collapsing
-    red_of_full_face: Dict[int, int] = {}
-    for i, (wa, wb, blue, ra, rb) in enumerate(t.edges):
-        for end, red in ((0, ra), (1, rb)):
-            b = dart_id[(("m", i), ("seg", i, end))]
-            ff = full.face_of[b]
-            if red_of_full_face.setdefault(ff, red) != red:
-                raise MatchingStuck("face receives two red labels")
-
-    m, kept = _collapse_bigons(full)
-
-    name_of_vertex = {v: vertex_name[kept[v - 1]] for v in m.vertex_ids()}
-    blue_vs = frozenset(v for v, nm in name_of_vertex.items() if nm[0] != "w")
-    blue_labels = []
-    for v, nm in name_of_vertex.items():
-        if nm[0] == "m":
-            blue_labels.append((v, t.edges[nm[1]][2]))
-        elif nm[0] == "root":
-            blue_labels.append((v, d))
-
-    reds = []
-    for orbit in m.faces:
-        ff = full.face_of[kept[orbit[0] - 1]]
-        r = red_of_full_face.get(ff, 0)
-        if r == 0:
-            raise MatchingStuck("a face received no red label")
-        reds.append(r)
-    g = FaceLabeledGraph(m, blue_vs, tuple(reds), tuple(sorted(blue_labels)))
+    Blue polygon i owns darts (i-1)n+1..in of the gluing, suppressing the
+    2-valent vertices keeps the order of the surviving darts, and a blue
+    vertex of the dual is its face's least dart, so the dual's blue
+    vertices in ascending id order are sheets 1..d.
+    """
+    real = graph_from_monodromy(tree_to_tuple(t))
+    g = dual_bipartite(real.colored, real.critical_labels)
+    blues = sorted(g.blue_vertices)
+    g = FaceLabeledGraph(g.m, g.blue_vertices, g.face_red,
+                         tuple(zip(blues, range(1, t.d + 1))))
     g.validate()
     return g
-
-
-def _collapse_bigons(full: CombinatorialMap):
-    """Merge the two parallel edges of every 2-gon face.
-
-    Returns the collapsed map and the list of surviving original darts:
-    new dart i+1 corresponds to kept[i].
-
-    Which darts survive depends on the order of collapses, so the 2-gon
-    with the smallest dart always goes first.  A 2-gon {x, y} has
-    sigma^-1(x) = alpha(y) and sigma^-1(y) = alpha(x), so splicing it out
-    changes the face successor of alpha(x) and alpha(y) only; any new
-    2-gon contains one of them, and both darts of each such face are
-    queued again.
-    """
-    sigma = list(full.sigma)
-    alpha = list(full.alpha)
-    alive = [False] + [True] * full.n
-    work = list(range(1, full.n + 1))
-    while work:
-        x = heapq.heappop(work)
-        if not alive[x]:
-            continue
-        y = sigma[alpha[x]]
-        if y == x or alpha[x] == y or sigma[alpha[y]] != x:
-            continue
-        # drop darts x and y, pair alpha(x) with alpha(y)
-        ax, ay = alpha[x], alpha[y]
-        sigma[ay], sigma[ax] = sigma[x], sigma[y]
-        alpha[ax], alpha[ay] = ay, ax
-        alive[x] = alive[y] = False
-        for z in (ax, ay):
-            heapq.heappush(work, z)
-            heapq.heappush(work, sigma[alpha[z]])
-
-    kept = [x for x in range(1, full.n + 1) if alive[x]]
-    new_id = {x: i + 1 for i, x in enumerate(kept)}
-    sig2 = [0] * (len(kept) + 1)
-    alp2 = [0] * (len(kept) + 1)
-    for x in kept:
-        sig2[new_id[x]] = new_id[sigma[x]]
-        alp2[new_id[x]] = new_id[alpha[x]]
-    return CombinatorialMap(sig2, alp2), kept
 
 
 def verify_counting_chain(d: int) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .balance import Matching, is_balanced, matching_is_valid
+from .balance import Matching, is_balanced, matching_is_valid, solve_face_equations
 from .errors import (
     InconsistentCocycle,
     InvalidInput,
@@ -34,6 +34,9 @@ from .errors import (
 from .maps import ColoredMap, CombinatorialMap, count_components
 
 Pair = Tuple[int, int]
+
+# enumerate_matchings stops with LimitExceeded past this many solutions
+MATCHING_CAP = 100000
 
 
 # -- transposition tuples --------------------------------------------------------
@@ -155,7 +158,7 @@ class Labeling:
             self.n)
 
 
-def enumerate_matchings(cm: ColoredMap, cap: int = 100000) -> Iterator[Matching]:
+def enumerate_matchings(cm: ColoredMap) -> Iterator[Matching]:
     """All nonnegative integer solutions of the face equations
     corners(F) + inserted(F) = V, in lexicographic order of per-edge counts.
     """
@@ -183,7 +186,7 @@ def enumerate_matchings(cm: ColoredMap, cap: int = 100000) -> Iterator[Matching]
     while i >= 0:
         if i == k:
             yielded += 1
-            if yielded > cap:
+            if yielded > MATCHING_CAP:
                 raise LimitExceeded("matching enumeration cap exceeded")
             yield Matching({edges[j]: counts[j] for j in range(k) if counts[j]})
             i -= 1
@@ -496,17 +499,18 @@ def is_realizable(cm: ColoredMap) -> bool:
     branched self-cover of the sphere.
 
     Fully constructive and independent of the balance conditions: rank the
-    first face-equation solution, extract a monodromy tuple, reglue, and
-    compare with the input.
+    face-equation solution of one max flow, extract a monodromy tuple,
+    reglue, and compare with the input.  A realizable diagram is balanced,
+    so any solution ranks to distinct labels and reglues.
     """
     m = cm.m
     if m.num_vertices % 2 or m.num_vertices < 2:
         return False
-    matching = next(enumerate_matchings(cm), None)
-    if matching is None:
+    solved = solve_face_equations(cm)
+    if solved is None or solved[0] is None:
         return False
     try:
-        t = monodromy(*_ranked(cm, matching))
+        t = monodromy(*_ranked(cm, solved[0]))
     except (InvalidMatching, InvalidInput, InvalidTuple):
         return False
     return graph_from_monodromy(t).colored.colored_code() == cm.colored_code()

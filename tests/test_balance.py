@@ -103,7 +103,7 @@ def test_curve_oracle_octahedron():
 def test_curve_oracle_cap():
     cm = colored(maps.turkshead(6))
     with pytest.raises(TooLarge):
-        balance.enumerate_blue_left_curves(cm, max_vertices=10)
+        balance.enumerate_blue_left_curves(cm)
 
 
 def test_is_balanced_examples():

@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balmaps import dps, maps
+from balmaps import balance, dps, maps, realize
 from balmaps.errors import DegreePropertyFailed, InvalidInput, LimitExceeded
 from tests.conftest import clockwise_cycles, felsner_by_reversals, reverse_cycle
 
@@ -260,10 +260,11 @@ def test_round_trip_d4_sampled(duals4):
 
 
 def test_tree_round_trip_from_tree_side():
-    for t in dps.enumerate_trees(3):
-        g = dps.tree_to_graph(t)
-        t2 = dps.graph_to_tree(g)
-        assert t2.canonical_key() == t.canonical_key()
+    for d in (2, 3, 4):
+        for t in dps.enumerate_trees(d):
+            g = dps.tree_to_graph(t)
+            t2 = dps.graph_to_tree(g)
+            assert t2.canonical_key() == t.canonical_key()
 
 
 @settings(max_examples=50, deadline=None)
@@ -272,6 +273,21 @@ def test_round_trip_random_trees(d, rng):
     t = random_tree(rng, d)
     t2 = dps.graph_to_tree(dps.tree_to_graph(t))
     assert t2.canonical_key() == t.canonical_key()
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(6, 40), rng=st.randoms(use_true_random=False))
+def test_random_covers_balance_realize_and_round_trip(d, rng):
+    """A uniform random tree encodes a uniform random cover: its glued
+    diagram is balanced and realizable, its realization reglues to it, and
+    its dual round-trips through the tree bijection."""
+    t = random_tree(rng, d)
+    cm = realize.graph_from_monodromy(dps.tree_to_tuple(t)).colored
+    assert balance.is_balanced(cm).balanced
+    assert realize.is_realizable(cm)
+    t2 = realize.monodromy(*realize.realize_generic(cm))
+    assert realize.graph_from_monodromy(t2).colored.colored_code() == cm.colored_code()
+    assert dps.graph_to_tree(dps.tree_to_graph(t)).canonical_key() == t.canonical_key()
 
 
 def test_round_trip_large_tree():
@@ -283,8 +299,9 @@ def test_round_trip_large_tree():
     assert dps.graph_to_tree(g).canonical_key() == t.canonical_key()
 
 
-def test_decode_builds_two_maps(monkeypatch):
-    """The sewn preimage and its collapse, once each: no retries."""
+def test_decode_builds_three_maps(monkeypatch):
+    """The glued preimage, its reduction and the dual, once each: no
+    retries."""
     builds = []
     init = maps.CombinatorialMap.__init__
 
@@ -297,7 +314,7 @@ def test_decode_builds_two_maps(monkeypatch):
     for d in (2, 3, 6, 10, 14):
         builds.clear()
         dps.tree_to_graph(random_tree(rng, d))
-        assert len(builds) == 2
+        assert len(builds) == 3
 
 
 def test_round_trip_on_realized_generator_duals():
