@@ -61,7 +61,7 @@ def cmd_realize(args) -> int:
         return 1
     t = realize.monodromy(em, lab)
     _emit({
-        "labels": {str(v): l for v, l in sorted(lab.critical(em).items())},
+        "labels": {str(v): l for v, l in sorted(lab.labels.items())},
         "inserted": {str(e): c for e, c in sorted(em.counts.items())},
         "tuple": mapio.tuple_to_dict(t),
     })

@@ -515,10 +515,9 @@ def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
     """Inverse of graph_to_tree: the labeled dual of the glued preimage of
     tree_to_tuple(t).
 
-    Blue polygon i owns darts (i-1)n+1..in of the gluing, suppressing the
-    2-valent vertices keeps the order of the surviving darts, and a blue
-    vertex of the dual is its face's least dart, so the dual's blue
-    vertices in ascending id order are sheets 1..d.
+    The gluing numbers the blue darts by (sheet, side), before the white
+    ones, and a blue vertex of the dual is its face's least dart, so the
+    dual's blue vertices in ascending id order are sheets 1..d.
     """
     real = graph_from_monodromy(tree_to_tuple(t))
     g = dual_bipartite(real.colored, real.critical_labels)

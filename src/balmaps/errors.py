@@ -87,7 +87,8 @@ class LimitExceeded(MapError):
 
 
 class Mismatch(MapError):
-    """Census and realize-side recounts disagree; report, do not mask."""
+    """Two independent computations disagree (a census recount, a reglue);
+    report, do not mask."""
 
 
 # -- dps ----------------------------------------------------------------------

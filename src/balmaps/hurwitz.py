@@ -260,8 +260,7 @@ def verify_labelings_per_graph(entry: CensusEntry) -> int:
         for matching in enumerate_matchings(colored):
             em = enrich(colored, matching)
             base = integrate_labels(em)
-            crit = base.critical(em)
-            if len(set(crit.values())) != em.n:
+            if len(set(base.labels.values())) != em.n:
                 continue
             for offset in range(em.n):
                 lab = base.shifted(offset) if offset else base

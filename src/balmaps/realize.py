@@ -1,18 +1,20 @@
 """Constructive realization of balanced maps as branched-cover monodromy.
 
-A balanced diagram is enriched with 2-valent vertices until every face has
-exactly n = 2d-2 boundary vertices, vertex labels in Z/n are integrated
-along the derived edge directions, and the monodromy transpositions are
-read off the blue/white sheet pairings.  The inverse direction glues d
-blue and d white n-gons according to a transposition tuple and recovers
-the diagram, which makes realizability checkable with no reference to the
-balance conditions.
+A balanced diagram is enriched by per-edge counts of 2-valent vertices
+until every face has exactly n = 2d-2 boundary vertices.  The vertices
+themselves are never built: vertex labels in Z/n are integrated on the
+4-valent diagram with a step of count(e) + 1 along each forward dart, and
+tau_j is the pair of blue faces (sheets) at the vertex labeled j.  The
+inverse direction glues d blue and d white n-gons according to a
+transposition tuple, directly as the 4-valent diagram with its counts,
+which makes realizability checkable with no reference to the balance
+conditions.
 
-Any solution of the face equations serves, with no search.  Labels run +1
-along blue and -1 along white faces, and an enriched face has n steps, so
-its labels wind once around it and only vertices sharing no face can tie.
-Ranking the critical vertices by (label, vertex id) keeps the cyclic order
-of every face, so counts read off the ranks solve the face equations again
+Any solution of the face equations serves, with no search.  Labels step
+up along blue and down along white faces, by n around each face, so they
+wind once around it and only vertices sharing no face can tie.  Ranking
+the critical vertices by (label, vertex id) keeps the cyclic order of
+every face, so counts read off the ranks solve the face equations again
 and integrate back to pairwise distinct labels: the constructive
 balanced => realizable half of the theorem.
 """
@@ -29,6 +31,7 @@ from .errors import (
     InvalidMatching,
     InvalidTuple,
     LimitExceeded,
+    Mismatch,
     NotBalanced,
 )
 from .maps import ColoredMap, CombinatorialMap, count_components
@@ -127,30 +130,22 @@ def tuples_conjugate(a: TranspositionTuple, b: TranspositionTuple) -> bool:
 
 @dataclass
 class EnrichedMap:
-    """A colored diagram with 2-valent vertices inserted on its edges.
-
-    ``full`` is the subdivided map; ``full_blue`` its blue face indices;
-    ``crit`` the ids of the original 4-valent vertices.
-    """
+    """A colored diagram with counts[e] 2-valent vertices understood on
+    each edge e, so that every face has n = V boundary vertices."""
     base: ColoredMap
     counts: Dict[int, int]
-    full: CombinatorialMap
-    full_blue: frozenset
-    crit: frozenset
 
     @property
     def n(self) -> int:
-        return len(self.crit)
+        return self.base.m.num_vertices
 
 
 @dataclass
 class Labeling:
-    """Vertex labels in Z/n, increasing by one along every directed edge."""
+    """Critical vertex labels in Z/n: a step of count(e) + 1 along every
+    forward dart."""
     labels: Dict[int, int]
     n: int
-
-    def critical(self, em: EnrichedMap) -> Dict[int, int]:
-        return {v: self.labels[v] for v in em.crit}
 
     def shifted(self, offset: int) -> "Labeling":
         return Labeling(
@@ -208,77 +203,33 @@ def enumerate_matchings(cm: ColoredMap) -> Iterator[Matching]:
 
 
 def enrich(cm: ColoredMap, matching: Matching) -> EnrichedMap:
-    """Insert matching.counts[e] 2-valent vertices on each edge e."""
+    """Validate the face equations of ``matching`` and keep its counts."""
     if not matching_is_valid(cm, matching):
         raise InvalidMatching("matching violates a face equation")
-    m = cm.m
-    sigma = list(m.sigma)
-    alpha = list(m.alpha)
-    nxt = m.n
-    for e in m.edges():
-        k = matching.counts.get(e, 0)
-        if k == 0:
-            continue
-        d, dp = e, m.alpha[e]
-        new = list(range(nxt + 1, nxt + 2 * k + 1))
-        nxt += 2 * k
-        sigma.extend([0] * 2 * k)
-        alpha.extend([0] * 2 * k)
-        # chain d -(c1)- c2 ... -(ck)- dp; vertex c_i has darts new[2i-2], new[2i-1]
-        for i in range(k):
-            a, b = new[2 * i], new[2 * i + 1]
-            sigma[a], sigma[b] = b, a
-        alpha[d] = new[0]
-        alpha[new[0]] = d
-        for i in range(k - 1):
-            alpha[new[2 * i + 1]] = new[2 * i + 2]
-            alpha[new[2 * i + 2]] = new[2 * i + 1]
-        alpha[new[2 * k - 1]] = dp
-        alpha[dp] = new[2 * k - 1]
-    full = CombinatorialMap(sigma, alpha)
-    full_blue = frozenset(
-        i for i, orbit in enumerate(full.faces)
-        if m.face_of[next(d for d in orbit if d <= m.n)] in cm.blue_faces)
-    crit = frozenset(m.vertex_of[d] for d in range(1, m.n + 1))
-    em = EnrichedMap(cm, dict(matching.counts), full, full_blue, crit)
-    n = m.num_vertices
-    for orbit in full.faces:
-        if len(orbit) != n:
-            raise InvalidMatching("a face does not have exactly %d boundary vertices" % n)
-    return em
-
-
-def _directed_edges(em: EnrichedMap) -> List[Tuple[int, int, int]]:
-    """(forward dart, tail vertex, head vertex) for every edge of the full map."""
-    full = em.full
-    out = []
-    for e in full.edges():
-        d = e if full.face_of[e] in em.full_blue else full.alpha[e]
-        out.append((d, full.vertex_of[d], full.vertex_of[full.alpha[d]]))
-    return out
+    return EnrichedMap(cm, dict(matching.counts))
 
 
 def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None) -> Labeling:
-    """Integrate the +1 coboundary from a seed vertex labeled 1.
+    """Integrate the coboundary from a seed vertex labeled 1: each forward
+    dart of edge e steps by count(e) + 1, once per 2-valent vertex it
+    passes and once more for its head.
 
-    Always succeeds on a valid enrichment: every face has n boundary steps,
-    so the increments cancel around every face and the sphere has no other
-    cycles to obstruct.
+    Always succeeds on a valid enrichment: the steps sum to n around every
+    face, so they cancel mod n, and the sphere has no other cycles to
+    obstruct.
     """
-    full = em.full
-    n = em.n
+    cm, n = em.base, em.n
+    m = cm.m
     if seed_vertex is None:
-        seed_vertex = full.vertex_of[1]
-    adj: Dict[int, List[Tuple[int, int]]] = {v: [] for v in full.vertex_ids()}
-    for d, tail, head in _directed_edges(em):
-        adj[tail].append((head, 1))
-        adj[head].append((tail, -1))
+        seed_vertex = m.vertex_of[1]
     labels = {seed_vertex: 1}
     stack = [seed_vertex]
     while stack:
         v = stack.pop()
-        for w, step in adj[v]:
-            want = (labels[v] - 1 + step) % n + 1
+        for x in m.vertex_cycle(v):
+            step = em.counts.get(m.edge_of(x), 0) + 1
+            want = (labels[v] - 1 + (step if cm.is_forward(x) else -step)) % n + 1
+            w = m.vertex_of[m.alpha[x]]
             if w not in labels:
                 labels[w] = want
                 stack.append(w)
@@ -291,50 +242,23 @@ def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None) -> Labe
 # -- monodromy extraction -----------------------------------------------------------
 
 
-def _sheet_bijections(em: EnrichedMap, lab: Labeling):
-    """Per label j, the blue-to-white face pairing across arcs from label j
-    to label j+1."""
-    full = em.full
-    n = em.n
-    p = [dict() for _ in range(n + 1)]  # p[j]: blue face -> white face
-    for d, tail, head in _directed_edges(em):
-        j = lab.labels[tail]
-        bf, wf = full.face_of[d], full.face_of[full.alpha[d]]
-        if bf in p[j] and p[j][bf] != wf:
-            raise InvalidInput("blue face crosses arc %d twice" % j)
-        p[j][bf] = wf
-    blues = sorted(em.full_blue)
-    whites = sorted(set(range(full.num_faces)) - em.full_blue)
-    for j in range(1, n + 1):
-        if set(p[j]) != set(blues) or sorted(p[j].values()) != whites:
-            raise InvalidInput("arc %d pairing is not a bijection" % j)
-    return p, blues, whites
-
-
 def monodromy(em: EnrichedMap, lab: Labeling) -> TranspositionTuple:
     """Extract the transposition tuple of a realized enriched diagram.
 
-    Sheets are the blue faces in canonical order; whites are identified
-    with blues through the arc between labels n and 1, so the product of
-    the extracted transpositions telescopes to the identity.
+    Sheets are the blue faces in ascending face index, and tau_j is the
+    pair of sheets whose blue faces meet at the vertex labeled j: crossing
+    that vertex swaps their white neighbours and no others.
     """
-    crit = lab.critical(em)
-    n = em.n
-    if sorted(crit.values()) != list(range(1, n + 1)):
+    cm, n = em.base, em.n
+    m = cm.m
+    if sorted(lab.labels.values()) != list(range(1, n + 1)):
         raise InvalidInput("critical labels must be pairwise distinct")
-    p, blues, whites = _sheet_bijections(em, lab)
-    d = len(blues)
-    sheet = {f: i + 1 for i, f in enumerate(blues)}
-    whitenum = {p[n][f]: sheet[f] for f in blues}
-    # P[j - 1][i - 1]: the sheet paired with blue sheet i across arc j
-    P = [[whitenum[p[j][f]] for f in blues] for j in range(1, n + 1)]
-    taus = []
-    for j in range(n):
-        moved = tuple(i + 1 for i in range(d) if P[j][i] != P[j - 1][i])
-        if len(moved) != 2:
-            raise InvalidInput("arc pairings at label %d are not a transposition" % (j + 1))
-        taus.append(moved)
-    t = TranspositionTuple(d, tuple(taus))
+    sheet = {f: i for i, f in enumerate(sorted(cm.blue_faces), 1)}
+    pairs: List[List[int]] = [[] for _ in range(n + 1)]
+    for x in range(1, m.n + 1):
+        if m.face_of[x] in sheet:
+            pairs[lab.labels[m.vertex_of[x]]].append(sheet[m.face_of[x]])
+    t = TranspositionTuple(len(sheet), tuple(tuple(sorted(p)) for p in pairs[1:]))
     t.validate()
     return t
 
@@ -349,108 +273,55 @@ class Realization:
     labeling: Labeling
     critical_labels: Dict[int, int]  # keyed by colored-map vertex
 
-    def diagram_labels(self) -> Dict[int, int]:
-        return dict(self.critical_labels)
-
 
 def graph_from_monodromy(t: TranspositionTuple) -> Realization:
-    """Glue d blue and d white n-gons along the sheet pairings of the tuple
-    and suppress the 2-valent vertices.
+    """Glue d blue and d white n-gons along the sheet pairings of the tuple,
+    keeping only the 4-valent corners.
 
-    Side j of blue polygon i is glued to side j of white polygon
-    beta_j(i), where beta_0 is the identity and beta_j = beta_{j-1} o tau_j.
+    Side j of blue polygon i, from its corner j to corner j+1, is glued to
+    side j of white polygon beta_j(i), where beta_0 is the identity and
+    beta_j = beta_{j-1} o tau_j.  The corners labeled j of the polygons
+    outside tau_j are 2-valent, so blue face i visits the vertices j with
+    i in tau_j in increasing j, and two consecutive visits j < j' are one
+    edge carrying j' - j - 1 of them (cyclically).  The vertex labeled j
+    is blue corner j of both sheets of tau_j = (a, b) and white corner j
+    of beta_j(a) and beta_j(b).  Darts are numbered as the polygon darts
+    at 4-valent corners, blue before white, each by (polygon, side).
     """
     t.validate()
     d, n = t.d, t.n
-    beta = [list(range(d + 1))]
-    for a, b in t.taus:
-        prev = beta[-1]
-        cur = list(prev)
-        cur[a], cur[b] = prev[b], prev[a]
-        beta.append(cur)
-    if beta[n] != list(range(d + 1)):
-        raise InvalidTuple("sheet pairings do not close up")
-
-    def bdart(i, j):
-        return (i - 1) * n + j
-
-    def wdart(k, j):
-        return d * n + (k - 1) * n + j
-
-    total = 2 * d * n
-    alpha = [0] * (total + 1)
-    phi = [0] * (total + 1)
-    for i in range(1, d + 1):
-        for j in range(1, n + 1):
-            b = bdart(i, j)
-            w = wdart(beta[j][i], j)
-            alpha[b], alpha[w] = w, b
-            phi[b] = bdart(i, j % n + 1)
-            phi[w] = wdart(beta[j][i], (j - 2) % n + 1)
-    sigma = [0] * (total + 1)
-    for x in range(1, total + 1):
-        sigma[x] = phi[alpha[x]]
-    full = CombinatorialMap(sigma, alpha)
-
-    labels: Dict[int, int] = {}
-    for i in range(1, d + 1):
-        for j in range(1, n + 1):
-            for dart, lab in ((bdart(i, j), j), (wdart(i, j), j % n + 1)):
-                v = full.vertex_of[dart]
-                if labels.setdefault(v, lab) != lab:
-                    raise InvalidTuple("inconsistent corner labels (gluing bug)")
-    full_blue = frozenset(full.face_of[bdart(i, 1)] for i in range(1, d + 1))
-    if len(full_blue) != d:
-        raise InvalidTuple("blue polygons did not stay distinct")
-    cycles = full.vertices()
-    crit = frozenset(cyc[0] for cyc in cycles if len(cyc) == 4)
-    if len(crit) != n or any(len(cyc) not in (2, 4) for cyc in cycles):
-        raise InvalidTuple("glued complex is not a generic diagram")
-
-    reduced, red_blue, counts, keep = _suppress_two_valent(full, full_blue, crit)
-    cm = ColoredMap(reduced, red_blue)
-    em = EnrichedMap(cm, counts, full, full_blue, crit)
-    lab = Labeling(labels, n)
-    crit_labels = {v: labels[full.vertex_of[keep[v - 1]]]
-                   for v in reduced.vertex_ids()}
-    return Realization(cm, em, lab, crit_labels)
-
-
-def _suppress_two_valent(full: CombinatorialMap, full_blue: frozenset,
-                         crit: frozenset):
-    """Forget the 2-valent vertices, fusing edge chains.
-
-    Returns the reduced map (darts relabeled 1..4n), its blue face indices,
-    and the per-reduced-edge insertion counts.
-    """
-    keep = sorted(d for d in range(1, full.n + 1) if full.vertex_of[d] in crit)
-    new_id = {d: i + 1 for i, d in enumerate(keep)}
-    sigma = [0] * (len(keep) + 1)
-    alpha = [0] * (len(keep) + 1)
-    chain_len: Dict[int, int] = {}
-    for dart in keep:
-        sigma[new_id[dart]] = new_id[full.sigma[dart]]
-        cur = dart
-        passed = 0
-        while True:
-            nxt = full.alpha[cur]
-            if full.vertex_of[nxt] in crit:
-                alpha[new_id[dart]] = new_id[nxt]
-                break
-            passed += 1
-            cur = full.sigma[nxt]
-        chain_len[new_id[dart]] = passed
-    reduced = CombinatorialMap(sigma, alpha)
-    red_blue = set()
-    for i, orbit in enumerate(reduced.faces):
-        old = keep[orbit[0] - 1]
-        if full.face_of[old] in full_blue:
-            red_blue.add(i)
+    beta = list(range(d + 1))
+    glued = {}  # (sheet i, label j) -> beta_j(i), for i in tau_j
+    visits: List[List[int]] = [[] for _ in range(d + 1)]
+    for j, (a, b) in enumerate(t.taus, 1):
+        beta[a], beta[b] = beta[b], beta[a]
+        glued[a, j], glued[b, j] = beta[a], beta[b]
+        visits[a].append(j)
+        visits[b].append(j)
+    bid = {(i, j): r for r, (i, j) in enumerate(
+        ((i, j) for i in range(1, d + 1) for j in visits[i]), 1)}
+    # white polygon k meets vertex j with its side j-1 (side n for j = 1)
+    wid = {key: r for r, key in enumerate(sorted(
+        ((k, j) for (i, j), k in glued.items()),
+        key=lambda kj: (kj[0], (kj[1] - 2) % n)), 2 * n + 1)}
+    sigma = [0] * (4 * n + 1)
+    alpha = [0] * (4 * n + 1)
+    labels = {}
+    for j, (a, b) in enumerate(t.taus, 1):
+        ring = (bid[a, j], wid[glued[a, j], j], bid[b, j], wid[glued[b, j], j])
+        for x, y in zip(ring, ring[1:] + ring[:1]):
+            sigma[x] = y
+        labels[bid[min(a, b), j]] = j
     counts = {}
-    for e in reduced.edges():
-        if chain_len[e]:
-            counts[e] = chain_len[e]
-    return reduced, frozenset(red_blue), counts, keep
+    for i in range(1, d + 1):
+        js = visits[i]
+        for j, nj in zip(js, js[1:] + js[:1]):
+            x, y = bid[i, j], wid[glued[i, j], nj]
+            alpha[x], alpha[y] = y, x
+            if (nj - j - 1) % n:
+                counts[x] = (nj - j - 1) % n
+    cm = ColoredMap(CombinatorialMap(sigma, alpha), range(d))
+    return Realization(cm, EnrichedMap(cm, counts), Labeling(labels, n), labels)
 
 
 # -- top-level decision procedures ----------------------------------------------------
@@ -468,7 +339,7 @@ def _ranked(cm: ColoredMap, matching: Matching) -> Tuple[EnrichedMap, Labeling]:
     """
     em = enrich(cm, matching)
     lab = integrate_labels(em)
-    order = sorted(em.crit, key=lambda v: (lab.labels[v], v))
+    order = sorted(lab.labels, key=lambda v: (lab.labels[v], v))
     rank = {v: i for i, v in enumerate(order)}
     m, n = cm.m, em.n
     counts = {}
@@ -500,8 +371,24 @@ def is_realizable(cm: ColoredMap) -> bool:
 
     Fully constructive and independent of the balance conditions: rank the
     face-equation solution of one max flow, extract a monodromy tuple,
-    reglue, and compare with the input.  A realizable diagram is balanced,
-    so any solution ranks to distinct labels and reglues.
+    reglue, and compare with the input.  Once the face equations are
+    solvable the comparison cannot fail:
+
+    1. Equal weights <=> equal face counts.  Every vertex has two blue and
+       two white corners, so both colors have 2V corners in all, and
+       sum_blue (V - corners) = sum_white (V - corners) exactly when there
+       are as many blue faces as white ones.
+    2. Solvable face equations => every face is Jordan.  The integrated
+       labels step by count(e) + 1 >= 1 around a face's corners and by n
+       in all, so they are pairwise distinct on one face; a vertex met
+       twice would carry two labels.
+    3. Ranked tau_j reglues to the input.  After ranking, tau_j is the pair
+       of blue faces at the vertex labeled j, distinct by 2.  Each blue
+       face meets its corners in increasing label order, with count(e) =
+       j' - j - 1 on the edge between consecutive ones, which is exactly
+       how the gluing of the tuple builds that face.
+
+    So a mismatch is a bug, and raises Mismatch instead of answering.
     """
     m = cm.m
     if m.num_vertices % 2 or m.num_vertices < 2:
@@ -509,8 +396,7 @@ def is_realizable(cm: ColoredMap) -> bool:
     solved = solve_face_equations(cm)
     if solved is None or solved[0] is None:
         return False
-    try:
-        t = monodromy(*_ranked(cm, solved[0]))
-    except (InvalidMatching, InvalidInput, InvalidTuple):
-        return False
-    return graph_from_monodromy(t).colored.colored_code() == cm.colored_code()
+    t = monodromy(*_ranked(cm, solved[0]))
+    if graph_from_monodromy(t).colored.colored_code() != cm.colored_code():
+        raise Mismatch("the ranked tuple reglues to another diagram")
+    return True

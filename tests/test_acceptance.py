@@ -146,7 +146,7 @@ def test_criterion_7_felsner_uniqueness(classes4):
     duals = []
     for cls in classes4:
         real = realize.graph_from_monodromy(cls.representative)
-        g0 = maps.dual_bipartite(real.colored, real.diagram_labels())
+        g0 = maps.dual_bipartite(real.colored, real.critical_labels)
         blues = sorted(g0.blue_vertices)
         duals.append(maps.FaceLabeledGraph(
             g0.m, g0.blue_vertices, g0.face_red,

@@ -299,9 +299,9 @@ def test_round_trip_large_tree():
     assert dps.graph_to_tree(g).canonical_key() == t.canonical_key()
 
 
-def test_decode_builds_three_maps(monkeypatch):
-    """The glued preimage, its reduction and the dual, once each: no
-    retries."""
+def test_decode_builds_two_maps(monkeypatch):
+    """The glued diagram and its dual, once each: no subdivided map and
+    no retries."""
     builds = []
     init = maps.CombinatorialMap.__init__
 
@@ -314,7 +314,7 @@ def test_decode_builds_three_maps(monkeypatch):
     for d in (2, 3, 6, 10, 14):
         builds.clear()
         dps.tree_to_graph(random_tree(rng, d))
-        assert len(builds) == 3
+        assert len(builds) == 2
 
 
 def test_round_trip_on_realized_generator_duals():
@@ -324,7 +324,7 @@ def test_round_trip_on_realized_generator_duals():
     for make in (maps.quadratic, maps.octahedron, lambda: maps.turkshead(4)):
         cm = maps.checkerboard(make())[0]
         em, lab = realize.realize_generic(cm)
-        g0 = maps.dual_bipartite(cm, lab.critical(em))
+        g0 = maps.dual_bipartite(cm, lab.labels)
         blues = sorted(g0.blue_vertices)
         g = maps.FaceLabeledGraph(g0.m, g0.blue_vertices, g0.face_red,
                                   tuple(zip(blues, range(1, g0.d + 1))))

@@ -209,7 +209,7 @@ def test_dual_bipartite_quadratic():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.quadratic())
     em, lab = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, lab.critical(em))
+    g = maps.dual_bipartite(cm, lab.labels)
     assert g.d == 2
     assert g.m.num_vertices == 4
     assert g.m.num_faces == 2
@@ -220,7 +220,7 @@ def test_dual_bipartite_octahedron():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.octahedron())
     em, lab = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, lab.critical(em))
+    g = maps.dual_bipartite(cm, lab.labels)
     assert g.d == 4
     assert len(g.blue_vertices) == 4
     assert g.m.num_vertices == 8

@@ -6,12 +6,16 @@ from collections import Counter
 
 import pytest
 
-from balmaps import balance, maps, realize
+from hypothesis import given, settings, strategies as st
+
+from balmaps import balance, dps, hurwitz, mapio, maps, realize
 from balmaps.errors import (
     InvalidMatching,
     InvalidTuple,
+    Mismatch,
     NotBalanced,
 )
+from tests.test_dps import random_tree
 
 
 def colored(m):
@@ -21,16 +25,17 @@ def colored(m):
 def test_enrich_quadratic_empty_matching():
     cm = colored(maps.quadratic())
     em = realize.enrich(cm, balance.Matching({}))
-    assert em.full.num_vertices == 2
-    assert all(len(f) == 2 for f in em.full.faces)
+    assert em.n == 2
+    assert em.counts == {}
 
 
 def test_enrich_octahedron():
     cm = colored(maps.octahedron())
     ok, matching, _ = balance.check_balance_flow(cm)
     em = realize.enrich(cm, matching)
-    assert em.full.num_vertices == 18
-    assert all(len(f) == 6 for f in em.full.faces)
+    assert em.n == 6
+    assert em.counts == matching.counts
+    assert sum(em.counts.values()) == 12  # 8 triangles, 3 inserted on each
 
 
 def test_enrich_rejects_bad_matching():
@@ -49,9 +54,7 @@ def test_integrate_labels_quadratic():
 def test_integrate_labels_octahedron_counts():
     cm = colored(maps.octahedron())
     em, lab = realize.realize_generic(cm)
-    counts = Counter(lab.labels.values())
-    assert sorted(counts) == [1, 2, 3, 4, 5, 6]
-    assert set(counts.values()) == {3}  # d - 1 of each
+    assert sorted(lab.labels.values()) == [1, 2, 3, 4, 5, 6]
 
 
 def test_label_shift_is_uniform():
@@ -66,14 +69,16 @@ def test_label_shift_is_uniform():
 def test_labels_progress_around_blue_faces():
     cm = colored(maps.octahedron())
     em, lab = realize.realize_generic(cm)
-    full = em.full
-    n = em.n
-    for i, orbit in enumerate(full.faces):
-        labs = [lab.labels[full.vertex_of[d]] for d in orbit]
-        step = 1 if i in em.full_blue else -1
-        for a, b in zip(labs, labs[1:] + labs[:1]):
+    m, n = cm.m, em.n
+    for i, orbit in enumerate(m.faces):
+        sign = 1 if cm.is_blue(i) else -1
+        total = 0
+        for d in orbit:
+            step = sign * (em.counts.get(m.edge_of(d), 0) + 1)
+            a, b = lab.labels[m.vertex_of[d]], lab.labels[m.vertex_of[m.alpha[d]]]
             assert b == (a - 1 + step) % n + 1
-        assert sorted(labs) == list(range(1, n + 1))
+            total += step
+        assert total == sign * n  # the labels wind once around the face
 
 
 def test_monodromy_quadratic():
@@ -137,6 +142,16 @@ def test_is_realizable_basics():
     assert not realize.is_realizable(fig8)
 
 
+def test_is_realizable_raises_on_reglue_mismatch(monkeypatch):
+    """A reglue that differs from the input is a bug, not a negative
+    verdict."""
+    other = realize.graph_from_monodromy(
+        realize.TranspositionTuple(2, ((1, 2), (1, 2))))
+    monkeypatch.setattr(realize, "graph_from_monodromy", lambda t: other)
+    with pytest.raises(Mismatch):
+        realize.is_realizable(colored(maps.octahedron()))
+
+
 def test_matching_enumeration_order_and_validity():
     cm = colored(maps.octahedron())
     got = []
@@ -159,21 +174,56 @@ def test_duplicate_critical_labels_are_rejected(corpus6):
         first = next(iter(realize.enumerate_matchings(cm)))
         em = realize.enrich(cm, first)
         lab = realize.integrate_labels(em)
-        crit = lab.critical(em)
-        if len(set(crit.values())) != em.n:
+        if len(set(lab.labels.values())) != em.n:
             found_duplicate_case = True
             em2, lab2 = realize.realize_generic(cm)
-            assert len(set(lab2.critical(em2).values())) == em2.n
+            assert len(set(lab2.labels.values())) == em2.n
     assert found_duplicate_case
 
 
 def test_rebuilt_labels_occupy_positions(classes4):
-    # labels of the glued diagram occur d-1 times each
     real = realize.graph_from_monodromy(classes4[0].representative)
-    counts = Counter(real.labeling.labels.values())
-    assert set(counts.values()) == {3}
-    crit = real.diagram_labels()
-    assert sorted(crit.values()) == list(range(1, 7))
+    assert real.labeling.labels == real.critical_labels
+    assert sorted(real.critical_labels.values()) == list(range(1, 7))
+
+
+def gluing_layout_digest(classes):
+    h = hashlib.sha256()
+    for cls in classes:
+        real = realize.graph_from_monodromy(cls.representative)
+        h.update(mapio.dumps(mapio.map_to_dict(real.colored)).encode())
+        h.update(repr(sorted(real.critical_labels.items())).encode())
+    return h.hexdigest()
+
+
+def test_gluing_layout_pinned(classes4):
+    """Dart ids, blue faces and critical labels of every d=4 gluing, as
+    the from-tuple command and the tree decoding see them."""
+    assert len(classes4) == 120
+    assert gluing_layout_digest(classes4) == (
+        "ebf9f661303083b7cfe8d0068770d5fc6141cb66637101928c51ff1a058bf6d8")
+
+
+def assert_exact_round_trip(t):
+    real = realize.graph_from_monodromy(t)
+    assert realize.monodromy(real.enriched, real.labeling).taus == t.taus
+
+
+def test_exact_round_trip_small_classes(classes4):
+    """Extraction gives back the glued tuple itself, not a conjugate: the
+    sheets are the blue faces in order and the labels are the positions."""
+    for d in (2, 3):
+        for cls in hurwitz.enumerate_classes(d):
+            assert_exact_round_trip(cls.representative)
+    for cls in classes4:
+        assert_exact_round_trip(cls.representative)
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.integers(2, 30), rng=st.randoms(use_true_random=False))
+def test_exact_round_trip_random_tuples(d, rng):
+    """On uniform random covers: the tuples of uniform random trees."""
+    assert_exact_round_trip(dps.tree_to_tuple(random_tree(rng, d)))
 
 
 def _first_solutions_digest(cm):
@@ -214,7 +264,7 @@ def assert_realizes(cm):
     """realize_generic gives distinct critical labels whose monodromy
     reglues to the input diagram."""
     em, lab = realize.realize_generic(cm)
-    assert sorted(lab.critical(em).values()) == list(range(1, em.n + 1))
+    assert sorted(lab.labels.values()) == list(range(1, em.n + 1))
     t = realize.monodromy(em, lab)
     assert realize.graph_from_monodromy(t).colored.colored_code() == cm.colored_code()
 
