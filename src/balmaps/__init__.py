@@ -10,7 +10,6 @@ quadratic and hyperbolic pieces.
 
 from .balance import (
     BalanceReport,
-    Matching,
     check_balance_flow,
     check_global,
     check_jordan,
@@ -58,8 +57,6 @@ from .maps import (
     turkshead,
 )
 from .realize import (
-    EnrichedMap,
-    Labeling,
     Realization,
     TranspositionTuple,
     enrich,

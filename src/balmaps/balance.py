@@ -3,9 +3,10 @@
 Three conditions: every face is a Jordan domain, the two color classes
 have equally many faces, and every directed simple cycle that keeps blue
 faces on its left sees strictly more blue than white faces on its left
-side.  The local condition is decided by a max-flow computation on the
-face adjacency network; exhaustive cycle enumeration is kept as an
-independent oracle.
+side.  The local condition is decided by the face equations
+corners(F) + inserted(F) = V, solved as a max flow from the blue faces to
+the white ones, with a plain dict of inserted counts per edge as the
+solution; exhaustive cycle enumeration is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -22,21 +23,12 @@ CURVE_ORACLE_MAX_VERTICES = 10
 
 
 @dataclass
-class Matching:
-    """How many 2-valent vertices to insert on each edge (keyed by edge id)."""
-    counts: Dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass
 class BalanceReport:
     jordan_ok: bool
     global_ok: bool
     local_ok: Optional[bool]  # None when gated off by an earlier failure
     witness: Optional[dict] = None
-    matching: Optional[Matching] = None
+    matching: Optional[Dict[int, int]] = None  # inserted count per edge id
 
     @property
     def balanced(self) -> bool:
@@ -71,9 +63,7 @@ def check_jordan(cm: ColoredMap) -> Tuple[bool, Optional[dict]]:
 
 def check_global(cm: ColoredMap) -> bool:
     """Equal face counts: #blue = #white = V/2 + 1."""
-    blue = len(cm.blue_faces)
-    white = cm.m.num_faces - blue
-    return blue == white
+    return 2 * len(cm.blue_faces) == cm.m.num_faces
 
 
 # -- curve oracle ---------------------------------------------------------------
@@ -120,120 +110,97 @@ def check_local_curves(cm: ColoredMap):
 # -- max-flow formulation --------------------------------------------------------
 
 
-class _FlowNet:
-    """Tiny deterministic Edmonds-Karp on integer capacities."""
-
-    def __init__(self):
-        self.adj: Dict[object, List[object]] = {}
-        self.cap: Dict[Tuple[object, object], int] = {}
-
-    def add_edge(self, u, v, c):
-        if v not in self.adj.setdefault(u, []):
-            self.adj[u].append(v)
-        if u not in self.adj.setdefault(v, []):
-            self.adj[v].append(u)
-        self.cap[(u, v)] = self.cap.get((u, v), 0) + c
-        self.cap.setdefault((v, u), 0)
-
-    def max_flow(self, s, t):
-        """(value, flow, the source side of a minimum cut: all the last,
-        failed search reaches in the residual network)."""
-        flow: Dict[Tuple[object, object], int] = {k: 0 for k in self.cap}
-        total = 0
-        while True:
-            parent = {s: None}
-            q = deque([s])
-            while q and t not in parent:
-                u = q.popleft()
-                for v in self.adj.get(u, []):
-                    if v not in parent and self.cap[(u, v)] - flow[(u, v)] > 0:
-                        parent[v] = u
-                        q.append(v)
-            if t not in parent:
-                return total, flow, set(parent)
-            # bottleneck along the BFS path
-            path = []
-            v = t
-            while parent[v] is not None:
-                path.append((parent[v], v))
-                v = parent[v]
-            aug = min(self.cap[e] - flow[e] for e in path)
-            for e in path:
-                flow[e] += aug
-                flow[(e[1], e[0])] -= aug
-            total += aug
-
-
-def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Matching], dict]]:
+def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Dict[int, int]], dict]]:
     """The face equations corners(F) + inserted(F) = V by one max flow.
 
     Blue faces supply w(F) = V - corners(F), white faces demand as much,
     and each edge carries any amount from its blue side to its white side.
     None when a face has more corners than V or the blue and white weights
-    differ, as then nothing solves them.  Otherwise (matching, info): the
+    differ, as then nothing solves them.  Otherwise (counts, info): the
     equations are solvable iff the flow fills the whole blue supply, and
-    then each blue-white pair's flow goes to its least shared edge.  On
-    failure the matching is None and ``info`` holds the Hall violator on
-    the source side of the minimum cut: blue faces outweighing all their
-    white neighbours, which lie on that side too because blue-white links
-    are never cut.
+    then each blue-white pair's flow goes to its least shared edge.
+
+    Augmenting paths are shortest (Edmonds-Karp), found by breadth-first
+    search on the face indices: from the blue faces with supply left, in
+    ascending order, to their white neighbours in ascending order, and from
+    a white face back to a blue one only along positive flow, until a white
+    face with demand left is reached.  On failure the counts are None and
+    ``info`` holds the faces the last search reached, a Hall violator: the
+    blue ones outweigh their white neighbours, all of which it reached, as
+    a blue-to-white step is never blocked.
     """
     m = cm.m
     w = face_weights(cm)
-    total_blue = sum(w[f] for f in cm.blue_faces)
-    if min(w) < 0 or total_blue != sum(w[f] for f in cm.white_faces):
+    blue = cm.blue_faces
+    total = sum(w[f] for f in blue)
+    if min(w) < 0 or total != sum(w) - total:
         return None
-    net = _FlowNet()
-    for f in sorted(cm.blue_faces):
-        net.add_edge("D", ("b", f), w[f])
-    for f in sorted(cm.white_faces):
-        net.add_edge(("w", f), "A", w[f])
-    shared: Dict[Tuple[int, int], List[int]] = {}
+    shared: Dict[Tuple[int, int], int] = {}  # (blue, white) -> least shared edge
     for e in m.edges():
         f1, f2 = m.edge_sides(e)
-        b, wh = (f1, f2) if f1 in cm.blue_faces else (f2, f1)
-        shared.setdefault((b, wh), []).append(e)
+        shared.setdefault((f1, f2) if f1 in blue else (f2, f1), e)
+    nbrs: List[List[int]] = [[] for _ in w]
     for b, wh in sorted(shared):
-        net.add_edge(("b", b), ("w", wh), total_blue)  # effectively unbounded
-    value, flow, source_side = net.max_flow("D", "A")
-    info = {"flow_value": value, "capacity": total_blue}
-    if value < total_blue:
-        blues = sorted(f for kind, f in source_side - {"D"} if kind == "b")
-        whites = sorted(f for kind, f in source_side - {"D"} if kind == "w")
-        info.update(blue_faces=blues, white_faces=whites,
-                    blue_weight=sum(w[f] for f in blues),
-                    white_weight=sum(w[f] for f in whites))
-        return None, info
-    counts: Dict[int, int] = {}
-    for (b, wh), edges in sorted(shared.items()):
-        f = flow.get((("b", b), ("w", wh)), 0)
-        if f > 0:
-            counts[min(edges)] = counts.get(min(edges), 0) + f
-    return Matching(counts), info
+        nbrs[b].append(wh)
+        nbrs[wh].append(b)
+    flow = dict.fromkeys(sorted(shared), 0)
+    left = w[:]  # supply left at blue faces, demand left at white ones
+    value = 0
+    while value < total:
+        parent = {f: None for f in sorted(blue) if left[f]}
+        queue = deque(parent)
+        end = None
+        while queue and end is None:
+            f = queue.popleft()
+            for g in nbrs[f]:
+                if g in parent or (f not in blue and not flow[g, f]):
+                    continue
+                parent[g] = f
+                if f in blue and left[g]:
+                    end = g
+                    break
+                queue.append(g)
+        if end is None:
+            blues = sorted(f for f in parent if f in blue)
+            whites = sorted(f for f in parent if f not in blue)
+            return None, {"flow_value": value, "capacity": total,
+                          "blue_faces": blues, "white_faces": whites,
+                          "blue_weight": sum(w[f] for f in blues),
+                          "white_weight": sum(w[f] for f in whites)}
+        path = [end]  # white, blue, ..., white, blue
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        back = list(zip(path[1::2], path[2::2]))
+        aug = min([left[end], left[path[-1]]] + [flow[p] for p in back])
+        for p in zip(path[1::2], path[::2]):
+            flow[p] += aug
+        for p in back:
+            flow[p] -= aug
+        for f in (end, path[-1]):
+            left[f] -= aug
+        value += aug
+    counts = {shared[p]: f for p, f in flow.items() if f}
+    return counts, {"flow_value": value, "capacity": total}
 
 
-def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Matching], dict]:
+def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Dict[int, int]], dict]:
     """Local balance via max flow: balanced iff solve_face_equations
     solves the face equations.  Under the preconditions it never returns
     None: a Jordan face has at most V corners, and equal face counts give
     equal weights, as every vertex has two corners of each color."""
-    jordan, wit = check_jordan(cm)
-    if not jordan or not check_global(cm):
+    if not check_jordan(cm)[0] or not check_global(cm):
         raise PreconditionFailed("flow test requires Jordan faces and global balance")
-    matching, info = solve_face_equations(cm)
-    return matching is not None, matching, info
+    counts, info = solve_face_equations(cm)
+    return counts is not None, counts, info
 
 
-def matching_is_valid(cm: ColoredMap, matching: Matching) -> bool:
-    """Every face equation corners(F) + inserted-on-boundary = V holds."""
+def matching_is_valid(cm: ColoredMap, counts: Dict[int, int]) -> bool:
+    """Every face equation corners(F) + inserted-on-boundary = V holds for
+    the inserted count per edge id."""
     m = cm.m
-    n = m.num_vertices
-    for i, orbit in enumerate(m.faces):
-        boundary_edges = {m.edge_of(d) for d in orbit}
-        ins = sum(matching.counts.get(e, 0) for e in boundary_edges)
-        if len(orbit) + ins != n:
-            return False
-    return all(c >= 0 for c in matching.counts.values())
+    return all(c >= 0 for c in counts.values()) and all(
+        len(orbit) + sum(counts.get(e, 0) for e in {m.edge_of(d) for d in orbit})
+        == m.num_vertices for orbit in m.faces)
 
 
 def is_balanced(cm: ColoredMap, oracle: str = "flow") -> BalanceReport:

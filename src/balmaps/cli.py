@@ -55,14 +55,14 @@ def cmd_balance(args) -> int:
 def cmd_realize(args) -> int:
     cm = _load_colored(args.map)
     try:
-        em, lab = realize.realize_generic(cm)
+        counts, labels = realize.realize_generic(cm)
     except NotBalanced as exc:
         _emit({"error": "NotBalanced", "message": str(exc), "witness": exc.witness})
         return 1
-    t = realize.monodromy(em, lab)
+    t = realize.monodromy(cm, labels)
     _emit({
-        "labels": {str(v): l for v, l in sorted(lab.labels.items())},
-        "inserted": {str(e): c for e, c in sorted(em.counts.items())},
+        "labels": {str(v): l for v, l in sorted(labels.items())},
+        "inserted": {str(e): c for e, c in sorted(counts.items())},
         "tuple": mapio.tuple_to_dict(t),
     })
     return 0

@@ -38,6 +38,8 @@ TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red
 
 # enumerate_trees lists (2d-2)! d^(d-3) trees: 1,008,000 at degree 5
 TREE_DEGREE_CAP = 5
+# decoding builds d x (2d-2) tables of hairs and slots: memory grows as d^2
+DECODE_DEGREE_CAP = 500
 
 
 @dataclass(frozen=True)
@@ -491,7 +493,10 @@ def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
     midpoint hair does the same in its own slot, and the root (sheet d)
     takes the one white left unsewn in each slot.  With slot 0 read as slot
     n, tau_j swaps the sheets whose white changes between slots j-1 and j.
+    Degrees above DECODE_DEGREE_CAP are refused before any table is built.
     """
+    if t.d > DECODE_DEGREE_CAP:
+        raise LimitExceeded("decoding capped at degree %d" % DECODE_DEGREE_CAP)
     t.validate()
     d = t.d
     n = 2 * d - 2
@@ -520,7 +525,7 @@ def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
     dual's blue vertices in ascending id order are sheets 1..d.
     """
     real = graph_from_monodromy(tree_to_tuple(t))
-    g = dual_bipartite(real.colored, real.critical_labels)
+    g = dual_bipartite(real.colored, real.labels)
     blues = sorted(g.blue_vertices)
     g = FaceLabeledGraph(g.m, g.blue_vertices, g.face_red,
                          tuple(zip(blues, range(1, t.d + 1))))

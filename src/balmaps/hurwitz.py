@@ -246,9 +246,10 @@ def census(d: int) -> List[CensusEntry]:
 def verify_labelings_per_graph(entry: CensusEntry) -> int:
     """Recount the covers of one underlying diagram from the realize side.
 
-    Enumerates every coloring, matching and label offset of the diagram,
-    extracts the monodromy tuple of each generic labeling, and counts
-    distinct conjugacy classes.  Raises Mismatch if the recount disagrees
+    Enumerates every coloring and matching of the diagram, extracts the
+    monodromy tuple of each generic labeling, and counts distinct
+    conjugacy classes over all its label offsets: shifting every label by
+    k rotates the tuple by k.  Raises Mismatch if the recount disagrees
     with the census class count.
     """
     from .realize import canonical_tuple
@@ -257,15 +258,13 @@ def verify_labelings_per_graph(entry: CensusEntry) -> int:
         raise Mismatch("census entry carries no sample diagram")
     seen = set()
     for colored in checkerboard(cm.m):
-        for matching in enumerate_matchings(colored):
-            em = enrich(colored, matching)
-            base = integrate_labels(em)
-            if len(set(base.labels.values())) != em.n:
+        for counts in enumerate_matchings(colored):
+            labels = integrate_labels(colored, enrich(colored, counts))
+            if len(set(labels.values())) != len(labels):
                 continue
-            for offset in range(em.n):
-                lab = base.shifted(offset) if offset else base
-                t = monodromy(em, lab)
-                seen.add(canonical_tuple(t))
+            t = monodromy(colored, labels)
+            seen.update(canonical_tuple(TranspositionTuple(t.d, t.taus[k:] + t.taus[:k]))
+                        for k in range(t.n))
     if len(seen) != entry.class_count:
         raise Mismatch("recount %d != census %d" % (len(seen), entry.class_count))
     return len(seen)

@@ -418,12 +418,15 @@ class ColoredMap:
     def swapped(self) -> "ColoredMap":
         return ColoredMap(self.m, self.white_faces, check=False)
 
+    def face_bits(self, lab: Sequence[int]) -> List[int]:
+        """The blue bit of every face, faces ordered by least dart label."""
+        return [1 if i in self.blue_faces else 0
+                for i in _by_least_label(self.m.faces, lab)]
+
     def colored_code(self) -> Tuple[int, ...]:
         """Canonical code refined by the blue/white bit of every face."""
         if self._colored_code is None:
-            faces, blue = self.m.faces, self.blue_faces
-            self._colored_code = self.m._least_trace(
-                lambda lab: [1 if i in blue else 0 for i in _by_least_label(faces, lab)])
+            self._colored_code = self.m._least_trace(self.face_bits)
         return self._colored_code
 
     def __eq__(self, other):

@@ -4,7 +4,8 @@ A balanced diagram is enriched by per-edge counts of 2-valent vertices
 until every face has exactly n = 2d-2 boundary vertices.  The vertices
 themselves are never built: vertex labels in Z/n are integrated on the
 4-valent diagram with a step of count(e) + 1 along each forward dart, and
-tau_j is the pair of blue faces (sheets) at the vertex labeled j.  The
+tau_j is the pair of blue faces (sheets) at the vertex labeled j.  Counts
+(edge id -> count) and labels (vertex id -> label) are plain dicts.  The
 inverse direction glues d blue and d white n-gons according to a
 transposition tuple, directly as the 4-valent diagram with its counts,
 which makes realizability checkable with no reference to the balance
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .balance import Matching, is_balanced, matching_is_valid, solve_face_equations
+from .balance import face_weights, is_balanced, matching_is_valid, solve_face_equations
 from .errors import (
     InconsistentCocycle,
     InvalidInput,
@@ -128,44 +129,14 @@ def tuples_conjugate(a: TranspositionTuple, b: TranspositionTuple) -> bool:
 # -- enrichment --------------------------------------------------------------------
 
 
-@dataclass
-class EnrichedMap:
-    """A colored diagram with counts[e] 2-valent vertices understood on
-    each edge e, so that every face has n = V boundary vertices."""
-    base: ColoredMap
-    counts: Dict[int, int]
-
-    @property
-    def n(self) -> int:
-        return self.base.m.num_vertices
-
-
-@dataclass
-class Labeling:
-    """Critical vertex labels in Z/n: a step of count(e) + 1 along every
-    forward dart."""
-    labels: Dict[int, int]
-    n: int
-
-    def shifted(self, offset: int) -> "Labeling":
-        return Labeling(
-            {v: (l - 1 + offset) % self.n + 1 for v, l in self.labels.items()},
-            self.n)
-
-
-def enumerate_matchings(cm: ColoredMap) -> Iterator[Matching]:
+def enumerate_matchings(cm: ColoredMap) -> Iterator[Dict[int, int]]:
     """All nonnegative integer solutions of the face equations
     corners(F) + inserted(F) = V, in lexicographic order of per-edge counts.
     """
     m = cm.m
-    n = m.num_vertices
     edges = m.edges()
-    rem = [n - len(orbit) for orbit in m.faces]
-    if any(r < 0 for r in rem):
-        return
-    blue_total = sum(rem[f] for f in cm.blue_faces)
-    white_total = sum(rem[f] for f in range(m.num_faces) if f not in cm.blue_faces)
-    if blue_total != white_total:
+    rem = face_weights(cm)
+    if min(rem) < 0 or 2 * sum(rem[f] for f in cm.blue_faces) != sum(rem):
         return
     sides = [m.edge_sides(e) for e in edges]
     k = len(edges)
@@ -183,7 +154,7 @@ def enumerate_matchings(cm: ColoredMap) -> Iterator[Matching]:
             yielded += 1
             if yielded > MATCHING_CAP:
                 raise LimitExceeded("matching enumeration cap exceeded")
-            yield Matching({edges[j]: counts[j] for j in range(k) if counts[j]})
+            yield {edges[j]: counts[j] for j in range(k) if counts[j]}
             i -= 1
             continue
         f1, f2 = sides[i]
@@ -202,32 +173,31 @@ def enumerate_matchings(cm: ColoredMap) -> Iterator[Matching]:
             i += 1
 
 
-def enrich(cm: ColoredMap, matching: Matching) -> EnrichedMap:
-    """Validate the face equations of ``matching`` and keep its counts."""
-    if not matching_is_valid(cm, matching):
+def enrich(cm: ColoredMap, counts: Dict[int, int]) -> Dict[int, int]:
+    """A copy of the inserted counts per edge id, which must solve the
+    face equations; raises InvalidMatching otherwise."""
+    if not matching_is_valid(cm, counts):
         raise InvalidMatching("matching violates a face equation")
-    return EnrichedMap(cm, dict(matching.counts))
+    return dict(counts)
 
 
-def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None) -> Labeling:
-    """Integrate the coboundary from a seed vertex labeled 1: each forward
-    dart of edge e steps by count(e) + 1, once per 2-valent vertex it
-    passes and once more for its head.
+def integrate_labels(cm: ColoredMap, counts: Dict[int, int]) -> Dict[int, int]:
+    """Integrate the coboundary from the vertex of dart 1, labeled 1: each
+    forward dart of edge e steps by count(e) + 1, once per 2-valent vertex
+    it passes and once more for its head.  Labels lie in 1..n, n = V.
 
-    Always succeeds on a valid enrichment: the steps sum to n around every
-    face, so they cancel mod n, and the sphere has no other cycles to
-    obstruct.
+    Always succeeds on counts that solve the face equations: the steps sum
+    to n around every face, so they cancel mod n, and the sphere has no
+    other cycles to obstruct.
     """
-    cm, n = em.base, em.n
     m = cm.m
-    if seed_vertex is None:
-        seed_vertex = m.vertex_of[1]
-    labels = {seed_vertex: 1}
-    stack = [seed_vertex]
+    n = m.num_vertices
+    labels = {m.vertex_of[1]: 1}
+    stack = list(labels)
     while stack:
         v = stack.pop()
         for x in m.vertex_cycle(v):
-            step = em.counts.get(m.edge_of(x), 0) + 1
+            step = counts.get(m.edge_of(x), 0) + 1
             want = (labels[v] - 1 + (step if cm.is_forward(x) else -step)) % n + 1
             w = m.vertex_of[m.alpha[x]]
             if w not in labels:
@@ -236,28 +206,30 @@ def integrate_labels(em: EnrichedMap, seed_vertex: Optional[int] = None) -> Labe
             elif labels[w] != want:
                 raise InconsistentCocycle(
                     "label conflict at vertex %d (core map bug)" % w)
-    return Labeling(labels, n)
+    return labels
 
 
 # -- monodromy extraction -----------------------------------------------------------
 
 
-def monodromy(em: EnrichedMap, lab: Labeling) -> TranspositionTuple:
-    """Extract the transposition tuple of a realized enriched diagram.
+def monodromy(cm: ColoredMap, labels: Dict[int, int]) -> TranspositionTuple:
+    """Extract the transposition tuple of a diagram with pairwise distinct
+    critical labels 1..n per vertex.
 
     Sheets are the blue faces in ascending face index, and tau_j is the
     pair of sheets whose blue faces meet at the vertex labeled j: crossing
-    that vertex swaps their white neighbours and no others.
+    that vertex swaps their white neighbours and no others.  So shifting
+    every label by k rotates the tuple by k.
     """
-    cm, n = em.base, em.n
     m = cm.m
-    if sorted(lab.labels.values()) != list(range(1, n + 1)):
+    n = m.num_vertices
+    if sorted(labels.values()) != list(range(1, n + 1)):
         raise InvalidInput("critical labels must be pairwise distinct")
     sheet = {f: i for i, f in enumerate(sorted(cm.blue_faces), 1)}
     pairs: List[List[int]] = [[] for _ in range(n + 1)]
     for x in range(1, m.n + 1):
         if m.face_of[x] in sheet:
-            pairs[lab.labels[m.vertex_of[x]]].append(sheet[m.face_of[x]])
+            pairs[labels[m.vertex_of[x]]].append(sheet[m.face_of[x]])
     t = TranspositionTuple(len(sheet), tuple(tuple(sorted(p)) for p in pairs[1:]))
     t.validate()
     return t
@@ -269,9 +241,8 @@ def monodromy(em: EnrichedMap, lab: Labeling) -> TranspositionTuple:
 @dataclass
 class Realization:
     colored: ColoredMap
-    enriched: EnrichedMap
-    labeling: Labeling
-    critical_labels: Dict[int, int]  # keyed by colored-map vertex
+    counts: Dict[int, int]  # inserted count per edge id
+    labels: Dict[int, int]  # critical label per vertex
 
 
 def graph_from_monodromy(t: TranspositionTuple) -> Realization:
@@ -321,40 +292,44 @@ def graph_from_monodromy(t: TranspositionTuple) -> Realization:
             if (nj - j - 1) % n:
                 counts[x] = (nj - j - 1) % n
     cm = ColoredMap(CombinatorialMap(sigma, alpha), range(d))
-    return Realization(cm, EnrichedMap(cm, counts), Labeling(labels, n), labels)
+    return Realization(cm, counts, labels)
 
 
 # -- top-level decision procedures ----------------------------------------------------
 
 
-def _ranked(cm: ColoredMap, matching: Matching) -> Tuple[EnrichedMap, Labeling]:
-    """Enrich by a face-equation solution, then re-enrich so that the
-    critical labels become their ranks under (label, vertex id).
+def _ranked(cm: ColoredMap, counts: Dict[int, int]) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """From a face-equation solution to counts whose critical labels are
+    their ranks under (label, vertex id), plus 1.
 
     A face's corners carry distinct labels that wind once around it, and
     the ranking keeps their cyclic order, so the counts
     (rank(head) - rank(tail) - 1) mod n solve the face equations again;
-    integrating them from the lowest-ranked vertex gives back the ranks.
-    Raises InvalidMatching if an enrichment fails.
+    integrating them and shifting by the rank of dart 1's vertex gives back
+    the ranks, which is checked.  Raises InvalidMatching if an enrichment
+    fails and Mismatch if the ranks do not come back.
     """
-    em = enrich(cm, matching)
-    lab = integrate_labels(em)
-    order = sorted(lab.labels, key=lambda v: (lab.labels[v], v))
+    labels = integrate_labels(cm, enrich(cm, counts))
+    order = sorted(labels, key=lambda v: (labels[v], v))
     rank = {v: i for i, v in enumerate(order)}
-    m, n = cm.m, em.n
+    m, n = cm.m, cm.m.num_vertices
     counts = {}
     for e in m.edges():
         d = cm.forward_dart(e)
         c = (rank[m.vertex_of[m.alpha[d]]] - rank[m.vertex_of[d]] - 1) % n
         if c:
             counts[e] = c
-    em = enrich(cm, Matching(counts))
-    return em, integrate_labels(em, order[0])
+    shift = rank[m.vertex_of[1]]
+    labels = {v: (l + shift - 1) % n + 1
+              for v, l in integrate_labels(cm, enrich(cm, counts)).items()}
+    if labels != {v: r + 1 for v, r in rank.items()}:
+        raise Mismatch("ranked counts do not integrate to the ranks")
+    return counts, labels
 
 
-def realize_generic(cm: ColoredMap) -> Tuple[EnrichedMap, Labeling]:
-    """Enrichment and labeling with pairwise distinct critical labels,
-    ranked from the balance flow's matching.
+def realize_generic(cm: ColoredMap) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Inserted counts per edge and pairwise distinct critical labels per
+    vertex, ranked from the balance flow's solution.
 
     Raises NotBalanced, carrying the balance report's witness, when the
     map is not balanced.
@@ -371,8 +346,9 @@ def is_realizable(cm: ColoredMap) -> bool:
 
     Fully constructive and independent of the balance conditions: rank the
     face-equation solution of one max flow, extract a monodromy tuple,
-    reglue, and compare with the input.  Once the face equations are
-    solvable the comparison cannot fail:
+    reglue, and compare with the input.  An odd vertex count gives unequal
+    face counts, so unequal weights.  Once the face equations are solvable
+    the comparison cannot fail:
 
     1. Equal weights <=> equal face counts.  Every vertex has two blue and
        two white corners, so both colors have 2V corners in all, and
@@ -388,15 +364,27 @@ def is_realizable(cm: ColoredMap) -> bool:
        j' - j - 1 on the edge between consecutive ones, which is exactly
        how the gluing of the tuple builds that face.
 
-    So a mismatch is a bug, and raises Mismatch instead of answering.
+    So the isomorphism is known: the input's dart at the vertex labeled 1
+    in the blue face of tau_1's lower sheet goes to the glued vertex
+    labeled 1, whose id is that polygon dart.  One breadth-first trace from
+    each side and the blue bit of every face, ordered by the trace, compare
+    the two in linear time.  A mismatch is a bug, and raises Mismatch
+    instead of answering.
     """
     m = cm.m
-    if m.num_vertices % 2 or m.num_vertices < 2:
-        return False
     solved = solve_face_equations(cm)
     if solved is None or solved[0] is None:
         return False
-    t = monodromy(*_ranked(cm, solved[0]))
-    if graph_from_monodromy(t).colored.colored_code() != cm.colored_code():
+    labels = _ranked(cm, solved[0])[1]
+    t = monodromy(cm, labels)
+    real = graph_from_monodromy(t)
+    lower = sorted(cm.blue_faces)[t.taus[0][0] - 1]
+    roots = (next(x for x in m.faces[lower] if labels[m.vertex_of[x]] == 1),
+             next(v for v, l in real.labels.items() if l == 1))
+    codes = []
+    for c, root in zip((cm, real.colored), roots):
+        trace, lab = c.m._bfs_trace(root)
+        codes.append(trace + c.face_bits(lab))
+    if codes[0] != codes[1]:
         raise Mismatch("the ranked tuple reglues to another diagram")
     return True

@@ -27,7 +27,7 @@ def make_labeled_duals(d):
     out = []
     for cls in hurwitz.enumerate_classes(d):
         real = realize.graph_from_monodromy(cls.representative)
-        g0 = maps.dual_bipartite(real.colored, real.critical_labels)
+        g0 = maps.dual_bipartite(real.colored, real.labels)
         blues = sorted(g0.blue_vertices)
         for perm in itertools.permutations(range(1, d + 1)):
             out.append(maps.FaceLabeledGraph(

@@ -108,7 +108,7 @@ def test_criterion_5_monodromy_round_trip(classes4):
     for cls in classes4:
         t = cls.representative
         real = realize.graph_from_monodromy(t)
-        t2 = realize.monodromy(real.enriched, real.labeling)
+        t2 = realize.monodromy(real.colored, real.labels)
         again = realize.graph_from_monodromy(t2)
         if (realize.tuples_conjugate(t, t2)
                 and again.colored.colored_code() == real.colored.colored_code()):
@@ -146,7 +146,7 @@ def test_criterion_7_felsner_uniqueness(classes4):
     duals = []
     for cls in classes4:
         real = realize.graph_from_monodromy(cls.representative)
-        g0 = maps.dual_bipartite(real.colored, real.critical_labels)
+        g0 = maps.dual_bipartite(real.colored, real.labels)
         blues = sorted(g0.blue_vertices)
         duals.append(maps.FaceLabeledGraph(
             g0.m, g0.blue_vertices, g0.face_red,

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from balmaps import balance, maps
@@ -52,18 +54,18 @@ def test_face_weights():
 
 
 def test_flow_quadratic_zero_weights():
-    ok, matching, info = balance.check_balance_flow(colored(maps.quadratic()))
+    ok, counts, info = balance.check_balance_flow(colored(maps.quadratic()))
     assert ok
-    assert matching.counts == {}
+    assert counts == {}
     assert info == {"flow_value": 0, "capacity": 0}
 
 
 def test_flow_octahedron():
-    ok, matching, info = balance.check_balance_flow(colored(maps.octahedron()))
+    ok, counts, info = balance.check_balance_flow(colored(maps.octahedron()))
     assert ok
     assert info == {"flow_value": 12, "capacity": 12}
-    assert matching.total() == 12
-    assert balance.matching_is_valid(colored(maps.octahedron()), matching)
+    assert sum(counts.values()) == 12
+    assert balance.matching_is_valid(colored(maps.octahedron()), counts)
 
 
 def test_flow_gated_by_preconditions():
@@ -128,6 +130,24 @@ def test_matching_from_flow_is_valid(corpus6):
     assert checked > 0
 
 
+def assert_hall_violator(cm, wit):
+    """The witness names blue faces and all their white neighbours, with
+    weights that say no flow can fill the blue supply."""
+    w = balance.face_weights(cm)
+    blues = wit["blue_faces"]
+    assert blues and set(blues) <= cm.blue_faces
+    neighbours = set()
+    for e in cm.m.edges():
+        f1, f2 = cm.m.edge_sides(e)
+        if f1 in blues or f2 in blues:
+            neighbours |= {f1, f2} - cm.blue_faces
+    assert wit["white_faces"] == sorted(neighbours)
+    assert wit["blue_weight"] == sum(w[f] for f in blues)
+    assert wit["white_weight"] == sum(w[f] for f in neighbours)
+    assert wit["blue_weight"] > wit["white_weight"]
+    assert wit["blue_weight"] - wit["white_weight"] == wit["capacity"] - wit["flow_value"]
+
+
 def test_flow_failure_carries_hall_violator(corpus6):
     local = []
     for cm in corpus6.colored:
@@ -138,18 +158,30 @@ def test_flow_failure_carries_hall_violator(corpus6):
     for cm, wit in local:
         ok, matching, info = balance.check_balance_flow(cm)
         assert not ok and info == wit
-        w = balance.face_weights(cm)
-        blues = wit["blue_faces"]
-        assert blues and set(blues) <= cm.blue_faces
-        neighbours = set()
-        for e in cm.m.edges():
-            f1, f2 = cm.m.edge_sides(e)
-            if f1 in blues or f2 in blues:
-                neighbours |= {f1, f2} - cm.blue_faces
-        assert wit["white_faces"] == sorted(neighbours)
-        assert wit["blue_weight"] == sum(w[f] for f in blues) == 8
-        assert wit["white_weight"] == sum(w[f] for f in neighbours) == 4
-        assert wit["blue_weight"] - wit["white_weight"] == wit["capacity"] - wit["flow_value"]
+        assert_hall_violator(cm, wit)
+        assert wit["blue_weight"] == 8 and wit["white_weight"] == 4
+
+
+def face_equations_digest(colorings):
+    h = hashlib.sha256()
+    for cm in colorings:
+        solved = balance.solve_face_equations(cm)
+        if solved is None:
+            h.update(b"None;")
+            continue
+        counts, info = solved
+        counts = None if counts is None else sorted(counts.items())
+        h.update(repr((counts, sorted(info.items()))).encode() + b";")
+    return h.hexdigest()
+
+
+def test_face_equations_pinned(corpus6):
+    """Counts and flow info (Hall witness included) of every corpus6
+    coloring, as a generic Edmonds-Karp network gave them before the
+    face-indexed search replaced it."""
+    assert len(corpus6.colored) == 2132
+    assert face_equations_digest(corpus6.colored) == (
+        "0effcb950846d93180ca533ac1112d25d6e065319f33c6208bad0527b8151a67")
 
 
 def test_murasugi_sum_preserves_global_balance_counts():

@@ -111,6 +111,19 @@ def test_realize_output_pinned(tmp_path, capsys, kind, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_realize_output_pinned_on_balanced_corpus6(tmp_path, capsys, corpus6):
+    from balmaps import balance
+    h = hashlib.sha256()
+    balanced = [cm for cm in corpus6.colored if balance.is_balanced(cm).balanced]
+    assert len(balanced) == 18
+    for cm in balanced:
+        code, out = run_capture(capsys, ["realize", write_map(tmp_path, cm)])
+        assert code == 0
+        h.update(out.encode())
+    assert h.hexdigest() == (
+        "82d98b420e0cf61fa31a9efdb0970806f665c0d5aef911e91ab982f8eb7690f5")
+
+
 def test_hurwitz_commands(capsys):
     code, out = run_capture(capsys, ["hurwitz", "count", "4"])
     assert code == 0 and json.loads(out)["count"] == 120
@@ -189,6 +202,15 @@ def test_dps_decode_malformed_tree(tmp_path, capsys, tree):
     code, out = run_capture(capsys, ["dps", "decode", str(p)])
     assert code == 2
     assert json.loads(out)["error"] == "InvalidInput"
+
+
+def test_dps_decode_above_degree_cap(tmp_path, capsys):
+    from tests.test_dps import path_tree
+    p = tmp_path / "tree.json"
+    p.write_text(mapio.dumps(mapio.tree_to_dict(path_tree(dps.DECODE_DEGREE_CAP + 1))))
+    code, out = run_capture(capsys, ["dps", "decode", str(p)])
+    assert code == 2
+    assert json.loads(out)["error"] == "LimitExceeded"
 
 
 def _map_doc():

@@ -60,6 +60,27 @@ def test_enumerate_trees_cap():
         dps.enumerate_trees(6)
 
 
+def path_tree(d):
+    """The path on d white vertices: edge i joins i and i + 1, with blue
+    label i + 1 and red labels 2i + 1 and 2i + 2."""
+    return dps.EdgeLabeledTree(d, tuple(
+        (i, i + 1, i + 1, 2 * i + 1, 2 * i + 2) for i in range(d - 1)))
+
+
+def test_decode_degree_cap(monkeypatch):
+    """A valid tree above the cap is refused before the hairy tree is
+    built."""
+    t = path_tree(dps.DECODE_DEGREE_CAP + 1)
+    t.validate()
+
+    def unreachable(t):
+        raise AssertionError("decoding started")
+    monkeypatch.setattr(dps, "_hairy_rotations", unreachable)
+    for decode in (dps.tree_to_tuple, dps.tree_to_graph):
+        with pytest.raises(LimitExceeded):
+            decode(t)
+
+
 def test_dual_code_format_pinned():
     t = dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
     assert dps.tree_to_graph(t).canonical_code() == (
@@ -285,7 +306,7 @@ def test_random_covers_balance_realize_and_round_trip(d, rng):
     cm = realize.graph_from_monodromy(dps.tree_to_tuple(t)).colored
     assert balance.is_balanced(cm).balanced
     assert realize.is_realizable(cm)
-    t2 = realize.monodromy(*realize.realize_generic(cm))
+    t2 = realize.monodromy(cm, realize.realize_generic(cm)[1])
     assert realize.graph_from_monodromy(t2).colored.colored_code() == cm.colored_code()
     assert dps.graph_to_tree(dps.tree_to_graph(t)).canonical_key() == t.canonical_key()
 
@@ -323,8 +344,8 @@ def test_round_trip_on_realized_generator_duals():
     from balmaps import realize
     for make in (maps.quadratic, maps.octahedron, lambda: maps.turkshead(4)):
         cm = maps.checkerboard(make())[0]
-        em, lab = realize.realize_generic(cm)
-        g0 = maps.dual_bipartite(cm, lab.labels)
+        counts, labels = realize.realize_generic(cm)
+        g0 = maps.dual_bipartite(cm, labels)
         blues = sorted(g0.blue_vertices)
         g = maps.FaceLabeledGraph(g0.m, g0.blue_vertices, g0.face_red,
                                   tuple(zip(blues, range(1, g0.d + 1))))

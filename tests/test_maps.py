@@ -208,8 +208,8 @@ def test_generate_dispatch():
 def test_dual_bipartite_quadratic():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.quadratic())
-    em, lab = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, lab.labels)
+    counts, labels = realize.realize_generic(cm)
+    g = maps.dual_bipartite(cm, labels)
     assert g.d == 2
     assert g.m.num_vertices == 4
     assert g.m.num_faces == 2
@@ -219,8 +219,8 @@ def test_dual_bipartite_quadratic():
 def test_dual_bipartite_octahedron():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.octahedron())
-    em, lab = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, lab.labels)
+    counts, labels = realize.realize_generic(cm)
+    g = maps.dual_bipartite(cm, labels)
     assert g.d == 4
     assert len(g.blue_vertices) == 4
     assert g.m.num_vertices == 8

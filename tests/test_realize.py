@@ -15,6 +15,7 @@ from balmaps.errors import (
     Mismatch,
     NotBalanced,
 )
+from tests.test_balance import assert_hall_violator
 from tests.test_dps import random_tree
 
 
@@ -24,58 +25,57 @@ def colored(m):
 
 def test_enrich_quadratic_empty_matching():
     cm = colored(maps.quadratic())
-    em = realize.enrich(cm, balance.Matching({}))
-    assert em.n == 2
-    assert em.counts == {}
+    assert realize.enrich(cm, {}) == {}
 
 
 def test_enrich_octahedron():
     cm = colored(maps.octahedron())
     ok, matching, _ = balance.check_balance_flow(cm)
-    em = realize.enrich(cm, matching)
-    assert em.n == 6
-    assert em.counts == matching.counts
-    assert sum(em.counts.values()) == 12  # 8 triangles, 3 inserted on each
+    counts = realize.enrich(cm, matching)
+    assert counts == matching and counts is not matching
+    assert sum(counts.values()) == 12  # 8 triangles, 3 inserted on each
 
 
 def test_enrich_rejects_bad_matching():
     cm = colored(maps.octahedron())
     with pytest.raises(InvalidMatching):
-        realize.enrich(cm, balance.Matching({cm.m.edges()[0]: 1}))
+        realize.enrich(cm, {cm.m.edges()[0]: 1})
 
 
 def test_integrate_labels_quadratic():
     cm = colored(maps.quadratic())
-    em = realize.enrich(cm, balance.Matching({}))
-    lab = realize.integrate_labels(em)
-    assert sorted(lab.labels.values()) == [1, 2]
+    labels = realize.integrate_labels(cm, realize.enrich(cm, {}))
+    assert sorted(labels.values()) == [1, 2]
+    assert labels[cm.m.vertex_of[1]] == 1
 
 
 def test_integrate_labels_octahedron_counts():
     cm = colored(maps.octahedron())
-    em, lab = realize.realize_generic(cm)
-    assert sorted(lab.labels.values()) == [1, 2, 3, 4, 5, 6]
+    counts, labels = realize.realize_generic(cm)
+    assert sorted(labels.values()) == [1, 2, 3, 4, 5, 6]
 
 
-def test_label_shift_is_uniform():
-    cm = colored(maps.octahedron())
-    em, lab = realize.realize_generic(cm)
-    shifted = lab.shifted(2)
-    n = lab.n
-    for v, l in lab.labels.items():
-        assert shifted.labels[v] == (l - 1 + 2) % n + 1
+def test_label_shift_rotates_monodromy(classes4):
+    """Shifting every label by k moves tau_j to position j + k."""
+    for cls in classes4:
+        real = realize.graph_from_monodromy(cls.representative)
+        taus, n = cls.representative.taus, len(cls.representative.taus)
+        for k in range(n):
+            shifted = {v: (l - 1 + k) % n + 1 for v, l in real.labels.items()}
+            t = realize.monodromy(real.colored, shifted)
+            assert t.taus == tuple(taus[(j - k) % n] for j in range(n))
 
 
 def test_labels_progress_around_blue_faces():
     cm = colored(maps.octahedron())
-    em, lab = realize.realize_generic(cm)
-    m, n = cm.m, em.n
+    counts, labels = realize.realize_generic(cm)
+    m, n = cm.m, cm.m.num_vertices
     for i, orbit in enumerate(m.faces):
         sign = 1 if cm.is_blue(i) else -1
         total = 0
         for d in orbit:
-            step = sign * (em.counts.get(m.edge_of(d), 0) + 1)
-            a, b = lab.labels[m.vertex_of[d]], lab.labels[m.vertex_of[m.alpha[d]]]
+            step = sign * (counts.get(m.edge_of(d), 0) + 1)
+            a, b = labels[m.vertex_of[d]], labels[m.vertex_of[m.alpha[d]]]
             assert b == (a - 1 + step) % n + 1
             total += step
         assert total == sign * n  # the labels wind once around the face
@@ -83,16 +83,14 @@ def test_labels_progress_around_blue_faces():
 
 def test_monodromy_quadratic():
     cm = colored(maps.quadratic())
-    em, lab = realize.realize_generic(cm)
-    t = realize.monodromy(em, lab)
+    t = realize.monodromy(cm, realize.realize_generic(cm)[1])
     assert t.taus == ((1, 2), (1, 2))
     t.validate()
 
 
 def test_monodromy_octahedron_valid():
     cm = colored(maps.octahedron())
-    em, lab = realize.realize_generic(cm)
-    t = realize.monodromy(em, lab)
+    t = realize.monodromy(cm, realize.realize_generic(cm)[1])
     assert t.d == 4 and len(t.taus) == 6
     t.validate()
     # the octahedron's sheets each meet three critical points
@@ -120,11 +118,10 @@ def test_graph_from_monodromy_quadratic():
 
 def test_monodromy_round_trip_octahedron():
     cm = colored(maps.octahedron())
-    em, lab = realize.realize_generic(cm)
-    t = realize.monodromy(em, lab)
+    t = realize.monodromy(cm, realize.realize_generic(cm)[1])
     real = realize.graph_from_monodromy(t)
     assert real.colored.colored_code() == cm.colored_code()
-    t2 = realize.monodromy(real.enriched, real.labeling)
+    t2 = realize.monodromy(real.colored, real.labels)
     assert realize.tuples_conjugate(t, t2)
 
 
@@ -152,12 +149,28 @@ def test_is_realizable_raises_on_reglue_mismatch(monkeypatch):
         realize.is_realizable(colored(maps.octahedron()))
 
 
+def test_is_realizable_raises_on_color_swapped_reglue(monkeypatch):
+    """A reglue of the right diagram with its colors swapped traces the
+    same from the matched darts, so the blue bits must tell them apart.
+    The octahedron's swap is even colored-isomorphic to it, but not by the
+    isomorphism that the ranked labels fix."""
+    glue = realize.graph_from_monodromy
+
+    def swapped(t):
+        real = glue(t)
+        return realize.Realization(real.colored.swapped(), real.counts, real.labels)
+    monkeypatch.setattr(realize, "graph_from_monodromy", swapped)
+    for cm in (colored(maps.octahedron()), braid_sample_map(7, random.Random(7))):
+        with pytest.raises(Mismatch):
+            realize.is_realizable(cm)
+
+
 def test_matching_enumeration_order_and_validity():
     cm = colored(maps.octahedron())
     got = []
     for i, matching in enumerate(realize.enumerate_matchings(cm)):
         assert balance.matching_is_valid(cm, matching)
-        got.append(tuple(sorted(matching.counts.items())))
+        got.append(tuple(sorted(matching.items())))
         if i > 50:
             break
     assert len(got) == len(set(got))
@@ -172,19 +185,17 @@ def test_duplicate_critical_labels_are_rejected(corpus6):
         if not balance.is_balanced(cm).balanced:
             continue
         first = next(iter(realize.enumerate_matchings(cm)))
-        em = realize.enrich(cm, first)
-        lab = realize.integrate_labels(em)
-        if len(set(lab.labels.values())) != em.n:
+        labels = realize.integrate_labels(cm, realize.enrich(cm, first))
+        if len(set(labels.values())) != cm.m.num_vertices:
             found_duplicate_case = True
-            em2, lab2 = realize.realize_generic(cm)
-            assert len(set(lab2.labels.values())) == em2.n
+            labels2 = realize.realize_generic(cm)[1]
+            assert len(set(labels2.values())) == cm.m.num_vertices
     assert found_duplicate_case
 
 
 def test_rebuilt_labels_occupy_positions(classes4):
     real = realize.graph_from_monodromy(classes4[0].representative)
-    assert real.labeling.labels == real.critical_labels
-    assert sorted(real.critical_labels.values()) == list(range(1, 7))
+    assert sorted(real.labels.values()) == list(range(1, 7))
 
 
 def gluing_layout_digest(classes):
@@ -192,7 +203,7 @@ def gluing_layout_digest(classes):
     for cls in classes:
         real = realize.graph_from_monodromy(cls.representative)
         h.update(mapio.dumps(mapio.map_to_dict(real.colored)).encode())
-        h.update(repr(sorted(real.critical_labels.items())).encode())
+        h.update(repr(sorted(real.labels.items())).encode())
     return h.hexdigest()
 
 
@@ -206,7 +217,7 @@ def test_gluing_layout_pinned(classes4):
 
 def assert_exact_round_trip(t):
     real = realize.graph_from_monodromy(t)
-    assert realize.monodromy(real.enriched, real.labeling).taus == t.taus
+    assert realize.monodromy(real.colored, real.labels).taus == t.taus
 
 
 def test_exact_round_trip_small_classes(classes4):
@@ -227,7 +238,7 @@ def test_exact_round_trip_random_tuples(d, rng):
 
 
 def _first_solutions_digest(cm):
-    sols = [sorted(m.counts.items())
+    sols = [sorted(m.items())
             for m in itertools.islice(realize.enumerate_matchings(cm), 50)]
     return len(sols), hashlib.sha256(repr(sols).encode()).hexdigest()
 
@@ -263,9 +274,9 @@ def test_matching_enumeration_ignores_recursion_limit():
 def assert_realizes(cm):
     """realize_generic gives distinct critical labels whose monodromy
     reglues to the input diagram."""
-    em, lab = realize.realize_generic(cm)
-    assert sorted(lab.labels.values()) == list(range(1, em.n + 1))
-    t = realize.monodromy(em, lab)
+    counts, labels = realize.realize_generic(cm)
+    assert sorted(labels.values()) == list(range(1, cm.m.num_vertices + 1))
+    t = realize.monodromy(cm, labels)
     assert realize.graph_from_monodromy(t).colored.colored_code() == cm.colored_code()
 
 
@@ -320,3 +331,37 @@ def test_is_realizable_braid_samples():
     for d in (2, 3, 4, 5, 7, 10, 20):
         for _ in range(4):
             assert realize.is_realizable(braid_sample_map(d, rng))
+
+
+def pinch_in(cm, faces, rng):
+    """Pinch two distinct edges of a random face among ``faces``."""
+    m = cm.m
+    f = rng.choice([f for f in sorted(faces)
+                    if len({m.edge_of(x) for x in m.faces[f]}) > 1])
+    a, b = rng.sample(m.faces[f], 2)
+    while m.edge_of(a) == m.edge_of(b):
+        a, b = rng.sample(m.faces[f], 2)
+    return maps.pinch(cm, a, b)
+
+
+def test_theorem_on_pinched_random_covers():
+    """Beyond the corpus: uniform random covers of degree 3..5, pinched
+    once in a blue and once in a white face, keep equal face counts and
+    reach V <= 10.  The flow and curve oracles agree, every failed flow
+    names a Hall violator, and balanced <=> realizable."""
+    rng = random.Random("pinched-covers")
+    local = 0
+    for _ in range(200):
+        t = dps.tree_to_tuple(random_tree(rng, rng.randint(3, 5)))
+        cm = realize.graph_from_monodromy(t).colored
+        cm = pinch_in(cm, cm.blue_faces, rng)
+        cm = pinch_in(cm, cm.white_faces, rng)
+        assert cm.m.num_vertices <= 10
+        rep = balance.is_balanced(cm, oracle="both")
+        assert rep.global_ok
+        solved = balance.solve_face_equations(cm)
+        if solved is not None and solved[0] is None:
+            assert_hall_violator(cm, solved[1])
+        assert realize.is_realizable(cm) == rep.balanced
+        local += rep.jordan_ok and not rep.local_ok
+    assert local >= 20
