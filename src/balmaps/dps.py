@@ -8,10 +8,12 @@ read off the greatest face potential, a distance in the dual (Khuller, Naor
 and Klein, SIAM J. Discrete Math. 1993), by one 0-1 breadth-first search.
 The other direction grows hairs on the tree, slot-indexed by the red
 labels, and sews them up by a last-in-first-out matching run around the
-cyclic contour walk until one lap repeats the previous one.  The sewing
-pairs every sheet with a white polygon in every slot, which is the
-cover's monodromy tuple; the realize module glues its polygons and the
-dual of that diagram is the decoded graph.
+cyclic contour walk until one lap repeats the previous one: 4d - 4 runs
+of hairs in consecutive slots, matched run against run, for 2-8 laps on
+random trees up to d = 400 and d laps on a path tree.  The sewing pairs
+every sheet with a white polygon in every slot, which is the cover's
+monodromy tuple; the realize module glues its polygons and the dual of
+that diagram is the decoded graph.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red
 
 # enumerate_trees lists (2d-2)! d^(d-3) trees: 1,008,000 at degree 5
 TREE_DEGREE_CAP = 5
-# decoding builds d x (2d-2) tables of hairs and slots: memory grows as d^2
+# bounds decoding time, laps x O(d): a path tree on d whites takes d laps
 DECODE_DEGREE_CAP = 500
 
 
@@ -361,125 +363,119 @@ def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
     return t
 
 
-# germ encoding for the hairy tree: ("seg", edge index, end) or
-# ("hair", vertex, slot); vertices are ("w", i) and ("m", edge index)
+def _contour_runs(t: EdgeLabeledTree) -> List[Tuple[int, int, int]]:
+    """The counterclockwise contour of the hairy tree as hair runs.
 
-
-def _match_hairs(walk):
-    """Sew midpoint hairs to white hairs of the same slot around the cyclic
-    contour walk.
-
-    Chords drawn in the tree's complementary disk must be mutually
-    non-crossing, which forces a last-in-first-out discipline: a germ
-    matches the unmatched germ it can see (the stack top) when the slots
-    agree and the colors differ, otherwise it is pushed.  The walk is a
-    cycle with no distinguished start, so it is run lap after lap with the
-    stack kept between laps; a chord whose ends straddle the start of a lap
-    closes in the next lap against the germ left on the stack.  The laps
-    stop at the first lap that matches exactly as the one before it, and
-    that lap's matching is returned.
-
-    Why the stable lap is the planar sewing is not proved here.  The
-    evidence: it gave exactly the map of an earlier decoder, which cut
-    the walk at each position in turn and kept the first cut that sewed up
-    into a valid sphere, on all 2905 trees with d <= 4 and on 230 random
-    trees with d = 5..14; the laps settled within 5 laps on random trees up
-    to d = 60.  tree_to_tuple reads the tuple off the sewing, so a sewing
-    that breaks the tuple (a slot change that is not one transposition, or
-    an intransitive action) is rejected by TranspositionTuple.validate.
-    Laps are capped at len(walk) + 2, past which NonTermination is raised.
-    """
-    hairs = [side for side in walk if side[1][0] == "hair"]
-    stack: List[Tuple] = []
-    previous = None
-    for _ in range(len(walk) + 2):
-        # a lap pops at most one entry per hair, so deeper ones never matter
-        del stack[:-len(hairs) - 1]
-        matched: Dict[Tuple, Tuple] = {}
-        for side in hairs:
-            if stack:
-                tv, tg = stack[-1]
-                if tg[2] == side[1][2] and (tv[0] == "w") != (side[0][0] == "w"):
-                    other = stack.pop()
-                    matched[side] = other
-                    matched[other] = side
-                    continue
-            stack.append(side)
-        if matched == previous:
-            break
-        previous = matched
-    else:
-        raise NonTermination("contour sewing still changes after %d laps"
-                             % (len(walk) + 2))
-    blues_left = [s for s in hairs if s[0][0] == "m" and s not in matched]
-    if blues_left:
-        raise MatchingStuck("unmatched midpoint hairs remain: %r" % blues_left[:3])
-    return matched
-
-
-def _hairy_rotations(t: EdgeLabeledTree):
-    """Per hairy-tree vertex, the counterclockwise germ list.
-
-    A segment with red label r occupies slot r-1 (cyclically): the red
-    names the face just past the segment's chain, so the chain's surviving
-    edge sits one slot below.  Around white vertices the slots increase
-    counterclockwise, around blue vertices clockwise (measured on duals of
-    actual covers).
+    Whites are vertices 0..d-1 and the midpoint of edge i is vertex d + i.
+    A segment with red label r sits in slot (r - 2) mod n at both ends (the
+    red names the face just past the segment's chain, so the chain's
+    surviving edge sits one slot below); every other slot holds a hair.
+    Counterclockwise the slots ascend around whites and descend around
+    midpoints (measured on duals of actual covers).  The walk crosses a
+    segment and turns to the next one counterclockwise at the vertex it
+    reaches; each of the 2n corners gives a run (vertex, first slot,
+    count).  It starts at slot 0 of white 0, splitting the corner there.
     """
     d = t.d
     n = 2 * d - 2
-    vertices = [("w", w) for w in range(d)] + [("m", i) for i in range(d - 1)]
-    slots: Dict[Tuple, Dict[int, Tuple]] = {v: {} for v in vertices}
-
-    def slot(red):
-        return (red - 2) % n + 1
-
-    for i, (wa, wb, blue, ra, rb) in enumerate(t.edges):
-        slots[("w", wa)][slot(ra)] = ("seg", i, 0)
-        slots[("w", wb)][slot(rb)] = ("seg", i, 1)
-        slots[("m", i)][slot(ra)] = ("seg", i, 0)
-        slots[("m", i)][slot(rb)] = ("seg", i, 1)
-    rot: Dict[Tuple, List[Tuple]] = {}
-    for v, filled in slots.items():
-        order = range(1, n + 1) if v[0] == "w" else range(n, 0, -1)
-        rot[v] = [filled[s] if s in filled else ("hair", v, s) for s in order]
-    return rot
-
-
-def _contour_ccw(t: EdgeLabeledTree, rot) -> List[Tuple[Tuple, Tuple]]:
-    """The counterclockwise contour as a list of (vertex, germ) sides."""
-    pos = {}
-    for v, germs in rot.items():
-        for i, g in enumerate(germs):
-            pos[(v, g)] = i
-
-    def mate(side):
-        v, g = side
-        _, i, end = g
-        return (("w", t.edges[i][end]) if v[0] == "m" else ("m", i), g)
-
-    def rot_next(side):
-        v, g = side
-        germs = rot[v]
-        i = pos[(v, g)]
-        return (v, germs[(i + 1) % len(germs)])
-
-    start = (("w", 0), rot[("w", 0)][0])
-    out = []
-    side = start
-    while True:
-        out.append(side)
-        v, g = side
-        if g[0] == "seg":
-            side = rot_next(mate(side))
-        else:
-            side = rot_next(side)
-        if side == start:
+    across: Dict[Tuple[int, int], int] = {}  # (vertex, slot) -> far end
+    for i, (wa, wb, _, ra, rb) in enumerate(t.edges):
+        for w, r in ((wa, ra), (wb, rb)):
+            across[w, (r - 2) % n] = d + i
+            across[d + i, (r - 2) % n] = w
+    slots: List[List[int]] = [[] for _ in range(2 * d - 1)]
+    for v, s in across:
+        slots[v].append(s)
+    turn = {}  # (vertex, slot) -> the next segment's slot counterclockwise
+    for v, ss in enumerate(slots):
+        ss.sort(reverse=v >= d)
+        turn.update(((v, s), after) for s, after in zip(ss, ss[1:] + ss[:1]))
+    first = slots[0][0]
+    runs, v, s = [(0, 0, first)], 0, first
+    for _ in range(2 * n):
+        v = across[v, s]
+        step = 1 if v < d else -1
+        s, arrived = turn[v, s], s
+        runs.append((v, (arrived + step) % n, (step * (s - arrived) - 1) % n))
+        if (v, s) == (0, first):
             break
-    total = sum(len(germs) for germs in rot.values())
-    if len(out) != total:
-        raise MatchingStuck("contour misses germs (%d of %d)" % (len(out), total))
-    return out
+    if len(runs) != 2 * n + 1 or (v, s) != (0, first):
+        raise MatchingStuck("contour does not close after %d corners" % (2 * n))
+    # the last corner stops at slot n - 1; the first run holds the rest
+    runs[-1] = (0, runs[-1][1], n - 1 - arrived)
+    return [run for run in runs if run[2]]
+
+
+def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
+    """Sew midpoint hairs to white hairs of the same slot around the cyclic
+    contour; return each midpoint's maximal slot intervals of constant white,
+    segments included, sorted as (midpoint, first slot, count, white).
+
+    Chords drawn in the tree's complementary disk must be mutually
+    non-crossing, which forces a last-in-first-out discipline: a hair
+    matches the unmatched hair it can see (the stack top) when the slots
+    agree and the colors differ, otherwise it is pushed.  A run meeting a
+    top of the other color in its slot moves in step with it, so
+    min(count, top count) hairs match at once.  The contour is a cycle
+    with no distinguished start, so it is run lap after lap with the stack
+    kept between laps: a chord straddling the start of a lap closes in the
+    next.  The first lap that matches as the one before it is returned.
+
+    Why the stable lap is the planar sewing is not proved here.  It gave
+    exactly the map of an earlier decoder, which cut the walk at each
+    position in turn and kept the first cut that sewed up into a valid
+    sphere, on all 2905 trees with d <= 4 and 230 random trees with
+    d = 5..14.  Random trees up to d = 400 settle in 2-8 laps, a path tree
+    on d whites in d.  TranspositionTuple.validate rejects a sewing that
+    breaks the tuple read off it.  Laps are capped at the hair count plus
+    2, past which NonTermination is raised.
+    """
+    d = t.d
+    n = 2 * d - 2
+    segments = [(d + i, (r - 2) % n, 1, w) for i, (wa, wb, _, ra, rb)
+                in enumerate(t.edges) for w, r in ((wa, ra), (wb, rb))]
+    hairs = sum(run[2] for run in runs)
+    stack: List[Tuple[int, int, int]] = []  # (vertex, top slot, count)
+    previous = None
+    for _ in range(hairs + 2):
+        # a lap pops at most one hair per hair, so deeper ones never matter
+        depth = 0
+        for k in range(len(stack) - 1, -1, -1):
+            depth += stack[k][2]
+            if depth > hairs:
+                stack[k] = stack[k][:2] + (stack[k][2] - depth + hairs + 1,)
+                del stack[:k]
+                break
+        pieces = list(segments)
+        for v, s, c in runs:
+            step = 1 if v < d else -1
+            while c and stack and (stack[-1][0] < d) != (v < d) and stack[-1][1] == s:
+                u, top, k = stack.pop()
+                m = min(c, k)
+                if m < k:
+                    stack.append((u, (top + step * m) % n, k - m))
+                lo = s if step == 1 else (s - m + 1) % n
+                mid, w = (u, v) if v < d else (v, u)
+                pieces.append((mid, lo, min(m, n - lo), w))
+                if lo + m > n:
+                    pieces.append((mid, 0, lo + m - n, w))
+                s = (s + step * m) % n
+                c -= m
+            if c:
+                stack.append((v, (s + step * (c - 1)) % n, c))
+        pieces.sort()
+        matched = pieces[:1]
+        for p in pieces[1:]:
+            q = matched[-1]
+            if q[0] == p[0] and q[1] + q[2] == p[1] and q[3] == p[3]:
+                matched[-1] = q[:2] + (q[2] + p[2], p[3])
+            else:
+                matched.append(p)
+        if matched == previous:
+            return matched
+        previous = matched
+    raise NonTermination("contour sewing still changes after %d laps"
+                         % (hairs + 2))
 
 
 def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
@@ -487,33 +483,33 @@ def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
 
     The sewn hairy tree is the dual of the glued preimage: a vertex per
     polygon (the midpoints and the root blue, the whites white) and an edge
-    per glued side, joining a blue and a white in one slot.  So each slot s
-    pairs every sheet with a white: a segment with red r pairs its
-    midpoint's blue label with its white in slot (r-2) mod n + 1, a sewn
-    midpoint hair does the same in its own slot, and the root (sheet d)
-    takes the one white left unsewn in each slot.  With slot 0 read as slot
-    n, tau_j swaps the sheets whose white changes between slots j-1 and j.
-    Degrees above DECODE_DEGREE_CAP are refused before any table is built.
+    per glued side, joining a blue and a white in one slot.  So each slot
+    pairs every sheet with a white: a midpoint pairs its blue label with
+    the white of its segment or sewn hair there, and the root (sheet d)
+    takes the one white left unsewn.  tau_j swaps the sheets whose white
+    changes from slot j - 2 to j - 1 (mod n), the root exactly when the
+    other whites change their sum.  Decoding takes laps x O(d) time, with
+    d laps on a path tree, so degrees above DECODE_DEGREE_CAP are refused
+    before the contour is built.
     """
     if t.d > DECODE_DEGREE_CAP:
         raise LimitExceeded("decoding capped at degree %d" % DECODE_DEGREE_CAP)
     t.validate()
     d = t.d
     n = 2 * d - 2
-    white = [[0] * (d + 1) for _ in range(n + 1)]  # white[s][sheet]
-    for wa, wb, blue, ra, rb in t.edges:
-        white[(ra - 2) % n + 1][blue] = wa
-        white[(rb - 2) % n + 1][blue] = wb
-    sewn = _match_hairs(_contour_ccw(t, _hairy_rotations(t)))
-    for (v, (_, _, s)), (w, _) in sewn.items():
-        if v[0] == "m":
-            white[s][t.edges[v[1]][2]] = w[1]
-    white[0] = white[n]  # slot 0 is slot n
-    for s in range(1, n + 1):
-        white[s][d] = d * (d - 1) // 2 - sum(white[s][1:d])
-    taus = tuple(tuple(i for i in range(1, d + 1) if white[j - 1][i] != white[j][i])
-                 for j in range(1, n + 1))
-    return TranspositionTuple(d, taus)
+    sheets: List[List[int]] = [[] for _ in range(n)]
+    moved = [0] * n  # the change of the whites' sum into each slot
+    for mid, group in itertools.groupby(_sew(t, _contour_runs(t)), lambda q: q[0]):
+        group = list(group)
+        if sum(q[2] for q in group) != n:
+            raise MatchingStuck("unmatched hairs remain at midpoint %d" % (mid - d))
+        # the last interval wraps around to the first
+        for (_, _, _, was), (_, lo, _, w) in zip(group[-1:] + group, group):
+            if was != w:
+                sheets[lo].append(t.edges[mid - d][2])
+                moved[lo] += w - was
+    return TranspositionTuple(d, tuple(tuple(sorted(s) + [d] * (m != 0))
+                                       for s, m in zip(sheets, moved)))
 
 
 def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:

@@ -123,7 +123,10 @@ def dual_from_dict(data: dict) -> FaceLabeledGraph:
 def tree_to_dict(t) -> dict:
     edges = [{"white": [wa, wb], "blue": blue, "red": [ra, rb]}
              for (wa, wb, blue, ra, rb) in t.edges]
-    rotation = {str(w): [blue for blue, _ in t.white_rotation(w)] for w in range(t.d)}
+    rotation = {str(w): [] for w in range(t.d)}
+    for wa, wb, blue, _, _ in sorted(t.edges, key=lambda e: e[2]):
+        rotation[str(wa)].append(blue)
+        rotation[str(wb)].append(blue)
     return {"fmt": FMT, "d": t.d, "edges": edges, "rotation": rotation}
 
 

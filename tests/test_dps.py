@@ -1,10 +1,11 @@
+import hashlib
 import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from balmaps import balance, dps, maps, realize
+from balmaps import balance, dps, mapio, maps, realize
 from balmaps.errors import DegreePropertyFailed, InvalidInput, LimitExceeded
 from tests.conftest import clockwise_cycles, felsner_by_reversals, reverse_cycle
 
@@ -67,18 +68,49 @@ def path_tree(d):
         (i, i + 1, i + 1, 2 * i + 1, 2 * i + 2) for i in range(d - 1)))
 
 
+def star_tree(d):
+    """The star on d white vertices: edge i joins 0 and i + 1, with blue
+    label i + 1 and red labels 2i + 1 and 2i + 2."""
+    return dps.EdgeLabeledTree(d, tuple(
+        (0, i + 1, i + 1, 2 * i + 1, 2 * i + 2) for i in range(d - 1)))
+
+
 def test_decode_degree_cap(monkeypatch):
-    """A valid tree above the cap is refused before the hairy tree is
+    """A valid tree above the cap is refused before the contour is
     built."""
     t = path_tree(dps.DECODE_DEGREE_CAP + 1)
     t.validate()
 
     def unreachable(t):
         raise AssertionError("decoding started")
-    monkeypatch.setattr(dps, "_hairy_rotations", unreachable)
+    monkeypatch.setattr(dps, "_contour_runs", unreachable)
     for decode in (dps.tree_to_tuple, dps.tree_to_graph):
         with pytest.raises(LimitExceeded):
             decode(t)
+
+
+def parity_trees():
+    """Every tree with d <= 4, 200 seeded random trees with d = 5..400, and
+    the path and the star at d = 3, 10 and 60."""
+    for d in (2, 3, 4):
+        yield from dps.enumerate_trees(d)
+    rng = random.Random(19)
+    for _ in range(200):
+        yield random_tree(rng, rng.randint(5, 400))
+    for d in (3, 10, 60):
+        yield path_tree(d)
+        yield star_tree(d)
+
+
+def test_decode_tuples_pinned():
+    """The exact tuples, not only their round trips: one sha256 over the
+    reprs of the decoded transpositions, fixed by the hair-by-hair decoder
+    that sewed a d x (2d-2) table of hairs."""
+    h = hashlib.sha256()
+    for t in parity_trees():
+        h.update(repr(dps.tree_to_tuple(t).taus).encode())
+    assert h.hexdigest() == (
+        "a1c5a54d286f01ac939a8cccaae44d4fc280e65404bf99ea5537b3deb22e44f1")
 
 
 def test_dual_code_format_pinned():
@@ -100,10 +132,18 @@ def test_tree_validation():
 
 
 def test_blue_labels_clockwise_around_whites():
-    for t in dps.enumerate_trees(3):
+    """Each white's rotation ascends by blue label, and the JSON form lists
+    the same rotation per white."""
+    rng = random.Random(113)
+    trees = dps.enumerate_trees(3) + [random_tree(rng, rng.randint(5, 60))
+                                      for _ in range(20)]
+    for t in trees:
+        rotations = {}
         for w in range(t.d):
             rotation = t.white_rotation(w)
             assert rotation == sorted(rotation)
+            rotations[str(w)] = [blue for blue, _ in rotation]
+        assert mapio.tree_to_dict(t)["rotation"] == rotations
 
 
 def test_orientation_degree_property(duals3):
@@ -311,9 +351,12 @@ def test_random_covers_balance_realize_and_round_trip(d, rng):
     assert dps.graph_to_tree(dps.tree_to_graph(t)).canonical_key() == t.canonical_key()
 
 
-def test_round_trip_large_tree():
-    d = 60
-    t = random_tree(random.Random(60), d)
+@pytest.mark.parametrize("t", [
+    random_tree(random.Random(60), 60), path_tree(100), star_tree(100),
+], ids=["random60", "path100", "star100"])
+def test_round_trip_large_tree(t):
+    """A path tree takes d laps of the sewing, the most known."""
+    d = t.d
     g = dps.tree_to_graph(t)
     assert g.m.num_vertices == 2 * d
     assert g.m.num_faces == 2 * d - 2

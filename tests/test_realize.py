@@ -344,20 +344,25 @@ def pinch_in(cm, faces, rng):
     return maps.pinch(cm, a, b)
 
 
-def test_theorem_on_pinched_random_covers():
-    """Beyond the corpus: uniform random covers of degree 3..5, pinched
-    once in a blue and once in a white face, keep equal face counts and
-    reach V <= 10.  The flow and curve oracles agree, every failed flow
+@pytest.mark.parametrize("seed, degrees, oracle, samples", [
+    ("pinched-covers", (3, 5), "both", 200),
+    ("pinched-covers-flow", (6, 30), "flow", 100),
+], ids=["d3-5", "d6-30"])
+def test_theorem_on_pinched_random_covers(seed, degrees, oracle, samples):
+    """Beyond the corpus: uniform random covers, pinched once in a blue and
+    once in a white face, keep equal face counts.  At degrees 3..5 they
+    reach V <= 10 and the flow and curve oracles agree; past the curve
+    oracle's cap of 10 vertices the flow decides alone.  Every failed flow
     names a Hall violator, and balanced <=> realizable."""
-    rng = random.Random("pinched-covers")
+    rng = random.Random(seed)
     local = 0
-    for _ in range(200):
-        t = dps.tree_to_tuple(random_tree(rng, rng.randint(3, 5)))
+    for _ in range(samples):
+        t = dps.tree_to_tuple(random_tree(rng, rng.randint(*degrees)))
         cm = realize.graph_from_monodromy(t).colored
         cm = pinch_in(cm, cm.blue_faces, rng)
         cm = pinch_in(cm, cm.white_faces, rng)
-        assert cm.m.num_vertices <= 10
-        rep = balance.is_balanced(cm, oracle="both")
+        assert oracle == "flow" or cm.m.num_vertices <= 10
+        rep = balance.is_balanced(cm, oracle=oracle)
         assert rep.global_ok
         solved = balance.solve_face_equations(cm)
         if solved is not None and solved[0] is None:
