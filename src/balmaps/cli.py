@@ -8,6 +8,7 @@ diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -192,7 +193,10 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared; a parse leaves no
+    state in it."""
     p = argparse.ArgumentParser(prog="balmaps",
                                 description="balanced 4-valent sphere maps toolkit")
     sub = p.add_subparsers(dest="command", required=True)

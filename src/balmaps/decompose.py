@@ -48,14 +48,8 @@ class CutCurve:
 
 
 def _four_cut_canonical(m: CombinatorialMap, ys: Tuple[int, ...]) -> Tuple[int, ...]:
-    cands = []
-    for r in range(4):
-        rot = ys[r:] + ys[:r]
-        cands.append(rot)
     rev = (m.alpha[ys[0]], m.alpha[ys[3]], m.alpha[ys[2]], m.alpha[ys[1]])
-    for r in range(4):
-        cands.append(rev[r:] + rev[:r])
-    return min(cands)
+    return min(t[r:] + t[:r] for t in (ys, rev) for r in range(4))
 
 
 # -- cut sides and stub fusion ---------------------------------------------------
@@ -66,7 +60,7 @@ def _cut_sides(m: CombinatorialMap, ys, min_side: int) -> Optional[Tuple[set, se
     holds the head and Y the base of every y.  None unless removing the
     crossed edges leaves exactly these two components, each with at least
     ``min_side`` vertices.  A two-point cut (a, b) is the curve (a, alpha(b))."""
-    comps = _side_components(m, [m.edge_of(d) for d in ys])
+    comps = _side_components(m, ys)
     if len(comps) != 2:
         return None
     X, Y = comps if m.vertex_of[m.alpha[ys[0]]] in comps[0] else comps[::-1]
@@ -78,8 +72,11 @@ def _cut_sides(m: CombinatorialMap, ys, min_side: int) -> Optional[Tuple[set, se
     return X, Y
 
 
-def _side_components(m: CombinatorialMap, cut_edges) -> List[set]:
-    cut = set(cut_edges)
+def _side_components(m: CombinatorialMap, ys) -> List[set]:
+    """The vertex sets connected once the edges of ``ys`` are cut, by least vertex."""
+    sigma, alpha, vertex_of = m.sigma, m.alpha, m.vertex_of
+    cut = set(ys)
+    cut.update([alpha[y] for y in ys])
     seen = set()
     comps = []
     for v0 in m.vertex_ids():
@@ -89,15 +86,17 @@ def _side_components(m: CombinatorialMap, cut_edges) -> List[set]:
         stack = [v0]
         seen.add(v0)
         while stack:
-            v = stack.pop()
-            for d in m.vertex_cycle(v):
-                if m.edge_of(d) in cut:
-                    continue
-                w = m.vertex_of[m.alpha[d]]
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
+            v = d = stack.pop()
+            while True:
+                if d not in cut:
+                    w = vertex_of[alpha[d]]
+                    if w not in seen:
+                        seen.add(w)
+                        comp.add(w)
+                        stack.append(w)
+                d = sigma[d]
+                if d == v:
+                    break
         comps.append(comp)
     return comps
 
@@ -195,32 +194,48 @@ def split_two_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap
 
 def find_four_cuts(cm: ColoredMap) -> List[CutCurve]:
     """Nontrivial curves crossing four distinct edges, not encircling a
-    single vertex, separating the diagram into two connected sides."""
+    single vertex, separating the diagram into two connected sides.
+
+    A curve is a closed walk F4 -> F1 -> F2 -> F3 -> F4 of faces, listed
+    as a quadrangle through ``across[f][g]``, the darts on face f whose
+    edge has face g on its other side.  Edges join the buckets in
+    decreasing order, so each walk comes out once, from y1, the least of
+    its eight darts y_i and alpha(y_i), where its signature starts.
+    """
     m = cm.m
-    seen = set()
+    alpha, face_of, vertex_of = m.alpha, m.face_of, m.vertex_of
+    across: List[Dict[int, List[int]]] = [{} for _ in m.faces]
     out = []
-    for y1 in range(1, m.n + 1):
-        f1 = m.face_of[y1]
-        for a2 in m.faces[f1]:
-            y2 = m.alpha[a2]
-            for a3 in m.faces[m.face_of[y2]]:
-                y3 = m.alpha[a3]
-                for a4 in m.faces[m.face_of[y3]]:
-                    y4 = m.alpha[a4]
-                    if m.face_of[m.alpha[y1]] != m.face_of[y4]:
-                        continue
-                    ys = (y1, y2, y3, y4)
-                    edges = tuple(m.edge_of(d) for d in ys)
-                    if len(set(edges)) != 4:
-                        continue
-                    sig = _four_cut_canonical(m, ys)
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    if _cut_sides(m, ys, 2) is not None:
-                        out.append(CutCurve("four_point", sig))
-    out.sort(key=lambda c: c.signature(m))
-    return out
+    for y1 in range(m.n, 0, -1):
+        x1 = alpha[y1]
+        if x1 < y1:
+            continue
+        f4, f1 = face_of[x1], face_of[y1]
+        n4 = across[f4]
+        for f2 in across[f1]:
+            n2 = across[f2]
+            # the faces next to both f2 and f4, from the smaller bucket
+            for f3 in (n2 if len(n2) <= len(n4) else n4):
+                if f3 not in n2 or f3 not in n4:
+                    continue
+                for y2 in n2[f1]:
+                    for y3 in across[f3][f2]:
+                        if y3 in (y2, alpha[y2]):
+                            continue
+                        for y4 in n4[f3]:
+                            if y4 in (y2, alpha[y2], y3, alpha[y3]):
+                                continue
+                            ys = (y1, y2, y3, y4)
+                            # four heads (or bases) at one vertex are all of
+                            # its darts: that vertex alone is a side
+                            if (len({vertex_of[alpha[y]] for y in ys}) > 1
+                                    and len({vertex_of[y] for y in ys}) > 1
+                                    and _cut_sides(m, ys, 2) is not None):
+                                out.append(ys)
+        across[f1].setdefault(f4, []).append(y1)
+        across[f4].setdefault(f1, []).append(x1)
+    out.sort()
+    return [CutCurve("four_point", ys) for ys in out]
 
 
 def _classify(cm: ColoredMap, ys):

@@ -82,16 +82,6 @@ class EdgeLabeledTree:
             (blue,) + tuple(sorted(((name[wa], ra), (name[wb], rb))))
             for wa, wb, blue, ra, rb in self.edges))
 
-    def white_rotation(self, w: int) -> List[Tuple[int, int]]:
-        """Incident (blue, other_end) pairs, clockwise (by increasing blue)."""
-        inc = []
-        for wa, wb, blue, ra, rb in self.edges:
-            if w == wa:
-                inc.append((blue, wb))
-            elif w == wb:
-                inc.append((blue, wa))
-        return sorted(inc)
-
 
 def _white_names(d: int, edges) -> List[Tuple[int, ...]]:
     """Name each white by the sorted blue labels of its edges.  Blue labels

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from balmaps import dps, mapio, maps
-from balmaps.cli import run
+from balmaps.cli import build_parser, run
 
 
 def run_capture(capsys, argv, stdin=None, monkeypatch=None):
@@ -277,6 +280,25 @@ def test_dps_verify_positional_degree(capsys):
     code, out = run_capture(capsys, ["dps", "verify", "4"])
     assert code == 0
     assert json.loads(out)["d"] == 4
+
+
+def test_parser_reuse_carries_no_state(tmp_path, capsys):
+    """Calls of ``run`` in one process share one parser.  A malformed argv
+    and ``--help`` before a valid call leave its output as a fresh process
+    gives it."""
+    path = write_map(tmp_path, maps.checkerboard(maps.octahedron())[0])
+    assert run(["balance", "--oracle", "nope", path]) == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: balmaps")
+    assert run(["validate", path]) == 0
+    reused = capsys.readouterr()
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    fresh = subprocess.run([sys.executable, "-m", "balmaps.cli", "validate", path],
+                           capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, reused.out, reused.err)
+    assert build_parser() is build_parser()
 
 
 def test_missing_file(capsys):

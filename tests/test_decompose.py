@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from balmaps import balance, decompose, maps
+from balmaps import balance, decompose, dps, maps, realize
 from balmaps.corpus import build_corpus, enumerate_four_valent
 from balmaps.errors import (
     ColorMismatch,
@@ -16,6 +16,9 @@ from balmaps.errors import (
     NotApplicable,
     TrivialCut,
 )
+from tests.test_dps import random_tree
+from tests.test_maps import relabeled_colored
+from tests.test_realize import pinch_in
 
 
 def colored(m):
@@ -165,20 +168,112 @@ def test_collapse_arc_rejects_non_consecutive():
         decompose.collapse_arc(cm, orb[0], orb[1])
 
 
+def three_face_walk(cm):
+    """Reference for find_four_cuts: from every dart y1, walk the whole
+    faces of y1, y2 and y3 for the next crossing, keep the walks that close
+    up through four distinct edges, and canonicalize each one to drop
+    repeats."""
+    m = cm.m
+    seen = set()
+    out = []
+    for y1 in range(1, m.n + 1):
+        f1 = m.face_of[y1]
+        for a2 in m.faces[f1]:
+            y2 = m.alpha[a2]
+            for a3 in m.faces[m.face_of[y2]]:
+                y3 = m.alpha[a3]
+                for a4 in m.faces[m.face_of[y3]]:
+                    y4 = m.alpha[a4]
+                    if m.face_of[m.alpha[y1]] != m.face_of[y4]:
+                        continue
+                    ys = (y1, y2, y3, y4)
+                    if len({m.edge_of(d) for d in ys}) != 4:
+                        continue
+                    sig = decompose._four_cut_canonical(m, ys)
+                    if sig in seen:
+                        continue
+                    seen.add(sig)
+                    if decompose._cut_sides(m, ys, 2) is not None:
+                        out.append(decompose.CutCurve("four_point", sig))
+    out.sort(key=lambda c: c.signature(m))
+    return out
+
+
+def random_cover(rng, d):
+    """A uniform random cover of degree d, as its colored diagram."""
+    return realize.graph_from_monodromy(dps.tree_to_tuple(random_tree(rng, d))).colored
+
+
+def pinched_covers(rng):
+    """One random cover per degree 3..40, pinched 0, 1 and 2 times."""
+    for d in range(3, 41):
+        cm = random_cover(rng, d)
+        once = pinch_in(cm, cm.blue_faces, rng)
+        yield from (cm, once, pinch_in(once, once.white_faces, rng))
+
+
+def relabeled_turksheads(rng):
+    """turkshead(3..40) under a random dart relabeling, plain and pinched."""
+    for n in range(3, 41):
+        cm = relabeled_colored(colored(maps.turkshead(n)), rng)
+        yield from (cm, pinch_in(cm, cm.blue_faces, rng))
+
+
+@pytest.mark.parametrize("family", ["corpus6", "covers", "turksheads"])
+def test_four_cuts_match_three_face_walk(family, request):
+    """The quadrangle listing gives the three-face walk's cuts: the same
+    darts in the same order."""
+    rng = random.Random("four-cuts-" + family)
+    cms = {"corpus6": lambda: request.getfixturevalue("corpus6").colored,
+           "covers": lambda: pinched_covers(rng),
+           "turksheads": lambda: relabeled_turksheads(rng)}[family]()
+    cuts = 0
+    for cm in cms:
+        expected = three_face_walk(cm)
+        assert decompose.find_four_cuts(cm) == expected
+        cuts += len(expected)
+    assert cuts > 0
+
+
+def assert_split_accounting(cm, cut, p1, p2):
+    """A 2-cut and an even/even 4-cut keep the vertex count; an odd/odd
+    4-cut adds one vertex per side."""
+    total = p1.m.num_vertices + p2.m.num_vertices
+    if cut.kind == "four_point" and len(decompose._cut_sides(cm.m, cut.darts, 2)[0]) % 2:
+        assert total == cm.m.num_vertices + 2
+    else:
+        assert total == cm.m.num_vertices
+
+
+@pytest.mark.parametrize("d", [20, 50, 100])
+def test_decomposition_of_random_covers(d):
+    """Random covers up to degree 100 decompose into quadratic and
+    hyperbolic leaves that have no cut left, with the vertex count kept
+    at every split."""
+    rng = random.Random("decompose-covers-%d" % d)
+    for _ in range(3):
+        tree = decompose.decompose_full(random_cover(rng, d))
+        assert len(tree.leaves()) > 1
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node.pieces is None:
+                assert node.kind in ("quadratic", "hyperbolic")
+                assert decompose.find_two_cuts(node.map) == []
+                assert decompose.applicable_four_cuts(node.map) == []
+                continue
+            p1, p2 = (piece.map for piece in node.pieces)
+            assert_split_accounting(node.map, node.cut, p1, p2)
+            stack += node.pieces
+
+
 def test_four_cut_vertex_accounting(corpus6):
     checked = 0
     for cm in corpus6.colored:
         if checked >= 40:
             break
         for cut in decompose.applicable_four_cuts(cm):
-            sides = decompose._cut_sides(cm.m, cut.darts, 2)
-            X, Y = sides
-            p1, p2 = decompose.split_four_cut(cm, cut)
-            total = p1.m.num_vertices + p2.m.num_vertices
-            if len(X) % 2 == 1:
-                assert total == cm.m.num_vertices + 2
-            else:
-                assert total == cm.m.num_vertices
+            assert_split_accounting(cm, cut, *decompose.split_four_cut(cm, cut))
             checked += 1
             break
 
@@ -189,8 +284,7 @@ def test_two_cut_vertex_accounting(corpus6):
         cuts = decompose.find_two_cuts(cm)
         if not cuts:
             continue
-        p1, p2 = decompose.split_two_cut(cm, cuts[0])
-        assert p1.m.num_vertices + p2.m.num_vertices == cm.m.num_vertices
+        assert_split_accounting(cm, cuts[0], *decompose.split_two_cut(cm, cuts[0]))
         checked += 1
         if checked >= 40:
             break
