@@ -49,7 +49,6 @@ from .maps import (
     build_map,
     checkerboard,
     dual_bipartite,
-    generate,
     isomorphic,
     octahedron,
     pinch,

@@ -150,6 +150,9 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+_NAMED_MAPS = {"quadratic": maps.quadratic, "octahedron": maps.octahedron}
+
+
 def cmd_generate(args) -> int:
     if args.kind == "turkshead":
         if args.n is None:
@@ -161,7 +164,7 @@ def cmd_generate(args) -> int:
         cm = _load_colored(args.map)
         m = maps.pinch(cm, args.darts[0], args.darts[1])
     else:
-        m = maps.generate(args.kind)
+        m = _NAMED_MAPS[args.kind]()
     if isinstance(m, maps.ColoredMap):
         _emit(mapio.map_to_dict(m))
     else:

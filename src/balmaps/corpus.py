@@ -29,6 +29,9 @@ from .errors import InvalidInput, LimitExceeded
 from .maps import ColoredMap, CombinatorialMap, checkerboard
 
 
+ENUMERATION_MAX_VERTICES = 8
+
+
 def rooted_count(v: int) -> int:
     """Rooted 4-valent sphere maps with v vertices (= rooted planar maps
     with v edges)."""
@@ -39,9 +42,13 @@ def rooted_count(v: int) -> int:
 def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
     """All connected 4-valent sphere maps with the given number of vertices,
     one representative per orientation-preserving isomorphism class: the
-    lex-least rooted labeling, sorted by canonical code."""
+    lex-least rooted labeling, sorted by canonical code.  Refused above
+    ENUMERATION_MAX_VERTICES before any work: V = 8 takes tens of seconds,
+    and V = 9 would run for hours."""
     if n_vertices < 1:
         raise InvalidInput(f"n_vertices must be at least 1, got {n_vertices}")
+    if n_vertices > ENUMERATION_MAX_VERTICES:
+        raise LimitExceeded("enumeration capped at %d vertices" % ENUMERATION_MAX_VERTICES)
     V = n_vertices
     n = 4 * V
     target_faces = V + 2

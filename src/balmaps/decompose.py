@@ -23,7 +23,7 @@ from .errors import (
     NotApplicable,
     TrivialCut,
 )
-from .maps import ColoredMap, CombinatorialMap, pinch
+from .maps import ColoredMap, CombinatorialMap, pinch, rewire
 
 
 @dataclass(frozen=True)
@@ -101,77 +101,41 @@ def _side_components(m: CombinatorialMap, ys) -> List[set]:
     return comps
 
 
-def _piece(cm: ColoredMap, vertices: set,
-           alpha_overrides: Dict[int, int],
-           extra_cycles: List[List[int]] = ()) -> ColoredMap:
-    """Restrict a colored map to a vertex set, rewiring alpha per the
-    overrides; extra sigma cycles introduce new vertices (their darts use
-    ids above the old dart range)."""
-    m = cm.m
-    darts = [d for d in range(1, m.n + 1) if m.vertex_of[d] in vertices]
-    for cyc in extra_cycles:
-        darts.extend(cyc)
-    darts.sort()
-    new_id = {d: i + 1 for i, d in enumerate(darts)}
-    sigma = [0] * (len(darts) + 1)
-    alpha = [0] * (len(darts) + 1)
-    extra = {d for cyc in extra_cycles for d in cyc}
-    for cyc in extra_cycles:
-        k = len(cyc)
-        for i, d in enumerate(cyc):
-            sigma[new_id[d]] = new_id[cyc[(i + 1) % k]]
-    for d in darts:
-        if d in extra:
-            continue
-        sigma[new_id[d]] = new_id[m.sigma[d]]
-    pairing = dict(alpha_overrides)
-    for d in darts:
-        if d in pairing:
-            alpha[new_id[d]] = new_id[pairing[d]]
-        elif d not in extra:
-            alpha[new_id[d]] = new_id[m.alpha[d]]
-    piece = CombinatorialMap(sigma, alpha)
-    blue = set()
-    for i, orbit in enumerate(piece.faces):
-        old = next((darts[x - 1] for x in orbit if darts[x - 1] <= m.n
-                    and darts[x - 1] not in extra), None)
-        if old is not None and m.face_of[old] in cm.blue_faces:
-            blue.add(i)
-    return ColoredMap(piece, blue)
-
-
-def _fuse(cm: ColoredMap, side: set, darts, arcs) -> ColoredMap:
-    """The piece on one side of a cut, with the stubs ``darts[i]`` and
-    ``darts[i + 1]`` (cyclically) fused into one edge for each arc i."""
-    over = {}
-    for i in arcs:
-        d1, d2 = darts[i], darts[(i + 1) % len(darts)]
-        over[d1] = d2
-        over[d2] = d1
-    return _piece(cm, side, over)
+def _fuse(cm: ColoredMap, ys, X: set, Y: set, x_arcs, y_arcs) -> Tuple[ColoredMap, ColoredMap]:
+    """The pieces on the two sides of a cut.  On side X the stubs alpha(y_i)
+    and alpha(y_{i+1}) (cyclically) fuse into one edge for each arc i in
+    ``x_arcs``; on side Y the stubs y_i and y_{i+1}, for each i in ``y_arcs``."""
+    xs = [cm.m.alpha[y] for y in ys]
+    k = len(ys)
+    return (rewire(cm, X, [(xs[i], xs[(i + 1) % k]) for i in x_arcs]),
+            rewire(cm, Y, [(ys[i], ys[(i + 1) % k]) for i in y_arcs]))
 
 
 # -- 2-point cuts -----------------------------------------------------------------
+
+
+def _two_cut_candidates(m: CombinatorialMap) -> List[Tuple[int, int]]:
+    """Dart pairs (a, b) on distinct edges with the same two side faces,
+    both with the same face on their left, in signature order."""
+    by_sides: Dict[Tuple[int, int], List[int]] = {}
+    for e in m.edges():
+        f1, f2 = m.edge_sides(e)
+        by_sides.setdefault((min(f1, f2), max(f1, f2)), []).append(e)
+    out = []
+    for edges in by_sides.values():
+        for i, a in enumerate(edges):
+            for e2 in edges[i + 1:]:
+                out.append((a, e2 if m.face_of[e2] == m.face_of[a] else m.alpha[e2]))
+    out.sort(key=lambda ab: (ab[0], m.edge_of(ab[1])))
+    return out
 
 
 def find_two_cuts(cm: ColoredMap) -> List[CutCurve]:
     """All nontrivial curves meeting the diagram in two points, i.e. pairs
     of distinct edges with the same two side faces."""
     m = cm.m
-    by_sides: Dict[Tuple[int, int], List[int]] = {}
-    for e in m.edges():
-        f1, f2 = m.edge_sides(e)
-        by_sides.setdefault((min(f1, f2), max(f1, f2)), []).append(e)
-    out = []
-    for sides, edges in sorted(by_sides.items()):
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                a, e2 = edges[i], edges[j]
-                b = e2 if m.face_of[e2] == m.face_of[a] else m.alpha[e2]
-                if _cut_sides(m, (a, m.alpha[b]), 1) is not None:
-                    out.append(CutCurve("two_point", (a, b)))
-    out.sort(key=lambda c: c.signature(m))
-    return out
+    return [CutCurve("two_point", (a, b)) for a, b in _two_cut_candidates(m)
+            if _cut_sides(m, (a, m.alpha[b]), 1) is not None]
 
 
 def split_two_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap]:
@@ -185,16 +149,15 @@ def split_two_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap
     sides = _cut_sides(m, ys, 1)
     if sides is None:
         raise TrivialCut("curve does not separate the diagram coherently")
-    X, Y = sides
-    return _fuse(cm, X, [m.alpha[y] for y in ys], [0]), _fuse(cm, Y, ys, [0])
+    return _fuse(cm, ys, *sides, [0], [0])
 
 
 # -- 4-point cuts -----------------------------------------------------------------
 
 
-def find_four_cuts(cm: ColoredMap) -> List[CutCurve]:
-    """Nontrivial curves crossing four distinct edges, not encircling a
-    single vertex, separating the diagram into two connected sides.
+def _four_cut_candidates(m: CombinatorialMap) -> List[Tuple[int, int, int, int]]:
+    """Curves crossing four distinct edges whose heads, and whose bases,
+    are not all at one vertex, in signature order.
 
     A curve is a closed walk F4 -> F1 -> F2 -> F3 -> F4 of faces, listed
     as a quadrangle through ``across[f][g]``, the darts on face f whose
@@ -202,7 +165,6 @@ def find_four_cuts(cm: ColoredMap) -> List[CutCurve]:
     decreasing order, so each walk comes out once, from y1, the least of
     its eight darts y_i and alpha(y_i), where its signature starts.
     """
-    m = cm.m
     alpha, face_of, vertex_of = m.alpha, m.face_of, m.vertex_of
     across: List[Dict[int, List[int]]] = [{} for _ in m.faces]
     out = []
@@ -229,13 +191,20 @@ def find_four_cuts(cm: ColoredMap) -> List[CutCurve]:
                             # four heads (or bases) at one vertex are all of
                             # its darts: that vertex alone is a side
                             if (len({vertex_of[alpha[y]] for y in ys}) > 1
-                                    and len({vertex_of[y] for y in ys}) > 1
-                                    and _cut_sides(m, ys, 2) is not None):
+                                    and len({vertex_of[y] for y in ys}) > 1):
                                 out.append(ys)
         across[f1].setdefault(f4, []).append(y1)
         across[f4].setdefault(f1, []).append(x1)
     out.sort()
-    return [CutCurve("four_point", ys) for ys in out]
+    return out
+
+
+def find_four_cuts(cm: ColoredMap) -> List[CutCurve]:
+    """Nontrivial curves crossing four distinct edges, not encircling a
+    single vertex, separating the diagram into two connected sides."""
+    m = cm.m
+    return [CutCurve("four_point", ys) for ys in _four_cut_candidates(m)
+            if _cut_sides(m, ys, 2) is not None]
 
 
 def _classify(cm: ColoredMap, ys):
@@ -289,19 +258,12 @@ def split_four_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMa
 def _split_four(cm: ColoredMap, ys, X, Y, odd: bool) -> Tuple[ColoredMap, ColoredMap]:
     m = cm.m
     if odd:
-        base = m.n
-        zx = [base + 1, base + 2, base + 3, base + 4]
-        zy = [base + 5, base + 6, base + 7, base + 8]
-        over_x = {}
-        over_y = {}
-        for i, y in enumerate(ys):
-            over_x[m.alpha[y]] = zx[i]
-            over_x[zx[i]] = m.alpha[y]
-            over_y[y] = zy[i]
-            over_y[zy[i]] = y
+        # each wound becomes a new vertex, the y_i ends fused to its darts;
         # the wound circle keeps X on its left when run against the curve
-        px = _piece(cm, X, over_x, extra_cycles=[[zx[3], zx[2], zx[1], zx[0]]])
-        py = _piece(cm, Y, over_y, extra_cycles=[[zy[0], zy[1], zy[2], zy[3]]])
+        zx = range(m.n + 1, m.n + 5)
+        zy = range(m.n + 5, m.n + 9)
+        px = rewire(cm, X, [(m.alpha[y], z) for y, z in zip(ys, zx)], [zx[::-1]])
+        py = rewire(cm, Y, zip(ys, zy), [zy])
         return px, py
     # the side with more interior whites merges its whites, folding the
     # blue arcs (arc i runs through the face of y_i); the other side folds
@@ -316,8 +278,7 @@ def _split_four(cm: ColoredMap, ys, X, Y, odd: bool) -> Tuple[ColoredMap, Colore
                 wx += 1
     blue = [i for i, y in enumerate(ys) if cm.is_blue(m.face_of[y])]
     white = [i for i in range(4) if i not in blue]
-    x_arcs, y_arcs = (blue, white) if wx > bx else (white, blue)
-    return _fuse(cm, X, [m.alpha[y] for y in ys], x_arcs), _fuse(cm, Y, ys, y_arcs)
+    return _fuse(cm, ys, X, Y, *((blue, white) if wx > bx else (white, blue)))
 
 
 # -- Murasugi sum ------------------------------------------------------------------
@@ -348,29 +309,13 @@ def murasugi_sum(a: ColoredMap, da1: int, da2: int,
 
     ma, mb = a.m, b.m
     off = ma.n
-    sigma = list(ma.sigma) + [0] * mb.n
-    alpha = list(ma.alpha) + [0] * mb.n
-    for d_ in range(1, mb.n + 1):
-        sigma[off + d_] = off + mb.sigma[d_]
-        alpha[off + d_] = off + mb.alpha[d_]
-
-    a1p, a2p = ma.alpha[da1], ma.alpha[da2]
-    b1p, b2p = mb.alpha[db1], mb.alpha[db2]
-    pairs = [(da1, off + db2), (a1p, off + b1p),
-             (da2, off + db1), (a2p, off + b2p)]
-    for u, v in pairs:
-        alpha[u], alpha[v] = v, u
-    glued = CombinatorialMap(sigma, alpha)
-    blue = set()
-    for i, orbit in enumerate(glued.faces):
-        d0 = orbit[0]
-        if d0 <= off:
-            if ma.face_of[d0] in a.blue_faces:
-                blue.add(i)
-        else:
-            if mb.face_of[d0 - off] in b.blue_faces:
-                blue.add(i)
-    return ColoredMap(glued, blue)
+    union = CombinatorialMap(ma.sigma + tuple(off + x for x in mb.sigma[1:]),
+                             ma.alpha + tuple(off + x for x in mb.alpha[1:]), check=False)
+    # faces are sorted by least dart, so b's faces follow a's
+    blue = a.blue_faces | {ma.num_faces + f for f in b.blue_faces}
+    return rewire(ColoredMap(union, blue, check=False), union.vertex_ids(),
+                  [(da1, off + db2), (ma.alpha[da1], off + mb.alpha[db1]),
+                   (da2, off + db1), (ma.alpha[da2], off + mb.alpha[db2])])
 
 
 def gluing_curve(a: ColoredMap, b: ColoredMap, summed: ColoredMap,
@@ -437,20 +382,24 @@ class DecompositionTree:
 def applicable_four_cuts(cm: ColoredMap) -> List[CutCurve]:
     """Four-point cuts whose split applies (odd/odd always; even/even only
     under global balance)."""
-    return [cut for cut in find_four_cuts(cm)
-            if not isinstance(_classify(cm, cut.darts), str)]
+    return [CutCurve("four_point", ys) for ys in _four_cut_candidates(cm.m)
+            if not isinstance(_classify(cm, ys), str)]
 
 
 def _first_split(cm: ColoredMap) -> Optional[Tuple[CutCurve, Tuple[ColoredMap, ColoredMap]]]:
     """The lowest-signature cut that applies, 2-point first, with its
-    pieces; None for a leaf."""
-    two = find_two_cuts(cm)
-    if two:
-        return two[0], split_two_cut(cm, two[0])
-    for cut in find_four_cuts(cm):
-        verdict = _classify(cm, cut.darts)
+    pieces; None for a leaf.  Candidates are flooded in signature order,
+    each once, up to the first that applies."""
+    m = cm.m
+    for a, b in _two_cut_candidates(m):
+        ys = (a, m.alpha[b])
+        sides = _cut_sides(m, ys, 1)
+        if sides is not None:
+            return CutCurve("two_point", (a, b)), _fuse(cm, ys, *sides, [0], [0])
+    for ys in _four_cut_candidates(m):
+        verdict = _classify(cm, ys)
         if not isinstance(verdict, str):
-            return cut, _split_four(cm, cut.darts, *verdict)
+            return CutCurve("four_point", ys), _split_four(cm, ys, *verdict)
     return None
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegreeTooSmall, LimitExceeded, Mismatch
@@ -215,7 +215,6 @@ def enumerate_classes(d: int) -> List[TupleClass]:
 class CensusEntry:
     underlying: Tuple[int, ...]  # canonical code of the uncolored diagram
     class_count: int
-    classes: List[TupleClass] = field(default_factory=list)
     sample: Optional[ColoredMap] = None
 
     def to_dict(self) -> dict:
@@ -236,9 +235,8 @@ def census(d: int) -> List[CensusEntry]:
         code = real.colored.m.canonical_code()
         entry = groups.get(code)
         if entry is None:
-            entry = groups[code] = CensusEntry(code, 0, [], real.colored)
+            entry = groups[code] = CensusEntry(code, 0, real.colored)
         entry.class_count += 1
-        entry.classes.append(cls)
     out = sorted(groups.values(), key=lambda e: (e.class_count, e.underlying))
     return out
 

@@ -466,6 +466,42 @@ def checkerboard(m: CombinatorialMap) -> Tuple[ColoredMap, ColoredMap]:
     return first, first.swapped()
 
 
+# -- surgery -------------------------------------------------------------------
+
+
+def rewire(cm, vertices: Iterable[int], alpha_pairs: Iterable[Tuple[int, int]],
+           extra_cycles: Iterable[Sequence[int]] = ()):
+    """The map on the darts at ``vertices`` plus one new vertex per extra
+    sigma cycle (new darts are numbered above the old range), with every
+    pair in ``alpha_pairs`` made an edge and every other dart keeping its
+    alpha.  The darts are renumbered in ascending order.
+
+    For a ColoredMap, a face of the result is blue when it holds an old
+    dart of a blue face.  Corner colors alternate at every kept vertex, so
+    a surgery that merges faces of both colors flips some vertices against
+    the rest and fails the coloring check.
+    """
+    colored = isinstance(cm, ColoredMap)
+    m = cm.m if colored else cm
+    vertices = set(vertices)
+    sig = {d: m.sigma[d] for d in range(1, m.n + 1) if m.vertex_of[d] in vertices}
+    for cyc in extra_cycles:
+        sig.update(zip(cyc, cyc[1:]))
+        sig[cyc[-1]] = cyc[0]
+    alp = {}
+    for u, v in alpha_pairs:
+        alp[u], alp[v] = v, u
+    darts = sorted(sig)
+    new_id = dict(zip(darts, range(1, len(darts) + 1)))
+    sigma = [0] + [new_id[sig[d]] for d in darts]
+    alpha = [0] + [new_id[alp[d] if d in alp else m.alpha[d]] for d in darts]
+    out = CombinatorialMap(sigma, alpha)
+    if not colored:
+        return out
+    return ColoredMap(out, {out.face_of[new_id[d]] for d in darts
+                            if d <= m.n and m.face_of[d] in cm.blue_faces})
+
+
 # -- generators ---------------------------------------------------------------
 
 
@@ -542,48 +578,18 @@ def pinch(cm, dart1: int, dart2: int):
     for a ColoredMap both parts keep the face's color, so that color's
     count goes up by one.
     """
-    colored = isinstance(cm, ColoredMap)
-    m = cm.m if colored else cm
+    m = cm.m if isinstance(cm, ColoredMap) else cm
     if not (1 <= dart1 <= m.n and 1 <= dart2 <= m.n):
         raise InvalidPinch("dart out of range")
     if m.face_of[dart1] != m.face_of[dart2]:
         raise InvalidPinch("darts lie on different faces")
     if m.edge_of(dart1) == m.edge_of(dart2):
         raise InvalidPinch("darts lie on the same edge")
-    n = m.n
-    x1, y1, x2, y2 = n + 1, n + 2, n + 3, n + 4
-    d1p, d2p = m.alpha[dart1], m.alpha[dart2]
-    alpha = list(m.alpha) + [0] * 4
-    alpha[dart1], alpha[x1] = x1, dart1
-    alpha[y1], alpha[d1p] = d1p, y1
-    alpha[dart2], alpha[x2] = x2, dart2
-    alpha[y2], alpha[d2p] = d2p, y2
-    sigma = list(m.sigma) + [0] * 4
+    x1, y1, x2, y2 = range(m.n + 1, m.n + 5)
     # new vertex: counterclockwise (x1, y2, x2, y1)
-    sigma[x1], sigma[y2], sigma[x2], sigma[y1] = y2, x2, y1, x1
-    m2 = CombinatorialMap(sigma, alpha)
-    if not colored:
-        return m2
-    blue2 = set()
-    for i, orbit in enumerate(m2.faces):
-        old = next(d for d in orbit if d <= n)
-        if m.face_of[old] in cm.blue_faces:
-            blue2.add(i)
-    return ColoredMap(m2, blue2)
-
-
-def generate(kind: str, *args):
-    """Dispatch for the named generators: quadratic, octahedron,
-    turkshead(n), pinch(cm, dart1, dart2)."""
-    if kind == "quadratic":
-        return quadratic()
-    if kind == "octahedron":
-        return octahedron()
-    if kind == "turkshead":
-        return turkshead(*args)
-    if kind == "pinch":
-        return pinch(*args)
-    raise InvalidInput("unknown generator %r" % kind)
+    return rewire(cm, m.vertex_ids(),
+                  [(dart1, x1), (m.alpha[dart1], y1), (dart2, x2), (m.alpha[dart2], y2)],
+                  [(x1, y2, x2, y1)])
 
 
 # -- duality -------------------------------------------------------------------

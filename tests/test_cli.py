@@ -107,7 +107,7 @@ def test_realize_locally_unbalanced_witness(tmp_path, capsys, corpus6):
 ])
 def test_realize_output_pinned(tmp_path, capsys, kind, args, digest):
     # the quadratic output is unchanged by ranking; the other two changed
-    m = maps.generate(kind, *args)
+    m = getattr(maps, kind)(*args)
     path = write_map(tmp_path, maps.checkerboard(m)[0])
     code, out = run_capture(capsys, ["realize", path])
     assert code == 0
@@ -154,8 +154,11 @@ def test_generate_and_export(capsys):
     assert code == 0
     cm = mapio.map_from_dict(json.loads(out))
     assert cm.m.num_vertices == 8
-    code, out = run_capture(capsys, ["generate", "quadratic"])
-    assert code == 0
+    for kind in ("quadratic", "octahedron"):
+        code, out = run_capture(capsys, ["generate", kind])
+        assert code == 0
+        cm = maps.checkerboard(getattr(maps, kind)())[0]
+        assert out == mapio.dumps(mapio.map_to_dict(cm))
 
 
 def test_export_dot(tmp_path, capsys):

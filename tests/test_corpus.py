@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from balmaps import corpus, maps
-from balmaps.errors import InvalidInput
+from balmaps.errors import InvalidInput, LimitExceeded
 
 # first 16 hex digits of sha256(repr([m.alpha for m in maps])): the kept
 # representatives and their order, pinned
@@ -100,6 +100,12 @@ def test_seven_vertices():
 def test_nonpositive_vertex_count_rejected(v):
     with pytest.raises(InvalidInput, match="n_vertices"):
         corpus.enumerate_four_valent(v)
+
+
+def test_nine_vertices_refused_before_work():
+    # the search would run for hours, so the cap must act before it starts
+    with pytest.raises(LimitExceeded, match="capped at 8 vertices"):
+        corpus.enumerate_four_valent(9)
 
 
 def test_known_small_counts():

@@ -198,13 +198,6 @@ def test_pinch_rejects_bad_darts():
         maps.pinch(cm, q.faces[0][0], q.faces[other][0])  # different faces
 
 
-def test_generate_dispatch():
-    assert maps.generate("quadratic") == maps.quadratic()
-    assert maps.generate("turkshead", 3) == maps.turkshead(3)
-    with pytest.raises(InvalidInput):
-        maps.generate("nonsense")
-
-
 def test_dual_bipartite_quadratic():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.quadratic())

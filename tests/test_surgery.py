@@ -8,9 +8,11 @@ import hashlib
 import json
 import random
 
+import pytest
+
 from balmaps import decompose, maps
 from balmaps.cli import run
-from balmaps.errors import NotApplicable
+from balmaps.errors import InvalidInput, NotApplicable
 from tests.test_cli import write_map
 from tests.test_decompose import _quadratic_chain, _sum_pair, colored, random_cover
 
@@ -91,3 +93,19 @@ def test_surgery_tables_pinned(corpus6, tmp_path, capsys):
     assert count == 2521
     assert h.hexdigest() == (
         "22e23910525894b408d747ea824c4238ba224d28de34ee98c7ee2964f9bb022a")
+
+
+def test_rewire_rejects_merging_both_colors():
+    """Turning the quadratic's second vertex by one step before joining the
+    edges again gives a sphere map, but each of its faces joins a blue
+    half-face of the old map to a white one, so no coloring is inherited."""
+    q = colored(maps.quadratic())
+    m = q.m
+    assert m.vertices() == [(1, 3, 5, 7), (2, 8, 6, 4)]
+    pairs = [(1, 4), (3, 6), (5, 8), (7, 2)]
+    turned = maps.rewire(m, m.vertex_ids(), pairs)
+    assert (turned.num_vertices, turned.num_faces) == (2, 4)
+    for face in turned.faces:
+        assert {q.is_blue(m.face_of[d]) for d in face} == {True, False}
+    with pytest.raises(InvalidInput):
+        maps.rewire(q, m.vertex_ids(), pairs)
