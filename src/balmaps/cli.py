@@ -14,18 +14,24 @@ import sys
 from typing import List, Optional
 
 from . import balance, corpus, decompose, dps, hurwitz, mapio, maps, realize
-from .errors import MapError, NotBalanced
+from .errors import InvalidInput, MapError, NotBalanced
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+def _load(path: str):
+    """The JSON document in a file, or on stdin for "-".  Text that is not
+    UTF-8 or not JSON, an integer past Python's digit limit (all three
+    ValueErrors) and nesting past the recursion limit are InvalidInput."""
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInput("%s is not a JSON document: %s" % (path, exc))
 
 
 def _load_colored(path: str) -> maps.ColoredMap:
-    obj = mapio.map_from_json(_read(path))
+    obj = mapio.map_from_dict(_load(path))
     if isinstance(obj, maps.ColoredMap):
         return obj
     return maps.checkerboard(obj)[0]
@@ -36,7 +42,7 @@ def _emit(data) -> None:
 
 
 def cmd_validate(args) -> int:
-    obj = mapio.map_from_json(_read(args.map))
+    obj = mapio.map_from_dict(_load(args.map))
     m = obj.m if isinstance(obj, maps.ColoredMap) else obj
     _emit({"valid": True, "vertices": m.num_vertices, "edges": m.num_edges,
            "faces": m.num_faces, "four_valent": m.is_four_valent()})
@@ -70,7 +76,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_from_tuple(args) -> int:
-    t = mapio.tuple_from_dict(json.loads(_read(args.tuple)))
+    t = mapio.tuple_from_dict(_load(args.tuple))
     real = realize.graph_from_monodromy(t)
     _emit(mapio.map_to_dict(real.colored))
     return 0
@@ -117,12 +123,12 @@ def cmd_census(args) -> int:
 
 def cmd_dps(args) -> int:
     if args.action == "encode":
-        g = mapio.dual_from_dict(json.loads(_read(args.input)))
+        g = mapio.dual_from_dict(_load(args.input))
         t = dps.graph_to_tree(g)
         _emit(mapio.tree_to_dict(t))
         return 0
     if args.action == "decode":
-        t = mapio.tree_from_dict(json.loads(_read(args.input)))
+        t = mapio.tree_from_dict(_load(args.input))
         g = dps.tree_to_graph(t)
         _emit(mapio.dual_to_dict(g))
         return 0
@@ -191,7 +197,7 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    obj = mapio.map_from_json(_read(args.map))
+    obj = mapio.map_from_dict(_load(args.map))
     sys.stdout.write(mapio.export_dot(obj))
     return 0
 
@@ -273,11 +279,8 @@ def run(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write("%s\n" % exc)
-        return 2
-    except json.JSONDecodeError as exc:
-        sys.stderr.write("invalid JSON: %s\n" % exc)
         return 2
 
 

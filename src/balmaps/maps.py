@@ -75,24 +75,30 @@ def _check_perm(img: Sequence[int], n: int, name: str) -> Perm:
     return tuple(img)
 
 
+def find(parent: List[int], x: int) -> int:
+    """Class root of x in a union-find table, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def union(parent: List[int], a: int, b: int) -> bool:
+    """Merge the classes of a and b under the lesser root, so that every
+    class root is its least point; True if they were apart."""
+    a, b = find(parent, a), find(parent, b)
+    if a == b:
+        return False
+    if a > b:
+        a, b = b, a
+    parent[b] = a
+    return True
+
+
 def count_components(n: int, pairs: Iterable[Sequence[int]]) -> int:
     """Connected components of the graph on points 1..n whose edges are
-    ``pairs`` (union-find)."""
+    ``pairs``."""
     parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = n
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
+    return n - sum(union(parent, a, b) for a, b in pairs)
 
 
 def _by_least_label(cycles: Sequence[Sequence[int]], lab: Sequence[int]) -> List[int]:
@@ -237,13 +243,25 @@ class CombinatorialMap:
 
     def _least_trace(self, decorate=None) -> Tuple[int, ...]:
         """Least BFS trace over all root darts, each extended by
-        ``decorate(lab)`` when given, prefixed by the dart count.
+        ``decorate(lab)`` when given, prefixed by the dart count."""
+        return self._least_root(decorate)[0]
 
-        Every trace has length 2n, so a root whose trace exceeds the best
-        one is dropped at its first larger entry, and only a root whose
-        trace ties or beats the best is decorated."""
-        best = best_dec = None
-        for root in range(1, self.n + 1):
+    def _least_root(self, decorate=None):
+        """``_least_trace``'s code, the least root that gives it, and the
+        union-find of the automorphism orbits found (None if no root tied).
+
+        A root whose trace exceeds the best is dropped at its first larger
+        entry; only one that ties or beats it is decorated.  A root whose
+        trace and decoration tie the best gives an automorphism, since one
+        dart fixes it, and a root whose orbit under those found holds a
+        smaller dart is skipped: each traced tie at least doubles the group.
+        ``decorate`` lists every face or vertex, so that an automorphism
+        from a tied decoration preserves what it lists."""
+        n = self.n
+        best = best_dec = best_lab = best_root = parent = None
+        for root in range(1, n + 1):
+            if parent is not None and parent[root] != root:
+                continue
             res = self._bfs_trace(root, best)
             if res is None:
                 continue
@@ -251,8 +269,16 @@ class CombinatorialMap:
             dec = decorate(lab) if decorate is not None else []
             # the trace is not above the best: it beats it unless they are equal
             if trace != best or dec < best_dec:
-                best, best_dec = trace, dec
-        return (self.n,) + tuple(best + best_dec)
+                best, best_dec, best_lab, best_root = trace, dec, lab, root
+            elif dec == best_dec:
+                # the automorphism takes the dart labelled k from best_root
+                # to the dart labelled k from root
+                if parent is None:
+                    parent = list(range(n + 1))
+                dart = sorted(range(n + 1), key=lab.__getitem__)
+                for d in range(1, n + 1):
+                    union(parent, d, dart[best_lab[d]])
+        return (n,) + tuple(best + best_dec), best_root, parent
 
     def canonical_code(self) -> Tuple[int, ...]:
         """Lexicographically least BFS trace over all root darts.
@@ -265,10 +291,14 @@ class CombinatorialMap:
         return self._code
 
     def canonical_roots(self) -> List[int]:
-        """Roots whose BFS trace equals the canonical code; one per automorphism."""
-        code = self.canonical_code()[1:]
-        # no trace is below the code, so one not above it equals it
-        return [r for r in range(1, self.n + 1) if self._bfs_trace(r, code) is not None]
+        """Roots whose BFS trace equals the canonical code; one per automorphism.
+
+        Every such root ties the least one or is skipped for a smaller one
+        in its orbit, so they form the least one's union-find class."""
+        self._code, root, parent = self._least_root()
+        if parent is None:
+            return [root]
+        return [d for d in range(1, self.n + 1) if find(parent, d) == root]
 
     def relabeled(self, perm: Perm) -> "CombinatorialMap":
         """Conjugate sigma and alpha by a dart permutation (an isomorphic copy)."""

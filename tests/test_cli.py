@@ -251,6 +251,25 @@ def test_malformed_json_exits_two(tmp_path, capsys, argv, doc, key, edit):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["balance"], ["realize"], ["decompose"], ["export-dot"],
+    ["from-tuple"], ["dps", "encode"], ["dps", "decode"],
+], ids=lambda argv: "-".join(argv))
+@pytest.mark.parametrize("content", [
+    b'\xff{"fmt": 1}',
+    b"[" * 100000 + b"]" * 100000,
+    b'{"fmt": 1, "d": ' + b"7" * 5000 + b"}",
+], ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+def test_unreadable_document_exits_two(tmp_path, capsys, argv, content):
+    p = tmp_path / "in.json"
+    p.write_bytes(content)
+    code = run(argv + [str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("InvalidInput: ")
+    assert json.loads(captured.out)["error"] == "InvalidInput"
+
+
 def test_hurwitz_count_too_long_to_print(capsys):
     code, out = run_capture(capsys, ["hurwitz", "count", "2000"])
     assert code == 2
@@ -304,8 +323,9 @@ def test_parser_reuse_carries_no_state(tmp_path, capsys):
     assert build_parser() is build_parser()
 
 
-def test_missing_file(capsys):
+def test_missing_file(tmp_path, capsys):
     assert run(["validate", "/nonexistent/x.json"]) == 2
+    assert run(["validate", str(tmp_path)]) == 2  # a directory
 
 
 def test_map_file_round_trip(corpus6):

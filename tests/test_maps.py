@@ -295,14 +295,20 @@ def assert_kernel_matches_scan(code, calls):
 
 
 def test_least_trace_matches_full_scan(corpus6, duals4, least_trace_calls):
+    from tests.test_decompose import random_cover  # it imports this module
     rng = random.Random(11)
     heads = [maps.turkshead(k) for k in range(3, 13)]
-    for m in list(corpus6.uncolored) + heads:
+    covers = [random_cover(rng, d) for d in range(3, 31)]
+    for m in list(corpus6.uncolored) + heads + [cm.m for cm in covers]:
         m2 = relabeled_copy(m, rng)[0]
         assert_kernel_matches_scan(m2.canonical_code(), least_trace_calls)
         assert m2.canonical_code() == m.canonical_code()
         least_trace_calls.clear()
-    colored = list(corpus6.colored) + [cm for m in heads for cm in maps.checkerboard(m)]
+    # from turkshead(3) on, the plain group is twice the colour-preserving
+    # one, so some trace ties come with an untied decoration
+    heads += [maps.turkshead(k) for k in range(13, 31)]
+    colored = (list(corpus6.colored) + [cm for m in heads for cm in maps.checkerboard(m)]
+               + [c for cm in covers for c in (cm, cm.swapped())])
     for cm in colored:
         cm2 = relabeled_colored(cm, rng)
         assert_kernel_matches_scan(cm2.colored_code(), least_trace_calls)
@@ -313,6 +319,35 @@ def test_least_trace_matches_full_scan(corpus6, duals4, least_trace_calls):
         assert_kernel_matches_scan(g2.canonical_code(), least_trace_calls)
         assert g2.canonical_code() == g.canonical_code()
         least_trace_calls.clear()
+
+
+def test_codes_of_large_covers_are_relabel_invariant():
+    from tests.test_decompose import random_cover
+    rng = random.Random(13)
+    for d in (100, 200):
+        cm = random_cover(rng, d)
+        cm2 = relabeled_colored(cm, rng)
+        assert cm2.m.canonical_code() == cm.m.canonical_code()
+        assert cm2.colored_code() == cm.colored_code()
+        assert cm2.swapped().colored_code() == cm.swapped().colored_code()
+
+
+def test_symmetric_maps_trace_few_roots(monkeypatch):
+    """turkshead(k) has 8k darts and 2k automorphisms (24 at k = 3); the
+    roots of an automorphism orbit already met are skipped, not traced."""
+    traced = []
+    kernel = maps.CombinatorialMap._bfs_trace
+
+    def spy(self, root, bound=None):
+        traced.append(root)
+        return kernel(self, root, bound)
+    monkeypatch.setattr(maps.CombinatorialMap, "_bfs_trace", spy)
+    for k in list(range(3, 61)) + [100, 300]:
+        m = maps.turkshead(k)
+        for code in (m.canonical_code, maps.checkerboard(m)[0].colored_code):
+            traced.clear()
+            code()
+            assert len(traced) <= 16, (k, code.__name__, len(traced))
 
 
 def test_canonical_roots_are_the_roots_of_the_code(corpus6):
