@@ -70,10 +70,6 @@ def dumps(data: dict) -> str:
     return json.dumps(data, indent=None, separators=(",", ":")) + "\n"
 
 
-def map_to_json(obj) -> str:
-    return dumps(map_to_dict(obj))
-
-
 def map_from_json(text: str):
     return map_from_dict(json.loads(text))
 

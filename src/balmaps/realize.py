@@ -122,10 +122,6 @@ def canonical_tuple(t: TranspositionTuple) -> Tuple[Pair, ...]:
     return tuple(best)
 
 
-def tuples_conjugate(a: TranspositionTuple, b: TranspositionTuple) -> bool:
-    return a.d == b.d and canonical_tuple(a) == canonical_tuple(b)
-
-
 # -- enrichment --------------------------------------------------------------------
 
 

@@ -16,9 +16,13 @@ def run_capture(capsys, argv, stdin=None, monkeypatch=None):
     return code, out
 
 
+def map_to_json(obj):
+    return mapio.dumps(mapio.map_to_dict(obj))
+
+
 def write_map(tmp_path, obj, name="m.json"):
     p = tmp_path / name
-    p.write_text(mapio.map_to_json(obj))
+    p.write_text(map_to_json(obj))
     return str(p)
 
 
@@ -332,6 +336,6 @@ def test_map_file_round_trip(corpus6):
     import random
     rng = random.Random(8)
     for cm in rng.sample(corpus6.colored, 25):
-        text = mapio.map_to_json(cm)
+        text = map_to_json(cm)
         back = mapio.map_from_json(text)
         assert back == cm

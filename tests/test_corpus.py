@@ -94,6 +94,10 @@ def test_seven_vertices():
     mass = sum(4 * 7 // len(m.canonical_roots()) for m in ms)
     assert mass == corpus.rooted_count(7)
     assert _alpha_digest(ms) == ALPHA_DIGESTS[7]
+    for m in ms:
+        first, second = maps.checkerboard(m)
+        assert corpus._swaps_colors(first) == (
+            first.colored_code() == second.colored_code())
 
 
 @pytest.mark.parametrize("v", [0, -1])
@@ -140,6 +144,25 @@ def test_corpus_contains_census_graphs(corpus6, census4):
 def test_colored_corpus_deduplicated(corpus6):
     codes = [cm.colored_code() for cm in corpus6.colored]
     assert len(codes) == len(set(codes))
+
+
+def test_colored_corpus_matches_colored_code_dedup(corpus6):
+    """The automorphism split keeps exactly the colourings that a dedup by
+    colored code keeps, in the same order, so none is wrongly dropped."""
+    seen, colored = set(), []
+    for m in corpus6.uncolored:
+        for cm in maps.checkerboard(m):
+            code = cm.colored_code()
+            if code not in seen:
+                seen.add(code)
+                colored.append(cm)
+    assert colored == corpus6.colored
+
+
+@pytest.mark.parametrize("v", [1, 0, -1])
+def test_corpus_below_two_vertices_rejected(v):
+    with pytest.raises(InvalidInput, match="max_vertices"):
+        corpus.build_corpus(v)
 
 
 def test_corpus_vertices_even(corpus6):

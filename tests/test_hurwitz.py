@@ -9,6 +9,7 @@ import pytest
 
 from balmaps import hurwitz, maps, realize
 from balmaps.errors import DegreeTooSmall, InvalidTuple, LimitExceeded, Mismatch
+from tests.conftest import tuples_conjugate
 
 # sha256 of repr([(representative taus, orbit size), ...]) per degree, and of
 # repr of the list of the glued diagrams' canonical codes for d=5, in class order
@@ -313,4 +314,4 @@ def test_canonical_tuple_on_degree_twelve():
         code = realize.canonical_tuple(t)
         assert code[0] == (1, 2)
         assert realize.canonical_tuple(random_conjugate(t, rng)) == code
-        assert realize.tuples_conjugate(t, realize.TranspositionTuple(12, code))
+        assert tuples_conjugate(t, realize.TranspositionTuple(12, code))
