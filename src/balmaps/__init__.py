@@ -27,7 +27,6 @@ from .decompose import (
     find_four_cuts,
     find_two_cuts,
     murasugi_sum,
-    split_four_cut,
     split_two_cut,
 )
 from .dps import (

@@ -20,7 +20,6 @@ from .errors import (
     ColorMismatch,
     InvalidArc,
     InvalidRectangle,
-    NotApplicable,
     TrivialCut,
 )
 from .maps import ColoredMap, CombinatorialMap, pinch, rewire
@@ -242,19 +241,6 @@ def _classify(cm: ColoredMap, ys):
     return X, Y, odd
 
 
-def split_four_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap]:
-    """Split along a four-point curve.
-
-    Odd/odd vertex counts: each wound collapses to a new 4-valent vertex.
-    Even/even (requires global balance): each side seals by folding the
-    arcs of its minority color, fusing the corresponding half-edges.
-    """
-    verdict = _classify(cm, cut.darts)
-    if isinstance(verdict, str):
-        raise NotApplicable(verdict)
-    return _split_four(cm, cut.darts, *verdict)
-
-
 def _split_four(cm: ColoredMap, ys, X, Y, odd: bool) -> Tuple[ColoredMap, ColoredMap]:
     m = cm.m
     if odd:
@@ -377,13 +363,6 @@ class DecompositionTree:
                 out["pieces"] = [{}, {}]
                 stack += zip(node.pieces, out["pieces"])
         return root
-
-
-def applicable_four_cuts(cm: ColoredMap) -> List[CutCurve]:
-    """Four-point cuts whose split applies (odd/odd always; even/even only
-    under global balance)."""
-    return [CutCurve("four_point", ys) for ys in _four_cut_candidates(cm.m)
-            if not isinstance(_classify(cm, ys), str)]
 
 
 def _first_split(cm: ColoredMap) -> Optional[Tuple[CutCurve, Tuple[ColoredMap, ColoredMap]]]:

@@ -16,6 +16,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DegreeTooSmall, LimitExceeded, Mismatch
@@ -69,6 +70,24 @@ def _stabilizer(d: int) -> List[Tuple[int, ...]]:
             for rest in itertools.permutations(range(3, d + 1))]
 
 
+def _index_tables(d: int) -> Tuple[List[Pair], Dict[Pair, int], List[List[int]]]:
+    """The transpositions in lexicographic order, each one's index, and per
+    conjugation fixing {1, 2} (the identity first) the table from a
+    transposition's index to its image's."""
+    trans = _transpositions(d)
+    index = {p: i for i, p in enumerate(trans)}
+    return trans, index, [[index[p] for p in _conjugate_flat(trans, g)]
+                          for g in _stabilizer(d)]
+
+
+def _slice_images(taus: Tuple[Pair, ...], index: Dict[Pair, int],
+                  tables: List[List[int]]) -> List[Tuple[int, ...]]:
+    """The images of a tuple under the conjugations of ``tables``, each as
+    the tuple of its transpositions' indices."""
+    get = itemgetter(*itemgetter(*taus)(index))
+    return [get(tab) for tab in tables]
+
+
 def _tied(tables: List[List[int]], c: int) -> Optional[List[List[int]]]:
     """The tables that fix transposition index c, or None if one maps c
     below itself."""
@@ -112,10 +131,8 @@ def _least_slice_tuples(d: int) -> List[Tuple[Pair, ...]]:
     the tuple, which is emitted for the caller to reject as not free.
     """
     n = 2 * d - 2
-    trans = _transpositions(d)
-    index = {p: i for i, p in enumerate(trans)}
-    tables = [[index[(g[a], g[b]) if g[a] < g[b] else (g[b], g[a])] for a, b in trans]
-              for g in _stabilizer(d)[1:]]
+    trans, _, tables = _index_tables(d)
+    tables = tables[1:]
     results: List[Tuple[Pair, ...]] = []
     prod = list(range(d + 1))
     prod[1], prod[2] = 2, 1
@@ -177,7 +194,11 @@ def enumerate_classes(d: int) -> List[TupleClass]:
     of its images under the conjugations fixing {1, 2}, which are the ones
     that keep a tuple in the (1 2) slice: the search emits exactly these.
     Each is checked to be least with a free orbit, and the count against
-    the closed formula stands for completeness.
+    the closed formula stands for completeness.  The check reads each
+    image off the search's index tables, one per conjugation, as a tuple
+    of transposition indices.  Indices follow the lexicographic order of
+    the pairs, so the orbit is free iff the images are distinct, and the
+    tuple is least iff its own image, the identity's, is the least.
     """
     if d > 5:
         raise LimitExceeded("enumeration capped at degree 5")
@@ -187,15 +208,15 @@ def enumerate_classes(d: int) -> List[TupleClass]:
         t = TranspositionTuple(2, ((1, 2), (1, 2)))
         t.validate()
         return [TupleClass(t, 1)]
-    stabilizer = _stabilizer(d)
+    _, index, tables = _index_tables(d)
     classes = []
     dfact = math.factorial(d)
     for taus in _least_slice_tuples(d):
-        slice_imgs = {_conjugate_flat(taus, g) for g in stabilizer}
-        if len(slice_imgs) != len(stabilizer):
+        imgs = _slice_images(taus, index, tables)
+        if len(set(imgs)) != len(imgs):
             # conjugation acts freely on transitive tuples for d >= 3
             raise Mismatch("conjugation orbit of %r is not free" % (taus,))
-        if min(slice_imgs) != taus:
+        if min(imgs) != imgs[0]:
             raise Mismatch("%r is not the least of its conjugates" % (taus,))
         t = TranspositionTuple(d, taus)
         t.validate()

@@ -219,26 +219,56 @@ class CombinatorialMap:
         label.  Two rooted maps are isomorphic iff their traces agree.
         Given a ``bound`` trace, return None at the first entry that makes
         the trace larger than it; comparison stops at the first difference.
+
+        The bounded phase compares each dart's two entries with the
+        bound's two, as pairs, so that their first difference decides; the
+        free phase after a smaller pair compares nothing.  One iterator
+        over the growing discovery order serves both phases.
         """
         sigma, alpha = self.sigma, self.alpha
         lab = [0] * (self.n + 1)
-        lab[root] = 1
+        lab[root] = top = 1
         order = [root]
         trace = []
-        tied = bound is not None
-        for d in order:
-            for nb in (sigma[d], alpha[d]):
+        darts = iter(order)
+        if bound is not None:
+            k = 0
+            for d in darts:
+                nb = sigma[d]
                 x = lab[nb]
                 if not x:
                     order.append(nb)
-                    x = lab[nb] = len(order)
-                if tied:
-                    b = bound[len(trace)]
-                    if x != b:
-                        if x > b:
-                            return None
-                        tied = False
+                    top += 1
+                    x = lab[nb] = top
+                nb = alpha[d]
+                y = lab[nb]
+                if not y:
+                    order.append(nb)
+                    top += 1
+                    y = lab[nb] = top
                 trace.append(x)
+                trace.append(y)
+                b, c = bound[k], bound[k + 1]
+                if x != b or y != c:
+                    if (x, y) > (b, c):
+                        return None
+                    break
+                k += 2
+        for d in darts:
+            nb = sigma[d]
+            x = lab[nb]
+            if not x:
+                order.append(nb)
+                top += 1
+                x = lab[nb] = top
+            nb = alpha[d]
+            y = lab[nb]
+            if not y:
+                order.append(nb)
+                top += 1
+                y = lab[nb] = top
+            trace.append(x)
+            trace.append(y)
         return trace, lab
 
     def _least_trace(self, decorate=None) -> Tuple[int, ...]:

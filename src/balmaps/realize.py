@@ -23,7 +23,7 @@ balanced => realizable half of the theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .balance import face_weights, is_balanced, matching_is_valid, solve_face_equations
 from .errors import (
@@ -241,6 +241,23 @@ class Realization:
     labels: Dict[int, int]  # critical label per vertex
 
 
+def _bucket_ids(keys: List[int], slots: Sequence[int], first: int, top: int) -> List[int]:
+    """Consecutive ids from ``first`` on for ``slots``, grouped by their key
+    in 1..top in ascending order and in the order of ``slots`` within a
+    key, by one counting pass; indexed by slot."""
+    start = [0] * (top + 1)
+    for s in slots:
+        start[keys[s]] += 1
+    for k in range(1, top + 1):
+        start[k], first = first, first + start[k]
+    ids = [0] * len(keys)
+    for s in slots:
+        k = keys[s]
+        ids[s] = start[k]
+        start[k] += 1
+    return ids
+
+
 def graph_from_monodromy(t: TranspositionTuple) -> Realization:
     """Glue d blue and d white n-gons along the sheet pairings of the tuple,
     keeping only the 4-valent corners.
@@ -252,41 +269,55 @@ def graph_from_monodromy(t: TranspositionTuple) -> Realization:
     i in tau_j in increasing j, and two consecutive visits j < j' are one
     edge carrying j' - j - 1 of them (cyclically).  The vertex labeled j
     is blue corner j of both sheets of tau_j = (a, b) and white corner j
-    of beta_j(a) and beta_j(b).  Darts are numbered as the polygon darts
-    at 4-valent corners, blue before white, each by (polygon, side).
+    of beta_j(a) and beta_j(b).  The edge from sheet i's visit j ends at
+    the white corner of beta_j(i) at i's next visit j', which is the
+    white polygon of the other sheet of tau_j'.
+
+    Darts are numbered as the polygon darts at 4-valent corners, blue
+    before white, each by (polygon, side).  They live in flat tables over
+    the slots 2j (sheet a of tau_j) and 2j + 1 (sheet b), and a counting
+    pass per colour numbers them by polygon: blue darts in visit order,
+    white ones taking j = 2..n, 1, since white polygon k meets vertex j
+    with its side j-1 (side n for j = 1).
     """
     t.validate()
     d, n = t.d, t.n
     beta = list(range(d + 1))
-    glued = {}  # (sheet i, label j) -> beta_j(i), for i in tau_j
-    visits: List[List[int]] = [[] for _ in range(d + 1)]
-    for j, (a, b) in enumerate(t.taus, 1):
+    sheet = [0, 0]  # per slot, its sheet
+    white = [0, 0]  # per slot, beta_j of its sheet
+    for a, b in t.taus:
         beta[a], beta[b] = beta[b], beta[a]
-        glued[a, j], glued[b, j] = beta[a], beta[b]
-        visits[a].append(j)
-        visits[b].append(j)
-    bid = {(i, j): r for r, (i, j) in enumerate(
-        ((i, j) for i in range(1, d + 1) for j in visits[i]), 1)}
-    # white polygon k meets vertex j with its side j-1 (side n for j = 1)
-    wid = {key: r for r, key in enumerate(sorted(
-        ((k, j) for (i, j), k in glued.items()),
-        key=lambda kj: (kj[0], (kj[1] - 2) % n)), 2 * n + 1)}
+        sheet += (a, b)
+        white += (beta[a], beta[b])
+    slots = range(2, 2 * n + 2)
+    blue = _bucket_ids(sheet, slots, 1, d)
+    wid = _bucket_ids(white, [*slots[2:], 2, 3], 2 * n + 1, d)
     sigma = [0] * (4 * n + 1)
     alpha = [0] * (4 * n + 1)
     labels = {}
-    for j, (a, b) in enumerate(t.taus, 1):
-        ring = (bid[a, j], wid[glued[a, j], j], bid[b, j], wid[glued[b, j], j])
-        for x, y in zip(ring, ring[1:] + ring[:1]):
-            sigma[x] = y
-        labels[bid[min(a, b), j]] = j
+    slot = [0] * (2 * n + 2)  # per blue dart, its slot; 0 (no sheet) past the last
+    for j in range(1, n + 1):
+        s = 2 * j
+        xa, ya, xb, yb = blue[s], wid[s], blue[s + 1], wid[s + 1]
+        sigma[xa], sigma[ya], sigma[xb], sigma[yb] = ya, xb, yb, xa
+        labels[xa if sheet[s] < sheet[s + 1] else xb] = j
+        slot[xa], slot[xb] = s, s + 1
+    # blue dart x runs to its sheet's next visit, dart x + 1, or from the
+    # last visit back to the first, and ends at the white dart of the
+    # other slot of that visit
     counts = {}
-    for i in range(1, d + 1):
-        js = visits[i]
-        for j, nj in zip(js, js[1:] + js[:1]):
-            x, y = bid[i, j], wid[glued[i, j], nj]
-            alpha[x], alpha[y] = y, x
-            if (nj - j - 1) % n:
-                counts[x] = (nj - j - 1) % n
+    first = 1
+    for x in range(1, 2 * n + 1):
+        s = slot[x]
+        if sheet[slot[x + 1]] == sheet[s]:
+            nxt = slot[x + 1]
+        else:
+            nxt, first = slot[first], x + 1
+        y = wid[nxt ^ 1]
+        alpha[x], alpha[y] = y, x
+        c = (nxt // 2 - s // 2 - 1) % n
+        if c:
+            counts[x] = c
     cm = ColoredMap(CombinatorialMap(sigma, alpha), range(d))
     return Realization(cm, counts, labels)
 

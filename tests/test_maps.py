@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -268,10 +269,50 @@ def relabeled_dual(g, rng):
         m, frozenset(m.vertex_of[perm[v]] for v in g.blue_vertices), tuple(reds), labels)
 
 
+def reference_trace(m, root):
+    """A plain breadth-first relabeling from ``root``, written apart from
+    the kernel: a queue of darts, each labelled on first sight.  The trace
+    lists the labels of every dart's sigma- and alpha-image in queue
+    order; ``lab`` maps each dart to its label."""
+    lab = {root: 1}
+    queue = collections.deque([root])
+    trace = []
+    while queue:
+        d = queue.popleft()
+        for image in (m.sigma[d], m.alpha[d]):
+            if image not in lab:
+                lab[image] = len(lab) + 1
+                queue.append(image)
+            trace.append(lab[image])
+    return trace, [lab.get(x, 0) for x in range(m.n + 1)]
+
+
+def test_bfs_trace_matches_reference(corpus6):
+    """Every root's trace and labels are the reference's.  Given a bound,
+    the kernel returns None exactly when the reference trace is greater
+    at the first difference, and the whole trace otherwise.  The bounds
+    are the least trace, another root's trace, the root's own trace, and
+    that trace with one random entry moved down or up."""
+    from tests.test_decompose import random_cover  # it imports this module
+    rng = random.Random(14)
+    covers = [random_cover(rng, d).m for d in range(3, 21)]
+    for m in list(corpus6.uncolored) + [maps.turkshead(k) for k in range(3, 13)] + covers:
+        refs = [reference_trace(m, r) for r in range(1, m.n + 1)]
+        least = min(trace for trace, _ in refs)
+        for root, (trace, lab) in enumerate(refs, 1):
+            assert m._bfs_trace(root) == (trace, lab)
+            k = rng.randrange(len(trace))
+            for bound in (least, refs[root % m.n][0], trace,
+                          trace[:k] + [trace[k] - 1] + trace[k + 1:],
+                          trace[:k] + [trace[k] + 1] + trace[k + 1:]):
+                got = m._bfs_trace(root, bound)
+                assert got == (None if trace > bound else (trace, lab)), (m, root, bound)
+
+
 def full_scan(m, decorate):
-    """Every root's whole trace and decoration; the least one."""
+    """Every root's whole reference trace and decoration; the least one."""
     best = min(trace + (decorate(lab) if decorate else [])
-               for trace, lab in (m._bfs_trace(r) for r in range(1, m.n + 1)))
+               for trace, lab in (reference_trace(m, r) for r in range(1, m.n + 1)))
     return (m.n,) + tuple(best)
 
 

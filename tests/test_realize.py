@@ -199,12 +199,13 @@ def test_rebuilt_labels_occupy_positions(classes4):
     assert sorted(real.labels.values()) == list(range(1, 7))
 
 
-def gluing_layout_digest(classes):
+def gluing_layout_digest(reals, with_counts=False):
     h = hashlib.sha256()
-    for cls in classes:
-        real = realize.graph_from_monodromy(cls.representative)
+    for real in reals:
         h.update(mapio.dumps(mapio.map_to_dict(real.colored)).encode())
         h.update(repr(sorted(real.labels.items())).encode())
+        if with_counts:
+            h.update(repr(list(real.counts.items())).encode())
     return h.hexdigest()
 
 
@@ -212,8 +213,27 @@ def test_gluing_layout_pinned(classes4):
     """Dart ids, blue faces and critical labels of every d=4 gluing, as
     the from-tuple command and the tree decoding see them."""
     assert len(classes4) == 120
-    assert gluing_layout_digest(classes4) == (
+    assert gluing_layout_digest(
+        realize.graph_from_monodromy(c.representative) for c in classes4) == (
         "ebf9f661303083b7cfe8d0068770d5fc6141cb66637101928c51ff1a058bf6d8")
+
+
+def test_gluing_layout_pinned_degree_five(glued5):
+    """The same for every d=5 gluing, with the counts in insertion order."""
+    assert len(glued5) == 8400
+    assert gluing_layout_digest(glued5, with_counts=True) == (
+        "42d8185199ec7663f11f0f66afaa4f22c798324f84efa41294e0cf75966047e1")
+
+
+@pytest.mark.parametrize("d, samples, pin", [
+    (30, 3, "e3b77430a97c36a26b6016de516d59d0e23aa3c1e1b047562b879bbf83dc2b21"),
+    (100, 1, "a19220d35144230433070ea8d7297fea988b05da54d8d869d4524d9ac22f2972"),
+], ids=["d30", "d100"])
+def test_gluing_layout_pinned_braid_samples(d, samples, pin):
+    """The same for seeded braid samples far past the enumerated degrees."""
+    rng = random.Random("gluing-%d" % d)
+    reals = [realize.graph_from_monodromy(braid_sample(d, rng)) for _ in range(samples)]
+    assert gluing_layout_digest(reals, with_counts=True) == pin
 
 
 def assert_exact_round_trip(t):

@@ -14,7 +14,13 @@ from balmaps import decompose, maps
 from balmaps.cli import run
 from balmaps.errors import InvalidInput, NotApplicable
 from tests.test_cli import write_map
-from tests.test_decompose import _quadratic_chain, _sum_pair, colored, random_cover
+from tests.test_decompose import (
+    _quadratic_chain,
+    _sum_pair,
+    colored,
+    random_cover,
+    split_four_cut,
+)
 
 
 def tables(obj):
@@ -54,7 +60,7 @@ def surgery_outputs(sample, rng):
             yield from decompose.split_two_cut(cm, cut)
         for cut in decompose.find_four_cuts(cm):
             try:
-                yield from decompose.split_four_cut(cm, cut)
+                yield from split_four_cut(cm, cut)
             except NotApplicable as exc:
                 yield str(exc)
     pieces = [colored(maps.quadratic()), colored(maps.octahedron()),
