@@ -293,15 +293,18 @@ def murasugi_sum(a: ColoredMap, da1: int, da2: int,
         # normalize: the white-face diagram first
         return murasugi_sum(b, db1, db2, a, da1, da2)
 
+    # b's darts follow a's, and the rectangle's four sides cross over
     ma, mb = a.m, b.m
     off = ma.n
-    union = CombinatorialMap(ma.sigma + tuple(off + x for x in mb.sigma[1:]),
-                             ma.alpha + tuple(off + x for x in mb.alpha[1:]), check=False)
-    # faces are sorted by least dart, so b's faces follow a's
-    blue = a.blue_faces | {ma.num_faces + f for f in b.blue_faces}
-    return rewire(ColoredMap(union, blue, check=False), union.vertex_ids(),
-                  [(da1, off + db2), (ma.alpha[da1], off + mb.alpha[db1]),
-                   (da2, off + db1), (ma.alpha[da2], off + mb.alpha[db2])])
+    alpha = list(ma.alpha + tuple(off + x for x in mb.alpha[1:]))
+    for x, y in ((da1, off + db2), (ma.alpha[da1], off + mb.alpha[db1]),
+                 (da2, off + db1), (ma.alpha[da2], off + mb.alpha[db2])):
+        alpha[x], alpha[y] = y, x
+    m = CombinatorialMap(ma.sigma + tuple(off + x for x in mb.sigma[1:]), alpha)
+    blue = {m.face_of[x] for x in range(1, off + 1) if ma.face_of[x] in a.blue_faces}
+    blue.update(m.face_of[off + x] for x in range(1, mb.n + 1)
+                if mb.face_of[x] in b.blue_faces)
+    return ColoredMap(m, blue)
 
 
 def gluing_curve(a: ColoredMap, b: ColoredMap, summed: ColoredMap,

@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     DegreePropertyFailed,
@@ -48,7 +48,7 @@ DECODE_DEGREE_CAP = 500
 class EdgeLabeledTree:
     """A tree on d unlabeled white vertices whose d-1 edges carry distinct
     blue labels 1..d-1 and whose 2d-2 half-edge segments carry distinct red
-    labels 1..2d-2.
+    labels 1..2d-2; construction raises InvalidInput otherwise.
 
     The embedding is derived, not stored: around each white vertex the
     incident edges appear clockwise by increasing blue label.
@@ -56,7 +56,7 @@ class EdgeLabeledTree:
     d: int
     edges: Tuple[TreeEdge, ...]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         d = self.d
         if d < 2:
             raise InvalidInput("a tree needs at least 2 white vertices, got %d" % d)
@@ -152,8 +152,10 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
     return sorted(shapes)
 
 
-def enumerate_trees(d: int) -> List[EdgeLabeledTree]:
-    """All edge-labeled, red-labeled trees: (2d-2)! d^(d-3) of them."""
+def _trees(d: int) -> Iterator[EdgeLabeledTree]:
+    """The trees of ``enumerate_trees`` one at a time.  For d >= 3 whites
+    are named by their distinct blue labels, so each (shape, reds) pair is
+    a distinct tree; at d = 2 the two are one, and the first is kept."""
     if d > TREE_DEGREE_CAP:
         raise LimitExceeded("tree enumeration capped at degree %d" % TREE_DEGREE_CAP)
     if d < 2:
@@ -162,20 +164,17 @@ def enumerate_trees(d: int) -> List[EdgeLabeledTree]:
     if d >= 3 and len(shapes) != d ** (d - 3):
         raise InvalidInput("shape enumeration produced %d trees, expected %d"
                            % (len(shapes), d ** (d - 3)))
-    out = {}
     n = 2 * d - 2
     for shape in shapes:
-        for reds in itertools.permutations(range(1, n + 1)):
-            edges = tuple(
+        for reds in itertools.permutations(range(1, n + 1)) if d > 2 else [(1, 2)]:
+            yield EdgeLabeledTree(d, tuple(
                 (wa, wb, blue, reds[2 * i], reds[2 * i + 1])
-                for i, (wa, wb, blue) in enumerate(shape))
-            t = EdgeLabeledTree(d, edges)
-            out.setdefault(t.canonical_key(), t)
-    trees = list(out.values())
-    expected = math.factorial(n) * d ** (d - 3) if d >= 3 else 1
-    if len(trees) != expected:
-        raise InvalidInput("enumerated %d trees, expected %d" % (len(trees), expected))
-    return trees
+                for i, (wa, wb, blue) in enumerate(shape)))
+
+
+def enumerate_trees(d: int) -> List[EdgeLabeledTree]:
+    """All edge-labeled, red-labeled trees: (2d-2)! d^(d-3) of them."""
+    return list(_trees(d))
 
 
 # -- orientation, Felsner normalization, Bernardi tree --------------------------------
@@ -321,7 +320,6 @@ def bernardi_spanning_tree(o: EdgeOrientation) -> SpanningTree:
 def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
     """Bernardi tree of the dual, chopped at the root, red labels read off
     the white-to-blue right-side faces."""
-    g.validate()
     m = g.m
     d = g.d
     labels = g.blue_label_map()
@@ -348,9 +346,7 @@ def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
             raise NotSpanning("midpoint %d has tree degree %d" % (mid, len(ends)))
         (wa, ra), (wb, rb) = sorted(ends)
         edges.append((wa, wb, labels[mid], ra, rb))
-    t = EdgeLabeledTree(d, tuple(edges))
-    t.validate()
-    return t
+    return EdgeLabeledTree(d, tuple(edges))
 
 
 def _contour_runs(t: EdgeLabeledTree) -> List[Tuple[int, int, int]]:
@@ -416,9 +412,9 @@ def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
     position in turn and kept the first cut that sewed up into a valid
     sphere, on all 2905 trees with d <= 4 and 230 random trees with
     d = 5..14.  Random trees up to d = 400 settle in 2-8 laps, a path tree
-    on d whites in d.  TranspositionTuple.validate rejects a sewing that
-    breaks the tuple read off it.  Laps are capped at the hair count plus
-    2, past which NonTermination is raised.
+    on d whites in d.  A sewing that breaks the tuple read off it fails
+    that tuple's construction with InvalidTuple.  Laps are capped at the
+    hair count plus 2, past which NonTermination is raised.
     """
     d = t.d
     n = 2 * d - 2
@@ -484,7 +480,6 @@ def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
     """
     if t.d > DECODE_DEGREE_CAP:
         raise LimitExceeded("decoding capped at degree %d" % DECODE_DEGREE_CAP)
-    t.validate()
     d = t.d
     n = 2 * d - 2
     sheets: List[List[int]] = [[] for _ in range(n)]
@@ -513,24 +508,22 @@ def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
     real = graph_from_monodromy(tree_to_tuple(t))
     g = dual_bipartite(real.colored, real.labels)
     blues = sorted(g.blue_vertices)
-    g = FaceLabeledGraph(g.m, g.blue_vertices, g.face_red,
-                         tuple(zip(blues, range(1, t.d + 1))))
-    g.validate()
-    return g
+    return FaceLabeledGraph(g.m, g.blue_vertices, g.face_red,
+                            tuple(zip(blues, range(1, t.d + 1))))
 
 
 def verify_counting_chain(d: int) -> dict:
-    """|trees| = (2d-2)! d^(d-3) and |classes| = |trees| / d!."""
+    """|trees| = (2d-2)! d^(d-3) and |classes| = |trees| / d!; the trees
+    are counted as they are built, not held."""
     from .hurwitz import enumerate_classes
-    trees = enumerate_trees(d)
+    trees = sum(1 for _ in _trees(d))
     classes = enumerate_classes(d)
     expected_trees = math.factorial(2 * d - 2) * d ** (d - 3) if d >= 3 else 1
     return {
         "d": d,
-        "trees": len(trees),
+        "trees": trees,
         "expected_trees": expected_trees,
         "classes": len(classes),
-        "trees_over_dfact": len(trees) // math.factorial(d),
-        "ok": (len(trees) == expected_trees
-               and len(trees) == len(classes) * math.factorial(d)),
+        "trees_over_dfact": trees // math.factorial(d),
+        "ok": trees == expected_trees and trees == len(classes) * math.factorial(d),
     }

@@ -205,9 +205,7 @@ def enumerate_classes(d: int) -> List[TupleClass]:
     if d < 2:
         raise DegreeTooSmall("degree must be at least 2")
     if d == 2:
-        t = TranspositionTuple(2, ((1, 2), (1, 2)))
-        t.validate()
-        return [TupleClass(t, 1)]
+        return [TupleClass(TranspositionTuple(2, ((1, 2), (1, 2))), 1)]
     _, index, tables = _index_tables(d)
     classes = []
     dfact = math.factorial(d)
@@ -218,9 +216,7 @@ def enumerate_classes(d: int) -> List[TupleClass]:
             raise Mismatch("conjugation orbit of %r is not free" % (taus,))
         if min(imgs) != imgs[0]:
             raise Mismatch("%r is not the least of its conjugates" % (taus,))
-        t = TranspositionTuple(d, taus)
-        t.validate()
-        classes.append(TupleClass(t, dfact))
+        classes.append(TupleClass(TranspositionTuple(d, taus), dfact))
     count = hurwitz_count(d)
     if len(classes) != count:
         why = "missed a conjugate" if len(classes) < count else "kept a class twice"

@@ -110,10 +110,7 @@ def dual_from_dict(data: dict) -> FaceLabeledGraph:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput("dual object needs darts, sigma, alpha, blue_vertices, "
                            "face_reds and integer blue_labels: %s" % exc)
-    m = map_from_dict(fields)
-    g = FaceLabeledGraph(m, blue, reds, labels)
-    g.validate()
-    return g
+    return FaceLabeledGraph(map_from_dict(fields), blue, reds, labels)
 
 
 def tree_to_dict(t) -> dict:
@@ -136,9 +133,7 @@ def tree_from_dict(data: dict):
             for e in data["edges"])
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidInput("tree object needs d and edges: %s" % exc)
-    t = EdgeLabeledTree(d, edges)
-    t.validate()
-    return t
+    return EdgeLabeledTree(d, edges)
 
 
 def export_dot(obj) -> str:

@@ -98,7 +98,10 @@ def count_components(n: int, pairs: Iterable[Sequence[int]]) -> int:
     """Connected components of the graph on points 1..n whose edges are
     ``pairs``."""
     parent = list(range(n + 1))
-    return n - sum(union(parent, a, b) for a, b in pairs)
+    for a, b in pairs:
+        if union(parent, a, b):
+            n -= 1
+    return n
 
 
 def _by_least_label(cycles: Sequence[Sequence[int]], lab: Sequence[int]) -> List[int]:
@@ -112,18 +115,17 @@ class CombinatorialMap:
     __slots__ = ("n", "sigma", "alpha", "phi", "faces", "face_of",
                  "vertex_of", "_vertices", "_code")
 
-    def __init__(self, sigma: Sequence[int], alpha: Sequence[int], check: bool = True):
+    def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
         n = len(sigma) - 1
-        if check:
-            if n < 2 or n % 2:
-                raise InvalidInput("dart count must be a positive even integer")
-            sigma = _check_perm(sigma, n, "sigma")
-            alpha = _check_perm(alpha, n, "alpha")
-            for d in range(1, n + 1):
-                if alpha[d] == d:
-                    raise AlphaHasFixedPoint("alpha fixes dart %d" % d)
-                if alpha[alpha[d]] != d:
-                    raise AlphaNotInvolution("alpha is not an involution at dart %d" % d)
+        if n < 2 or n % 2:
+            raise InvalidInput("dart count must be a positive even integer")
+        sigma = _check_perm(sigma, n, "sigma")
+        alpha = _check_perm(alpha, n, "alpha")
+        for d in range(1, n + 1):
+            if alpha[d] == d:
+                raise AlphaHasFixedPoint("alpha fixes dart %d" % d)
+            if alpha[alpha[d]] != d:
+                raise AlphaNotInvolution("alpha is not an involution at dart %d" % d)
         self.n = n
         self.sigma = tuple(sigma)
         self.alpha = tuple(alpha)
@@ -142,13 +144,12 @@ class CombinatorialMap:
             for d in orbit:
                 self.face_of[d] = i
 
-        if check:
-            if not self._connected():
-                raise Disconnected("sigma and alpha do not act transitively")
-            if self.num_vertices - self.num_edges + self.num_faces != 2:
-                raise NonZeroGenus(
-                    "V-E+F = %d, not a sphere map"
-                    % (self.num_vertices - self.num_edges + self.num_faces))
+        if not self._connected():
+            raise Disconnected("sigma and alpha do not act transitively")
+        if self.num_vertices - self.num_edges + self.num_faces != 2:
+            raise NonZeroGenus(
+                "V-E+F = %d, not a sphere map"
+                % (self.num_vertices - self.num_edges + self.num_faces))
 
         self._code = None
 
@@ -442,6 +443,7 @@ class ColoredMap:
 
     Each edge is implicitly directed so that its blue face is on the left:
     the forward dart of an edge is the dart whose face is blue.
+    ``check=False`` is only for a colouring known to be valid.
     """
 
     __slots__ = ("m", "blue_faces", "_colored_code")
@@ -662,7 +664,8 @@ class FaceLabeledGraph:
 
     ``blue_vertices`` are vertex ids (minimal darts); ``face_red`` assigns a
     distinct label in 1..2d-2 to every face; ``blue_labels`` optionally
-    labels the blue vertices 1..d.
+    labels the blue vertices 1..d.  Construction raises InvalidInput
+    unless all of this holds.
     """
     m: CombinatorialMap
     blue_vertices: frozenset
@@ -676,7 +679,7 @@ class FaceLabeledGraph:
     def blue_label_map(self) -> Dict[int, int]:
         return dict(self.blue_labels) if self.blue_labels else {}
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         m = self.m
         blues = self.blue_vertices
         for e in m.edges():
@@ -694,6 +697,9 @@ class FaceLabeledGraph:
             lab = self.blue_label_map()
             if set(lab) != set(blues) or sorted(lab.values()) != list(range(1, d + 1)):
                 raise InvalidInput("blue vertex labels must be a bijection onto 1..d")
+        for v in blues:
+            if not (1 <= v <= m.n and m.vertex_of[v] == v):
+                raise InvalidInput("blue vertex %r is not a vertex id" % (v,))
 
     def canonical_code(self) -> Tuple[int, ...]:
         """Canonical form refined by face reds and blue vertex labels."""
@@ -733,6 +739,4 @@ def dual_bipartite(cm: ColoredMap, labels: Dict[int, int]) -> FaceLabeledGraph:
     for orbit in dual.faces:
         v = m.vertex_of[m.alpha[orbit[0]]]
         reds.append(labels[v])
-    g = FaceLabeledGraph(dual, blue_vs, tuple(reds))
-    g.validate()
-    return g
+    return FaceLabeledGraph(dual, blue_vs, tuple(reds))

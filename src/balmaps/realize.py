@@ -48,7 +48,8 @@ MATCHING_CAP = 100000
 
 @dataclass(frozen=True)
 class TranspositionTuple:
-    """(tau_1, ..., tau_n) in S_d with trivial product and transitive action."""
+    """(tau_1, ..., tau_n) in S_d with trivial product and transitive
+    action; construction raises InvalidTuple otherwise."""
     d: int
     taus: Tuple[Pair, ...]
 
@@ -56,7 +57,7 @@ class TranspositionTuple:
     def n(self) -> int:
         return len(self.taus)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         d = self.d
         if d < 2:
             raise InvalidTuple("degree must be at least 2")
@@ -226,9 +227,7 @@ def monodromy(cm: ColoredMap, labels: Dict[int, int]) -> TranspositionTuple:
     for x in range(1, m.n + 1):
         if m.face_of[x] in sheet:
             pairs[labels[m.vertex_of[x]]].append(sheet[m.face_of[x]])
-    t = TranspositionTuple(len(sheet), tuple(tuple(sorted(p)) for p in pairs[1:]))
-    t.validate()
-    return t
+    return TranspositionTuple(len(sheet), tuple(tuple(sorted(p)) for p in pairs[1:]))
 
 
 # -- gluing a diagram from a tuple ---------------------------------------------------
@@ -278,9 +277,9 @@ def graph_from_monodromy(t: TranspositionTuple) -> Realization:
     the slots 2j (sheet a of tau_j) and 2j + 1 (sheet b), and a counting
     pass per colour numbers them by polygon: blue darts in visit order,
     white ones taking j = 2..n, 1, since white polygon k meets vertex j
-    with its side j-1 (side n for j = 1).
+    with its side j-1 (side n for j = 1).  The tuple checked itself when
+    it was built, so it is glued as given.
     """
-    t.validate()
     d, n = t.d, t.n
     beta = list(range(d + 1))
     sheet = [0, 0]  # per slot, its sheet

@@ -223,6 +223,30 @@ def test_dps_decode_above_degree_cap(tmp_path, capsys):
     assert json.loads(out)["error"] == "LimitExceeded"
 
 
+def test_from_tuple_bad_product_output_pinned(tmp_path, capsys):
+    p = tmp_path / "t.json"
+    p.write_text('{"fmt":1,"d":3,"taus":[[1,2],[1,3],[1,2],[1,2]]}')
+    code, out = run_capture(capsys, ["from-tuple", str(p)])
+    assert code == 2
+    assert out == ('{"error":"InvalidTuple",'
+                   '"message":"product of the tuple is not the identity"}\n')
+
+
+def test_dps_encode_rejects_blue_non_vertex(tmp_path, capsys):
+    """Every edge of this dual has vertex 1 at one end, so a blue vertex
+    99, which is no vertex, passes the bipartite check; it is refused as
+    the dual is read, not by the orientation."""
+    star = maps.build_map([[1, 2, 3, 4], [5, 6], [7], [8]], [[1, 5], [2, 6], [3, 7], [4, 8]])
+    doc = dict(mapio.map_to_dict(star), blue_vertices=[1, 99], face_reds=[1, 2],
+               blue_labels={"1": 1, "99": 2})
+    p = tmp_path / "dual.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_capture(capsys, ["dps", "encode", str(p)])
+    assert code == 2
+    assert out == ('{"error":"InvalidInput",'
+                   '"message":"blue vertex 99 is not a vertex id"}\n')
+
+
 def _map_doc():
     return mapio.map_to_dict(maps.checkerboard(maps.quadratic())[0])
 

@@ -52,7 +52,6 @@ def test_canonical_key_ignores_white_names():
                  for wa, wb, blue, ra, rb in t.edges]
         rng.shuffle(edges)
         renamed = dps.EdgeLabeledTree(12, tuple(edges))
-        renamed.validate()
         assert renamed.canonical_key() == t.canonical_key()
 
 
@@ -79,7 +78,6 @@ def test_decode_degree_cap(monkeypatch):
     """A valid tree above the cap is refused before the contour is
     built."""
     t = path_tree(dps.DECODE_DEGREE_CAP + 1)
-    t.validate()
 
     def unreachable(t):
         raise AssertionError("decoding started")
@@ -121,14 +119,13 @@ def test_dual_code_format_pinned():
 
 
 def test_tree_validation():
-    t = dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
-    t.validate()
+    dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
     with pytest.raises(InvalidInput):
-        dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (0, 1, 2, 3, 4))).validate()
+        dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (0, 1, 2, 3, 4)))
     with pytest.raises(InvalidInput):
-        dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 1), (1, 2, 2, 3, 4))).validate()
+        dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 1), (1, 2, 2, 3, 4)))
     with pytest.raises(InvalidInput):
-        dps.EdgeLabeledTree(1, ()).validate()
+        dps.EdgeLabeledTree(1, ())
 
 
 def white_rotation(t, w):

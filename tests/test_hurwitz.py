@@ -105,7 +105,6 @@ def test_enumerate_classes_degree_three():
     classes = hurwitz.enumerate_classes(3)
     assert len(classes) == 4
     for c in classes:
-        c.representative.validate()
         assert c.orbit_size == 6
         # canonical representative: re-canonicalizing is idempotent
         assert realize.canonical_tuple(c.representative) == c.representative.taus
@@ -115,8 +114,6 @@ def test_enumerate_classes_degree_four(classes4):
     assert len(classes4) == 120
     reps = {c.representative.taus for c in classes4}
     assert len(reps) == 120
-    for c in classes4[:10]:
-        c.representative.validate()
 
 
 def test_conjugating_rep_is_idempotent(classes4):
@@ -222,9 +219,8 @@ def test_least_slice_tuples_match_brute_force(d):
                   if {g[0], g[1]} == {1, 2}]
     least = []
     for rest in itertools.product(hurwitz._transpositions(d), repeat=2 * d - 3):
-        t = realize.TranspositionTuple(d, ((1, 2),) + rest)
         try:
-            t.validate()
+            t = realize.TranspositionTuple(d, ((1, 2),) + rest)
         except InvalidTuple:
             continue
         if all(t.conjugate(g).taus >= t.taus for g in stabilizer):

@@ -221,6 +221,25 @@ def test_dual_bipartite_octahedron():
     assert g.m.num_faces == 6
 
 
+def test_face_labeled_graph_checks_itself():
+    """A malformed dual raises InvalidInput when it is built."""
+    from balmaps import realize
+    cm, _ = maps.checkerboard(maps.quadratic())
+    g = maps.dual_bipartite(cm, realize.realize_generic(cm)[1])
+    blue = sorted(g.blue_vertices)
+    with pytest.raises(InvalidInput, match="bijection onto 1..2d-2"):
+        maps.FaceLabeledGraph(g.m, g.blue_vertices, (1, 1))
+    with pytest.raises(InvalidInput, match="bijection onto 1..d"):
+        maps.FaceLabeledGraph(g.m, g.blue_vertices, g.face_red, ((blue[0], 1), (blue[1], 1)))
+    with pytest.raises(InvalidInput, match="not bipartite"):
+        maps.FaceLabeledGraph(g.m, frozenset(g.m.vertex_ids()), g.face_red)
+    # every edge of this map has vertex 1 at one end, so only the vertex
+    # check refuses a blue vertex that is no vertex
+    star = maps.build_map([[1, 2, 3, 4], [5, 6], [7], [8]], [[1, 5], [2, 6], [3, 7], [4, 8]])
+    with pytest.raises(InvalidInput, match="blue vertex 99 is not a vertex id"):
+        maps.FaceLabeledGraph(star, frozenset({1, 99}), (1, 2), ((1, 1), (99, 2)))
+
+
 # Literal codes pin the code format: a change to it fails here, not only as a
 # mismatch between two codes computed by the same new kernel.
 OCTAHEDRON_COLORED = (

@@ -86,14 +86,12 @@ def test_monodromy_quadratic():
     cm = colored(maps.quadratic())
     t = realize.monodromy(cm, realize.realize_generic(cm)[1])
     assert t.taus == ((1, 2), (1, 2))
-    t.validate()
 
 
 def test_monodromy_octahedron_valid():
     cm = colored(maps.octahedron())
     t = realize.monodromy(cm, realize.realize_generic(cm)[1])
     assert t.d == 4 and len(t.taus) == 6
-    t.validate()
     # the octahedron's sheets each meet three critical points
     moves = Counter()
     for a, b in t.taus:
@@ -104,10 +102,17 @@ def test_monodromy_octahedron_valid():
 
 def test_tuple_validation_rejects_bad_product():
     with pytest.raises(InvalidTuple):
-        realize.TranspositionTuple(3, ((1, 2), (1, 3), (1, 2), (1, 2))).validate()
+        realize.TranspositionTuple(3, ((1, 2), (1, 3), (1, 2), (1, 2)))
     with pytest.raises(InvalidTuple):
         realize.TranspositionTuple(
-            4, ((1, 2), (1, 2), (3, 4), (3, 4), (1, 2), (1, 2))).validate()  # not transitive
+            4, ((1, 2), (1, 2), (3, 4), (3, 4), (1, 2), (1, 2)))  # not transitive
+
+
+def test_tuple_file_is_checked_when_read():
+    """A tuple read from a file checks itself when it is built, before any
+    gluing."""
+    with pytest.raises(InvalidTuple, match="product of the tuple is not the identity"):
+        mapio.tuple_from_dict({"fmt": 1, "d": 3, "taus": [[1, 2], [1, 3], [1, 2], [1, 2]]})
 
 
 def test_graph_from_monodromy_quadratic():
