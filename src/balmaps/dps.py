@@ -38,7 +38,7 @@ from .realize import TranspositionTuple, graph_from_monodromy
 
 TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red_b)
 
-# enumerate_trees lists (2d-2)! d^(d-3) trees: 1,008,000 at degree 5
+# _trees streams (2d-2)! d^(d-3) trees, 1,008,000 at degree 5; enumerate_trees lists fewer
 TREE_DEGREE_CAP = 5
 # bounds decoding time, laps x O(d): a path tree on d whites takes d laps
 DECODE_DEGREE_CAP = 500
@@ -153,7 +153,7 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
 
 
 def _trees(d: int) -> Iterator[EdgeLabeledTree]:
-    """The trees of ``enumerate_trees`` one at a time.  For d >= 3 whites
+    """The trees of degree d one at a time, up to TREE_DEGREE_CAP.  For d >= 3 whites
     are named by their distinct blue labels, so each (shape, reds) pair is
     a distinct tree; at d = 2 the two are one, and the first is kept."""
     if d > TREE_DEGREE_CAP:
@@ -173,7 +173,9 @@ def _trees(d: int) -> Iterator[EdgeLabeledTree]:
 
 
 def enumerate_trees(d: int) -> List[EdgeLabeledTree]:
-    """All edge-labeled, red-labeled trees: (2d-2)! d^(d-3) of them."""
+    """All (2d-2)! d^(d-3) edge-labeled, red-labeled trees, for d < TREE_DEGREE_CAP."""
+    if d >= TREE_DEGREE_CAP:
+        raise LimitExceeded("tree list capped at degree %d" % (TREE_DEGREE_CAP - 1))
     return list(_trees(d))
 
 
@@ -506,10 +508,7 @@ def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
     dual's blue vertices in ascending id order are sheets 1..d.
     """
     real = graph_from_monodromy(tree_to_tuple(t))
-    g = dual_bipartite(real.colored, real.labels)
-    blues = sorted(g.blue_vertices)
-    return FaceLabeledGraph(g.m, g.blue_vertices, g.face_red,
-                            tuple(zip(blues, range(1, t.d + 1))))
+    return dual_bipartite(real.colored, real.labels, range(1, t.d + 1))
 
 
 def verify_counting_chain(d: int) -> dict:

@@ -113,7 +113,7 @@ class CombinatorialMap:
     """An embedded graph on the oriented sphere, as a rotation system."""
 
     __slots__ = ("n", "sigma", "alpha", "phi", "faces", "face_of",
-                 "vertex_of", "_vertices", "_code")
+                 "vertex_of", "_vertices", "_code", "_root", "_orbits")
 
     def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
         n = len(sigma) - 1
@@ -272,24 +272,16 @@ class CombinatorialMap:
             trace.append(y)
         return trace, lab
 
-    def _least_trace(self, decorate=None) -> Tuple[int, ...]:
-        """Least BFS trace over all root darts, each extended by
-        ``decorate(lab)`` when given, prefixed by the dart count."""
-        return self._least_root(decorate)[0]
-
-    def _least_root(self, decorate=None):
-        """``_least_trace``'s code, the least root that gives it, and the
-        union-find of the automorphism orbits found (None if no root tied).
-
-        A root whose trace exceeds the best is dropped at its first larger
-        entry; only one that ties or beats it is decorated.  A root whose
-        trace and decoration tie the best gives an automorphism, since one
-        dart fixes it, and a root whose orbit under those found holds a
-        smaller dart is skipped: each traced tie at least doubles the group.
-        ``decorate`` lists every face or vertex, so that an automorphism
-        from a tied decoration preserves what it lists."""
+    def _least_root(self):
+        """The code (the dart count, then the least BFS trace over all
+        roots), the least root that gives it, and the union-find of the
+        automorphism orbits found (None if no root tied).  A root whose
+        trace exceeds the best is dropped at its first larger entry; one
+        that ties it gives an automorphism, since one dart fixes it, and a
+        root whose orbit holds a smaller dart is skipped: each traced tie
+        at least doubles the group."""
         n = self.n
-        best = best_dec = best_lab = best_root = parent = None
+        best = best_lab = best_root = parent = None
         for root in range(1, n + 1):
             if parent is not None and parent[root] != root:
                 continue
@@ -297,11 +289,10 @@ class CombinatorialMap:
             if res is None:
                 continue
             trace, lab = res
-            dec = decorate(lab) if decorate is not None else []
             # the trace is not above the best: it beats it unless they are equal
-            if trace != best or dec < best_dec:
-                best, best_dec, best_lab, best_root = trace, dec, lab, root
-            elif dec == best_dec:
+            if trace != best:
+                best, best_lab, best_root = trace, lab, root
+            else:
                 # the automorphism takes the dart labelled k from best_root
                 # to the dart labelled k from root
                 if parent is None:
@@ -309,16 +300,16 @@ class CombinatorialMap:
                 dart = sorted(range(n + 1), key=lab.__getitem__)
                 for d in range(1, n + 1):
                     union(parent, d, dart[best_lab[d]])
-        return (n,) + tuple(best + best_dec), best_root, parent
+        return (n,) + tuple(best), best_root, parent
 
     def canonical_code(self) -> Tuple[int, ...]:
         """Lexicographically least BFS trace over all root darts.
 
         Complete invariant: two maps have equal codes iff some dart
-        relabeling commutes with both sigma and alpha.
-        """
+        relabeling commutes with both sigma and alpha.  Scanned once, with
+        the least root and orbits kept for ``canonical_roots``."""
         if self._code is None:
-            self._code = self._least_trace()
+            self._code, self._root, self._orbits = self._least_root()
         return self._code
 
     def canonical_roots(self) -> List[int]:
@@ -326,10 +317,11 @@ class CombinatorialMap:
 
         Every such root ties the least one or is skipped for a smaller one
         in its orbit, so they form the least one's union-find class."""
-        self._code, root, parent = self._least_root()
-        if parent is None:
-            return [root]
-        return [d for d in range(1, self.n + 1) if find(parent, d) == root]
+        if self._code is None:
+            self.canonical_code()
+        if self._orbits is None:
+            return [self._root]
+        return [d for d in range(1, self.n + 1) if find(self._orbits, d) == self._root]
 
     def relabeled(self, perm: Perm) -> "CombinatorialMap":
         """Conjugate sigma and alpha by a dart permutation (an isomorphic copy)."""
@@ -486,9 +478,14 @@ class ColoredMap:
                 for i in _by_least_label(self.m.faces, lab)]
 
     def colored_code(self) -> Tuple[int, ...]:
-        """Canonical code refined by the blue/white bit of every face."""
+        """The map's code, then the least blue bits of the faces over its
+        canonical roots.  An automorphism keeps or swaps the colour classes,
+        so a root on a white face gives the least, or any root if none is."""
         if self._colored_code is None:
-            self._colored_code = self.m._least_trace(self.face_bits)
+            roots = self.m.canonical_roots()
+            root = next((r for r in roots if not self.is_forward(r)), roots[0])
+            self._colored_code = self.m._code + tuple(
+                self.face_bits(self.m._bfs_trace(root)[1]))
         return self._colored_code
 
     def __eq__(self, other):
@@ -702,22 +699,25 @@ class FaceLabeledGraph:
                 raise InvalidInput("blue vertex %r is not a vertex id" % (v,))
 
     def canonical_code(self) -> Tuple[int, ...]:
-        """Canonical form refined by face reds and blue vertex labels."""
-        m = self.m
-        lab_map = self.blue_label_map()
+        """Canonical form refined by face reds and blue vertex labels: every
+        trace has 2n entries, so it is the map's code, then the least
+        decoration over its canonical roots."""
+        m, labels = self.m, self.blue_label_map()
+        marks = [labels.get(c[0], -1) if c[0] in self.blue_vertices else 0 for c in m._vertices]
 
         def decorate(lab):
-            vertices = (m._vertices[i][0] for i in _by_least_label(m._vertices, lab))
             return ([self.face_red[i] for i in _by_least_label(m.faces, lab)]
-                    + [lab_map.get(v, -1) if v in self.blue_vertices else 0
-                       for v in vertices])
-        return m._least_trace(decorate)
+                    + [marks[i] for i in _by_least_label(m._vertices, lab)])
+        roots = m.canonical_roots()
+        return m._code + tuple(min(decorate(m._bfs_trace(r)[1]) for r in roots))
 
 
-def dual_bipartite(cm: ColoredMap, labels: Dict[int, int]) -> FaceLabeledGraph:
+def dual_bipartite(cm: ColoredMap, labels: Dict[int, int],
+                   blue_labels: Optional[Sequence[int]] = None) -> FaceLabeledGraph:
     """Dual of a realized colored map: one blue vertex per blue face, one
     white per white face, one edge per edge of the diagram, and one face per
     4-valent vertex, red-labeled by that vertex's critical label.
+    ``blue_labels`` optionally labels the blue vertices in ascending id order.
     """
     from .errors import NotRealized
     m = cm.m
@@ -739,4 +739,5 @@ def dual_bipartite(cm: ColoredMap, labels: Dict[int, int]) -> FaceLabeledGraph:
     for orbit in dual.faces:
         v = m.vertex_of[m.alpha[orbit[0]]]
         reds.append(labels[v])
-    return FaceLabeledGraph(dual, blue_vs, tuple(reds))
+    return FaceLabeledGraph(dual, blue_vs, tuple(reds), None if blue_labels is None
+                            else tuple(zip(sorted(blue_vs), blue_labels)))

@@ -42,6 +42,16 @@ def test_validate_malformed(tmp_path, capsys):
     assert json.loads(out)["error"] == "NonZeroGenus"
 
 
+def test_validate_disconnected(tmp_path, capsys):
+    # two one-vertex maps (figure eights) side by side
+    p = tmp_path / "two.json"
+    p.write_text('{"fmt":1,"darts":8,"sigma":[[1,2,3,4],[5,6,7,8]],'
+                 '"alpha":[[1,2],[3,4],[5,6],[7,8]]}')
+    code, out = run_capture(capsys, ["validate", str(p)])
+    assert code == 2
+    assert json.loads(out)["error"] == "Disconnected"
+
+
 def test_balance_exit_codes(tmp_path, capsys):
     path = write_map(tmp_path, maps.checkerboard(maps.octahedron())[0])
     code, out = run_capture(capsys, ["balance", path, "--oracle", "both"])

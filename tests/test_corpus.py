@@ -159,6 +159,36 @@ def test_colored_corpus_matches_colored_code_dedup(corpus6):
     assert colored == corpus6.colored
 
 
+def test_one_least_root_scan_per_map(monkeypatch):
+    """Building corpus6, coding both colourings of every map and listing
+    its canonical roots scans each map's roots once; with the map's code
+    cached, a colouring's code traces one root."""
+    scanned, traced = [], []
+    scan, trace = maps.CombinatorialMap._least_root, maps.CombinatorialMap._bfs_trace
+
+    def scan_spy(self):
+        scanned.append(self)
+        return scan(self)
+
+    def trace_spy(self, root, bound=None):
+        traced.append(root)
+        return trace(self, root, bound)
+    monkeypatch.setattr(maps.CombinatorialMap, "_least_root", scan_spy)
+    c = corpus.build_corpus(6)
+    for m in c.uncolored:
+        for cm in maps.checkerboard(m):
+            cm.colored_code()
+        m.canonical_roots()
+    assert len(scanned) == len(c.uncolored) == 1106
+    assert len(set(map(id, scanned))) == 1106
+    monkeypatch.setattr(maps.CombinatorialMap, "_bfs_trace", trace_spy)
+    for cm in c.colored:
+        traced.clear()
+        maps.ColoredMap(cm.m, cm.blue_faces, check=False).colored_code()
+        assert len(traced) == 1
+    assert len(scanned) == 1106
+
+
 @pytest.mark.parametrize("v", [1, 0, -1])
 def test_corpus_below_two_vertices_rejected(v):
     with pytest.raises(InvalidInput, match="max_vertices"):

@@ -60,6 +60,16 @@ def test_enumerate_trees_cap():
         dps.enumerate_trees(6)
 
 
+def test_enumerate_trees_refuses_degree_five_before_any_work(monkeypatch):
+    """The d = 5 list would hold 1,008,000 trees; it is refused before a
+    shape is listed, while verify_counting_chain(5) still streams them."""
+    def shapes(d):
+        raise AssertionError("shapes listed for degree %d" % d)
+    monkeypatch.setattr(dps, "_edge_labeled_shapes", shapes)
+    with pytest.raises(LimitExceeded, match="degree 4"):
+        dps.enumerate_trees(5)
+
+
 def path_tree(d):
     """The path on d white vertices: edge i joins i and i + 1, with blue
     label i + 1 and red labels 2i + 1 and 2i + 2."""

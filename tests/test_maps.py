@@ -328,6 +328,21 @@ def test_bfs_trace_matches_reference(corpus6):
                 assert got == (None if trace > bound else (trace, lab)), (m, root, bound)
 
 
+def dual_decoration(g):
+    """The decoration of a labeled dual for ``full_scan``: the red of every
+    face, then every vertex's mark (its blue label, -1 for an unlabeled
+    blue vertex, 0 for a white one), each ordered by least dart label."""
+    m, labels = g.m, g.blue_label_map()
+
+    def decorate(lab):
+        first = lambda cyc: min(lab[x] for x in cyc)
+        faces = sorted(range(m.num_faces), key=lambda i: first(m.faces[i]))
+        marks = [labels.get(cyc[0], -1) if cyc[0] in g.blue_vertices else 0
+                 for cyc in sorted(m.vertices(), key=first)]
+        return [g.face_red[i] for i in faces] + marks
+    return decorate
+
+
 def full_scan(m, decorate):
     """Every root's whole reference trace and decoration; the least one."""
     best = min(trace + (decorate(lab) if decorate else [])
@@ -337,19 +352,21 @@ def full_scan(m, decorate):
 
 @pytest.fixture
 def least_trace_calls(monkeypatch):
-    """Record (map, decorate) of every _least_trace call."""
+    """Record the map of every _least_root scan."""
     calls = []
-    kernel = maps.CombinatorialMap._least_trace
+    kernel = maps.CombinatorialMap._least_root
 
-    def spy(self, decorate=None):
-        calls.append((self, decorate))
-        return kernel(self, decorate)
-    monkeypatch.setattr(maps.CombinatorialMap, "_least_trace", spy)
+    def spy(self):
+        calls.append(self)
+        return kernel(self)
+    monkeypatch.setattr(maps.CombinatorialMap, "_least_root", spy)
     return calls
 
 
-def assert_kernel_matches_scan(code, calls):
-    (m, decorate), = calls
+def assert_kernel_matches_scan(code, calls, decorate=None):
+    """The code came from one scan of its map, and equals the full scan
+    of that map's roots with ``decorate``."""
+    m, = calls
     calls.clear()
     assert code == full_scan(m, decorate)
 
@@ -371,12 +388,12 @@ def test_least_trace_matches_full_scan(corpus6, duals4, least_trace_calls):
                + [c for cm in covers for c in (cm, cm.swapped())])
     for cm in colored:
         cm2 = relabeled_colored(cm, rng)
-        assert_kernel_matches_scan(cm2.colored_code(), least_trace_calls)
+        assert_kernel_matches_scan(cm2.colored_code(), least_trace_calls, cm2.face_bits)
         assert cm2.colored_code() == cm.colored_code()
         least_trace_calls.clear()
     for g in duals4:
         g2 = relabeled_dual(g, rng)
-        assert_kernel_matches_scan(g2.canonical_code(), least_trace_calls)
+        assert_kernel_matches_scan(g2.canonical_code(), least_trace_calls, dual_decoration(g2))
         assert g2.canonical_code() == g.canonical_code()
         least_trace_calls.clear()
 
