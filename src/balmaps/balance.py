@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .errors import PreconditionFailed, TooLarge
@@ -146,12 +147,14 @@ def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Dict[int, in
     flow = dict.fromkeys(sorted(shared), 0)
     left = w[:]  # supply left at blue faces, demand left at white ones
     value = 0
+    sources = deque(sorted(blue))  # supply only falls: a pointer into sorted(blue)
     while value < total:
-        parent = {f: None for f in sorted(blue) if left[f]}
-        queue = deque(parent)
-        end = None
-        while queue and end is None:
-            f = queue.popleft()
+        while not left[sources[0]]:
+            sources.popleft()
+        # the sources with supply left pop first, ascending, before any face they reach
+        parent, queue, end = {}, [], None
+        for f in chain(filter(left.__getitem__, sources), queue):
+            parent.setdefault(f, None)
             for g in nbrs[f]:
                 if g in parent or (f not in blue and not flow[g, f]):
                     continue
@@ -160,6 +163,8 @@ def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Dict[int, in
                     end = g
                     break
                 queue.append(g)
+            if end is not None:
+                break
         if end is None:
             blues = sorted(f for f in parent if f in blue)
             whites = sorted(f for f in parent if f not in blue)

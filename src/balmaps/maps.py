@@ -119,30 +119,29 @@ class CombinatorialMap:
         n = len(sigma) - 1
         if n < 2 or n % 2:
             raise InvalidInput("dart count must be a positive even integer")
-        sigma = _check_perm(sigma, n, "sigma")
-        alpha = _check_perm(alpha, n, "alpha")
+        self.sigma = sigma = _check_perm(sigma, n, "sigma")
+        self.alpha = alpha = _check_perm(alpha, n, "alpha")
         for d in range(1, n + 1):
-            if alpha[d] == d:
+            a = alpha[d]
+            if a == d:
                 raise AlphaHasFixedPoint("alpha fixes dart %d" % d)
-            if alpha[alpha[d]] != d:
+            if alpha[a] != d:
                 raise AlphaNotInvolution("alpha is not an involution at dart %d" % d)
         self.n = n
-        self.sigma = tuple(sigma)
-        self.alpha = tuple(alpha)
-        self.phi = tuple(0 if d == 0 else self.sigma[self.alpha[d]] for d in range(n + 1))
+        self.phi = phi = (0, *map(sigma.__getitem__, alpha[1:]))
 
-        self._vertices = perm_cycles(self.sigma)
-        self.vertex_of = [0] * (n + 1)
-        for cyc in self._vertices:
+        self._vertices = vertices = perm_cycles(sigma)
+        self.vertex_of = vertex_of = [0] * (n + 1)
+        for cyc in vertices:
             v = cyc[0]
             for d in cyc:
-                self.vertex_of[d] = v
+                vertex_of[d] = v
 
-        self.faces = perm_cycles(self.phi)
-        self.face_of = [0] * (n + 1)
-        for i, orbit in enumerate(self.faces):
+        self.faces = faces = perm_cycles(phi)
+        self.face_of = face_of = [0] * (n + 1)
+        for i, orbit in enumerate(faces):
             for d in orbit:
-                self.face_of[d] = i
+                face_of[d] = i
 
         if not self._connected():
             raise Disconnected("sigma and alpha do not act transitively")
@@ -196,22 +195,22 @@ class CombinatorialMap:
         return all(len(c) == 4 for c in self._vertices)
 
     def _connected(self) -> bool:
+        sigma, alpha = self.sigma, self.alpha
         seen = [False] * (self.n + 1)
         stack = [1]
-        seen[1] = True
         cnt = 0
         while stack:
             d = stack.pop()
-            cnt += 1
-            for nb in (self.sigma[d], self.alpha[d]):
-                if not seen[nb]:
-                    seen[nb] = True
-                    stack.append(nb)
+            while not seen[d]:  # walk d's vertex, stacking each alpha-image
+                seen[d] = True
+                cnt += 1
+                stack.append(alpha[d])
+                d = sigma[d]
         return cnt == self.n
 
     # -- isomorphism ----------------------------------------------------------
 
-    def _bfs_trace(self, root: int, bound: Optional[Sequence[int]] = None
+    def _bfs_trace(self, root: int, bound: Optional[List[int]] = None
                    ) -> Optional[Tuple[List[int], List[int]]]:
         """Relabel darts by BFS discovery from ``root``; return (trace, lab).
 
@@ -222,17 +221,20 @@ class CombinatorialMap:
         the trace larger than it; comparison stops at the first difference.
 
         The bounded phase compares each dart's two entries with the
-        bound's two, as pairs, so that their first difference decides; the
-        free phase after a smaller pair compares nothing.  One iterator
-        over the growing discovery order serves both phases.
+        bound's two, as pairs, so that their first difference decides, and
+        records nothing: while they tie, the trace is the bound's prefix,
+        copied once at a smaller pair (a whole tie returns the bound).  The
+        free phase compares nothing.  One iterator over the growing
+        discovery order serves both phases.
         """
         sigma, alpha = self.sigma, self.alpha
         lab = [0] * (self.n + 1)
         lab[root] = top = 1
         order = [root]
-        trace = []
         darts = iter(order)
-        if bound is not None:
+        if bound is None:
+            trace = []
+        else:
             k = 0
             for d in darts:
                 nb = sigma[d]
@@ -247,14 +249,15 @@ class CombinatorialMap:
                     order.append(nb)
                     top += 1
                     y = lab[nb] = top
-                trace.append(x)
-                trace.append(y)
-                b, c = bound[k], bound[k + 1]
-                if x != b or y != c:
-                    if (x, y) > (b, c):
+                b = bound[k]
+                if x != b or y != bound[k + 1]:
+                    if x > b or x == b and y > bound[k + 1]:
                         return None
+                    trace = bound[:k] + [x, y]
                     break
                 k += 2
+            else:
+                return bound, lab
         for d in darts:
             nb = sigma[d]
             x = lab[nb]
@@ -281,23 +284,25 @@ class CombinatorialMap:
         root whose orbit holds a smaller dart is skipped: each traced tie
         at least doubles the group."""
         n = self.n
+        trace_from = self._bfs_trace
         best = best_lab = best_root = parent = None
         for root in range(1, n + 1):
             if parent is not None and parent[root] != root:
                 continue
-            res = self._bfs_trace(root, best)
+            res = trace_from(root, best)
             if res is None:
                 continue
             trace, lab = res
-            # the trace is not above the best: it beats it unless they are equal
-            if trace != best:
+            # the trace is not above the best: it beats it unless the kernel
+            # handed the best back, which it does for a whole tie
+            if trace is not best:
                 best, best_lab, best_root = trace, lab, root
             else:
                 # the automorphism takes the dart labelled k from best_root
                 # to the dart labelled k from root
                 if parent is None:
                     parent = list(range(n + 1))
-                dart = sorted(range(n + 1), key=lab.__getitem__)
+                dart = dict(zip(lab, range(n + 1)))
                 for d in range(1, n + 1):
                     union(parent, d, dart[best_lab[d]])
         return (n,) + tuple(best), best_root, parent
@@ -450,9 +455,10 @@ class ColoredMap:
             for f in self.blue_faces:
                 if not 0 <= f < m.num_faces:
                     raise InvalidInput("blue face index %r out of range" % (f,))
-            for e in m.edges():
-                f1, f2 = m.edge_sides(e)
-                if (f1 in self.blue_faces) == (f2 in self.blue_faces):
+            blue = [f in self.blue_faces for f in range(m.num_faces)]
+            face_of, alpha = m.face_of, m.alpha
+            for d in range(1, m.n + 1):
+                if blue[face_of[d]] == blue[face_of[alpha[d]]]:
                     raise InvalidInput("blue_faces is not a proper 2-coloring")
 
     def is_blue(self, face: int) -> bool:

@@ -184,6 +184,25 @@ def test_face_equations_pinned(corpus6):
         "0effcb950846d93180ca533ac1112d25d6e065319f33c6208bad0527b8151a67")
 
 
+def pinched_twice(cm):
+    """``cm`` pinched across its largest blue face, then across the largest
+    white face of the result, so that both counts rise by one and the
+    flow runs on a less symmetric map."""
+    for colour in ("blue_faces", "white_faces"):
+        orbit = max((cm.m.faces[f] for f in sorted(getattr(cm, colour))), key=len)
+        cm = maps.pinch(cm, orbit[0], orbit[len(orbit) // 2])
+    return cm
+
+
+def test_face_equations_pinned_on_turksheads():
+    """Counts and flow info of turkshead(3..30) and a pinched copy of
+    each, as the search gave them when it seeded every source again in
+    each augmentation: the lazily seeded sources keep the BFS order."""
+    heads = [colored(maps.turkshead(n)) for n in range(3, 31)]
+    assert face_equations_digest([c for cm in heads for c in (cm, pinched_twice(cm))]) == (
+        "c3f84116fa4557c2a6eea0fe4c8b25e07a2d44fd4841b68c5c746f0315f9776d")
+
+
 def test_murasugi_sum_preserves_global_balance_counts():
     from balmaps import decompose
     a = colored(maps.quadratic())

@@ -37,3 +37,21 @@ def test_no_validate_and_no_map_check_knob():
                     k.arg == "check" for k in node.keywords):
                 found.append("%s passes check= to CombinatorialMap" % where)
     assert found == []
+
+
+def test_one_map_constructor_and_one_trace_kernel():
+    """A map is built one way, from its two tables, with no second
+    constructor beside ``__init__``; the trace kernel keeps its one
+    optional argument, the bound."""
+    cls, = [node for _, node in _nodes()
+            if isinstance(node, ast.ClassDef) and node.name == "CombinatorialMap"]
+    methods = {f.name: f for f in cls.body if isinstance(f, ast.FunctionDef)}
+
+    def signature(name):
+        a = methods[name].args
+        return ([x.arg for x in a.posonlyargs + a.args], [ast.unparse(x) for x in a.defaults],
+                a.vararg, [x.arg for x in a.kwonlyargs], a.kwarg)
+    assert signature("__init__") == (["self", "sigma", "alpha"], [], None, [], None)
+    assert signature("_bfs_trace") == (["self", "root", "bound"], ["None"], None, [], None)
+    assert [f.name for f in methods.values() for d in f.decorator_list
+            if _name(d) in ("classmethod", "staticmethod")] == []

@@ -8,8 +8,10 @@ from balmaps import maps
 from balmaps.errors import (
     AlphaHasFixedPoint,
     AlphaNotInvolution,
+    Disconnected,
     InvalidInput,
     InvalidPinch,
+    MapError,
     NonZeroGenus,
     NotFourValent,
 )
@@ -63,19 +65,235 @@ def test_octahedron_is_turkshead_three():
 
 
 def test_build_map_errors():
-    # singleton alpha cycles are rejected as non-pairs by the builder
-    with pytest.raises((AlphaNotInvolution, AlphaHasFixedPoint)):
-        maps.build_map([[1, 2], [3, 4]], [[1, 2], [3], [4]])
-    with pytest.raises(AlphaHasFixedPoint):
-        maps.CombinatorialMap((0, 2, 1, 4, 3), (0, 2, 1, 3, 4))
-    with pytest.raises((AlphaNotInvolution, InvalidInput)):
-        maps.build_map([[1, 2, 3], [4]], [[1, 2, 3], [4]])
-    # two disjoint loops on separate vertices
-    with pytest.raises(Exception):
-        maps.build_map([[1, 2], [3, 4]], [[1, 2], [3, 4]])
-    # torus: one vertex, two crossing loops
-    with pytest.raises(NonZeroGenus):
-        maps.build_map([[1, 2, 3, 4]], [[1, 3], [2, 4]])
+    # each case pins the check that fires first, by class and message
+    cases = [
+        # singleton alpha cycles are rejected as non-pairs by the builder
+        (lambda: maps.build_map([[1, 2], [3, 4]], [[1, 2], [3], [4]]),
+         AlphaNotInvolution, "alpha must be given as dart pairs"),
+        (lambda: maps.CombinatorialMap((0, 2, 1, 4, 3), (0, 2, 1, 3, 4)),
+         AlphaHasFixedPoint, "alpha fixes dart 3"),
+        (lambda: maps.build_map([[1, 2, 3], [4]], [[1, 2, 3], [4]]),
+         AlphaNotInvolution, "alpha must be given as dart pairs"),
+        # two disjoint loops on separate vertices
+        (lambda: maps.build_map([[1, 2], [3, 4]], [[1, 2], [3, 4]]),
+         Disconnected, "sigma and alpha do not act transitively"),
+        # torus: one vertex, two crossing loops
+        (lambda: maps.build_map([[1, 2, 3, 4]], [[1, 3], [2, 4]]),
+         NonZeroGenus, "V-E+F = 0, not a sphere map"),
+    ]
+    for build, cls, message in cases:
+        with pytest.raises(MapError) as info:
+            build()
+        assert (type(info.value), str(info.value)) == (cls, message)
+
+
+MALFORMED = [
+    # tables where several checks could fire, with the class and message of the first
+    pytest.param((0, 1, 2, 3), (0, 2, 1, 3), InvalidInput,
+                 "dart count must be a positive even integer", id="odd dart count"),
+    pytest.param((0, 2, 1, 4, 3), (0, 2, 1), InvalidInput,
+                 "alpha image table must have length darts+1", id="alpha too short"),
+    pytest.param((0, 1, 2, 3, 4), (0, 9, 9, 9), InvalidInput,
+                 "alpha image table must have length darts+1",
+                 id="alpha too short and out of range"),
+    pytest.param((0, 2, 5, 4, 3), (0, 1, 1, 1, 1), InvalidInput,
+                 "sigma is not a permutation of 1..4",
+                 id="sigma out of range before alpha's fixed points"),
+    pytest.param((0, 0, 1, 4, 3), (0, 2, 1, 4, 3), InvalidInput,
+                 "sigma is not a permutation of 1..4", id="sigma maps to slot 0"),
+    pytest.param((0, 2, 1, 4, 3), (0, 2, 2, 4, 3), InvalidInput,
+                 "alpha is not a permutation of 1..4", id="alpha repeats an entry"),
+    pytest.param((0, 2, 1, 4, 3), (0, 2, 1, 4, 5), InvalidInput,
+                 "alpha is not a permutation of 1..4", id="alpha out of range"),
+    pytest.param((0, 2, 3, 4, 1), (0, 1, 3, 4, 2), AlphaHasFixedPoint,
+                 "alpha fixes dart 1", id="fixed point before a non-involution"),
+    pytest.param((0, 2, 3, 4, 1), (0, 2, 3, 1, 4), AlphaNotInvolution,
+                 "alpha is not an involution at dart 1", id="non-involution before a fixed point"),
+    pytest.param((0, 2, 1, 4, 3), (0, 2, 1, 4, 3), Disconnected,
+                 "sigma and alpha do not act transitively", id="two spheres, V-E+F = 4"),
+    pytest.param((0, 2, 3, 4, 1), (0, 3, 4, 1, 2), NonZeroGenus,
+                 "V-E+F = 0, not a sphere map", id="torus"),
+    pytest.param((7, 2, 3, 4, 1), (9, 3, 4, 1, 2), NonZeroGenus,
+                 "V-E+F = 0, not a sphere map", id="torus, slot 0 unread"),
+]
+
+
+@pytest.mark.parametrize("sigma,alpha,cls,message", MALFORMED)
+def test_malformed_tables_raise_the_first_failed_check(sigma, alpha, cls, message):
+    with pytest.raises(MapError) as info:
+        maps.CombinatorialMap(sigma, alpha)
+    assert (type(info.value), str(info.value)) == (cls, message)
+
+
+def reference_map(sigma, alpha):
+    """The constructor's checks and tables as its loops first computed
+    them, apart from the class: (phi, faces, face_of, vertices,
+    vertex_of), or the same exception."""
+    n = len(sigma) - 1
+    if n < 2 or n % 2:
+        raise InvalidInput("dart count must be a positive even integer")
+    sigma = tuple(maps._check_perm(sigma, n, "sigma"))
+    alpha = tuple(maps._check_perm(alpha, n, "alpha"))
+    for d in range(1, n + 1):
+        if alpha[d] == d:
+            raise AlphaHasFixedPoint("alpha fixes dart %d" % d)
+        if alpha[alpha[d]] != d:
+            raise AlphaNotInvolution("alpha is not an involution at dart %d" % d)
+    phi = tuple(0 if d == 0 else sigma[alpha[d]] for d in range(n + 1))
+    vertices = maps.perm_cycles(sigma)
+    vertex_of = [0] * (n + 1)
+    for cyc in vertices:
+        for d in cyc:
+            vertex_of[d] = cyc[0]
+    faces = maps.perm_cycles(phi)
+    face_of = [0] * (n + 1)
+    for i, orbit in enumerate(faces):
+        for d in orbit:
+            face_of[d] = i
+    seen = [False] * (n + 1)
+    stack = [1]
+    seen[1] = True
+    cnt = 0
+    while stack:
+        d = stack.pop()
+        cnt += 1
+        for nb in (sigma[d], alpha[d]):
+            if not seen[nb]:
+                seen[nb] = True
+                stack.append(nb)
+    if cnt != n:
+        raise Disconnected("sigma and alpha do not act transitively")
+    if len(vertices) - n // 2 + len(faces) != 2:
+        raise NonZeroGenus("V-E+F = %d, not a sphere map" % (len(vertices) - n // 2 + len(faces)))
+    return phi, faces, face_of, vertices, vertex_of
+
+
+def random_plane_tree(rng, edges):
+    """The tables of a random plane tree: each vertex hangs below a random
+    earlier one, and each vertex's darts go round in a random order."""
+    at = [[] for _ in range(edges + 1)]
+    alpha = [0] * (2 * edges + 1)
+    for v in range(1, edges + 1):
+        x, y = 2 * v - 1, 2 * v
+        alpha[x], alpha[y] = y, x
+        at[rng.randrange(v)].append(x)
+        at[v].append(y)
+    sigma = [0] * (2 * edges + 1)
+    for darts in at:
+        rng.shuffle(darts)
+        for i, x in enumerate(darts):
+            sigma[x] = darts[(i + 1) % len(darts)]
+    return sigma, alpha
+
+
+def corrupted(rng, sigma, alpha):
+    """The tables with one random fault, which may or may not break them."""
+    sigma, alpha = list(sigma), list(alpha)
+    n = len(sigma) - 1
+    a, b = rng.sample(range(1, n + 1), 2)
+    kind = rng.randrange(7)
+    if kind == 0:  # sigma stays a permutation: the genus or the connection may break
+        sigma[a], sigma[b] = sigma[b], sigma[a]
+    elif kind == 1:  # an entry out of range or repeated
+        rng.choice((sigma, alpha))[a] = rng.choice((0, n + 1, -1, sigma[b]))
+    elif kind == 2:  # two fixed points
+        alpha[a], alpha[alpha[a]] = a, alpha[a]
+    elif kind == 3:  # alpha stays a permutation but not an involution
+        alpha[a], alpha[b] = alpha[b], alpha[a]
+    elif kind == 4:  # two edges re-paired: alpha stays an involution
+        c, e = alpha[a], alpha[b]
+        if len({a, b, c, e}) == 4:
+            alpha[a], alpha[b], alpha[c], alpha[e] = b, a, e, c
+    elif kind == 5:  # a table one too long or too short
+        table = rng.choice((sigma, alpha))
+        table.append(n + 1) if rng.random() < 0.5 else table.pop()
+    else:  # slot 0, which nothing reads
+        sigma[0], alpha[0] = rng.randrange(-3, 3 * n), rng.randrange(-3, 3 * n)
+    return sigma, alpha
+
+
+def random_tables(rng, n):
+    """A random permutation and a random fixed-point-free involution."""
+    sigma = list(range(1, n + 1))
+    rng.shuffle(sigma)
+    darts = list(range(1, n + 1))
+    rng.shuffle(darts)
+    alpha = [0] * (n + 1)
+    for x, y in zip(darts[::2], darts[1::2]):
+        alpha[x], alpha[y] = y, x
+    return [0] + sigma, alpha
+
+
+def test_constructor_matches_reference(corpus6):
+    """On valid tables up to 200 darts (corpus6, random covers, random
+    plane trees), random tables and their corrupted copies, the map has
+    the reference's tables or raises its exception class and message."""
+    from tests.test_decompose import random_cover  # it imports this module
+    rng = random.Random(15)
+    valid = [(m.sigma, m.alpha) for m in corpus6.uncolored[::7]]
+    valid += [(cm.m.sigma, cm.m.alpha) for cm in (random_cover(rng, d) for d in range(3, 27))]
+    valid += [random_plane_tree(rng, rng.randrange(1, 101)) for _ in range(40)]
+    tables = valid + [random_tables(rng, 2 * rng.randrange(1, 101)) for _ in range(100)]
+    tables += [corrupted(rng, *rng.choice(valid)) for _ in range(600)]
+    outcomes = collections.Counter()
+    for sigma, alpha in tables:
+        try:
+            want = reference_map(sigma, alpha)
+        except MapError as exc:
+            want = (type(exc), str(exc))
+        try:
+            m = maps.CombinatorialMap(sigma, alpha)
+            got = m.phi, m.faces, m.face_of, m._vertices, m.vertex_of
+        except MapError as exc:
+            got = (type(exc), str(exc))
+        assert got == want, (sigma, alpha)
+        outcomes[want[0] if isinstance(want[0], type) else "map"] += 1
+    # every check fired somewhere
+    assert set(outcomes) == {"map", InvalidInput, AlphaHasFixedPoint, AlphaNotInvolution,
+                             Disconnected, NonZeroGenus}, outcomes
+
+
+def reference_colouring_error(m, blue):
+    """The colouring check over the edges and their sides: the exception
+    it raises first, or None."""
+    blue = frozenset(blue)
+    if not m.is_four_valent():
+        return NotFourValent("all vertices must have valence 4")
+    for f in blue:
+        if not 0 <= f < m.num_faces:
+            return InvalidInput("blue face index %r out of range" % (f,))
+    for e in m.edges():
+        f1, f2 = m.edge_sides(e)
+        if (f1 in blue) == (f2 in blue):
+            return InvalidInput("blue_faces is not a proper 2-coloring")
+    return None
+
+
+def test_colouring_check_matches_reference(corpus6):
+    """On the checkerboard colourings of corpus6 maps, copies with a face
+    flipped, random face sets and sets with a face out of range, and on
+    maps that are not 4-valent, ColoredMap raises what the reference does."""
+    rng = random.Random(16)
+    cases = []
+    for m in corpus6.uncolored[::3]:
+        faces = range(m.num_faces)
+        for cm in maps.checkerboard(m):
+            cases.append((m, set(cm.blue_faces)))
+            cases.append((m, set(cm.blue_faces) ^ {rng.choice(faces)}))
+        cases.append((m, {f for f in faces if rng.random() < 0.5}))
+        cases.append((m, {rng.choice(faces), rng.choice((-1, m.num_faces))}))
+    cases += [(maps.CombinatorialMap(*random_plane_tree(rng, 4)), {0}) for _ in range(5)]
+    seen = collections.Counter()
+    for m, blue in cases:
+        want = reference_colouring_error(m, blue)
+        try:
+            maps.ColoredMap(m, blue)
+            got = None
+        except MapError as exc:
+            got = exc
+        assert (type(got), str(got)) == (type(want), str(want)), (m, blue)
+        seen[type(want), "out of range" in str(want)] += 1
+    assert len(seen) == 4, seen
 
 
 def test_euler_for_generators():
