@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
-from .errors import PreconditionFailed, TooLarge
+from .errors import LimitExceeded, Mismatch, PreconditionFailed
 from .maps import ColoredMap, directed_cycles, left_faces
 
 # the curve oracle is exponential in the vertex count
@@ -78,7 +78,7 @@ def enumerate_blue_left_curves(cm: ColoredMap):
     """
     m = cm.m
     if m.num_vertices > CURVE_ORACLE_MAX_VERTICES:
-        raise TooLarge("curve oracle capped at %d vertices" % CURVE_ORACLE_MAX_VERTICES)
+        raise LimitExceeded("curve oracle capped at %d vertices" % CURVE_ORACLE_MAX_VERTICES)
     forward = [cm.forward_dart(e) for e in m.edges()]
     return [(darts,) + curve_left_counts(cm, darts)
             for darts in directed_cycles(m, forward)]
@@ -94,7 +94,7 @@ def curve_left_counts(cm: ColoredMap, darts: Tuple[int, ...]) -> Tuple[int, int]
     left = left_faces(m, darts)
     right = left_faces(m, [m.alpha[d] for d in darts])
     if left & right or len(left) + len(right) != m.num_faces:
-        raise PreconditionFailed("curve does not separate the sphere")
+        raise Mismatch("curve does not separate the sphere")
     B = sum(1 for f in left if f in cm.blue_faces)
     W = len(left) - B
     return B, W
@@ -235,7 +235,7 @@ def is_balanced(cm: ColoredMap, oracle: str = "flow") -> BalanceReport:
         local, wit = ok_curves, cwit
     else:
         if ok_flow != ok_curves:
-            raise PreconditionFailed(
+            raise Mismatch(
                 "flow and curve oracles disagree: flow=%s curves=%s" % (ok_flow, ok_curves))
         local, wit = ok_flow, (cwit if not ok_curves else None)
     return BalanceReport(True, True, local, witness=wit,

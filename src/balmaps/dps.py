@@ -25,14 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .errors import (
-    DegreePropertyFailed,
-    InvalidInput,
-    LimitExceeded,
-    MatchingStuck,
-    NonTermination,
-    NotSpanning,
-)
+from .errors import DegreePropertyFailed, InvalidInput, LimitExceeded, Mismatch
 from .maps import FaceLabeledGraph, count_components, dual_bipartite
 from .realize import TranspositionTuple, graph_from_monodromy
 
@@ -311,8 +304,8 @@ def bernardi_spanning_tree(o: EdgeOrientation) -> SpanningTree:
         else:
             path.pop()
     if len(visited) != m.num_vertices:
-        raise NotSpanning("search visited %d of %d vertices"
-                          % (len(visited), m.num_vertices))
+        raise Mismatch("search visited %d of %d vertices"
+                       % (len(visited), m.num_vertices))
     return SpanningTree(root, frozenset(tree_edges), parent_dart)
 
 
@@ -331,7 +324,7 @@ def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
     root_tree_edges = [e for e in st.edges
                        if root in (m.vertex_of[e], m.vertex_of[m.alpha[e]])]
     if len(root_tree_edges) != 1:
-        raise NotSpanning("root must be a leaf of the spanning tree")
+        raise Mismatch("root must be a leaf of the spanning tree")
     kept = st.edges - {root_tree_edges[0]}
     whites = sorted(v for v in m.vertex_ids() if v not in g.blue_vertices)
     widx = {v: i for i, v in enumerate(whites)}
@@ -345,7 +338,7 @@ def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
     for mid in sorted(g.blue_vertices - {root}):
         ends = ends_at[mid]
         if len(ends) != 2:
-            raise NotSpanning("midpoint %d has tree degree %d" % (mid, len(ends)))
+            raise Mismatch("midpoint %d has tree degree %d" % (mid, len(ends)))
         (wa, ra), (wb, rb) = sorted(ends)
         edges.append((wa, wb, labels[mid], ra, rb))
     return EdgeLabeledTree(d, tuple(edges))
@@ -388,7 +381,7 @@ def _contour_runs(t: EdgeLabeledTree) -> List[Tuple[int, int, int]]:
         if (v, s) == (0, first):
             break
     if len(runs) != 2 * n + 1 or (v, s) != (0, first):
-        raise MatchingStuck("contour does not close after %d corners" % (2 * n))
+        raise Mismatch("contour does not close after %d corners" % (2 * n))
     # the last corner stops at slot n - 1; the first run holds the rest
     runs[-1] = (0, runs[-1][1], n - 1 - arrived)
     return [run for run in runs if run[2]]
@@ -416,7 +409,7 @@ def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
     d = 5..14.  Random trees up to d = 400 settle in 2-8 laps, a path tree
     on d whites in d.  A sewing that breaks the tuple read off it fails
     that tuple's construction with InvalidTuple.  Laps are capped at the
-    hair count plus 2, past which NonTermination is raised.
+    hair count plus 2, past which Mismatch is raised.
     """
     d = t.d
     n = 2 * d - 2
@@ -462,8 +455,7 @@ def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
         if matched == previous:
             return matched
         previous = matched
-    raise NonTermination("contour sewing still changes after %d laps"
-                         % (hairs + 2))
+    raise Mismatch("contour sewing still changes after %d laps" % (hairs + 2))
 
 
 def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
@@ -489,7 +481,7 @@ def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
     for mid, group in itertools.groupby(_sew(t, _contour_runs(t)), lambda q: q[0]):
         group = list(group)
         if sum(q[2] for q in group) != n:
-            raise MatchingStuck("unmatched hairs remain at midpoint %d" % (mid - d))
+            raise Mismatch("unmatched hairs remain at midpoint %d" % (mid - d))
         # the last interval wraps around to the first
         for (_, _, _, was), (_, lo, _, w) in zip(group[-1:] + group, group):
             if was != w:

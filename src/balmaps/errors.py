@@ -1,8 +1,8 @@
 """Exception types raised by the balmaps library.
 
-Every structural or mathematical failure mode has a named class so that
-callers (and the CLI) can distinguish malformed input from a negative
-mathematical verdict.
+Each kind of failure has one named class, so that callers (and the CLI)
+can tell malformed input, a refused size, a broken internal invariant and
+a negative mathematical verdict apart.
 """
 
 
@@ -36,19 +36,11 @@ class InvalidPinch(MapError):
     pass
 
 
-class NotRealized(MapError):
-    pass
-
-
 class InvalidInput(MapError):
     pass
 
 
 # -- balance ----------------------------------------------------------------
-
-class TooLarge(MapError):
-    pass
-
 
 class PreconditionFailed(MapError):
     pass
@@ -58,10 +50,6 @@ class PreconditionFailed(MapError):
 
 class InvalidMatching(MapError):
     pass
-
-
-class InconsistentCocycle(MapError):
-    """Cocycle integration failed; unreachable for a valid sphere map."""
 
 
 class NotBalanced(MapError):
@@ -78,16 +66,13 @@ class InvalidTuple(MapError):
 
 # -- hurwitz ----------------------------------------------------------------
 
-class DegreeTooSmall(MapError):
-    pass
-
-
 class LimitExceeded(MapError):
     pass
 
 
 class Mismatch(MapError):
-    """Two independent computations disagree (a census recount, a reglue);
+    """Two independent computations disagree (a census recount, a reglue)
+    or an internal invariant fails (a label conflict, a stuck sewing);
     report, do not mask."""
 
 
@@ -97,25 +82,9 @@ class DegreePropertyFailed(MapError):
     pass
 
 
-class NonTermination(MapError):
-    pass
-
-
-class NotSpanning(MapError):
-    pass
-
-
-class MatchingStuck(MapError):
-    pass
-
-
 # -- decompose ----------------------------------------------------------------
 
 class TrivialCut(MapError):
-    pass
-
-
-class NotApplicable(MapError):
     pass
 
 

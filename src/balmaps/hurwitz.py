@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegreeTooSmall, LimitExceeded, Mismatch
+from .errors import InvalidInput, LimitExceeded, Mismatch
 from .maps import ColoredMap, checkerboard
 from .realize import (
     TranspositionTuple,
@@ -28,7 +28,6 @@ from .realize import (
     enumerate_matchings,
     graph_from_monodromy,
     integrate_labels,
-    monodromy,
 )
 
 Pair = Tuple[int, int]
@@ -42,7 +41,7 @@ def hurwitz_count(d: int) -> int:
     returns the single class.
     """
     if d < 3:
-        raise DegreeTooSmall("closed formula requires d >= 3")
+        raise InvalidInput("closed formula requires d >= 3")
     # refuse, before computing, a count too long to print in decimal; the
     # count has more than d digits once d > 12, so huge d never reaches lgamma
     limit = sys.get_int_max_str_digits()
@@ -203,7 +202,7 @@ def enumerate_classes(d: int) -> List[TupleClass]:
     if d > 5:
         raise LimitExceeded("enumeration capped at degree 5")
     if d < 2:
-        raise DegreeTooSmall("degree must be at least 2")
+        raise InvalidInput("degree must be at least 2")
     if d == 2:
         return [TupleClass(TranspositionTuple(2, ((1, 2), (1, 2))), 1)]
     _, index, tables = _index_tables(d)
@@ -259,27 +258,31 @@ def census(d: int) -> List[CensusEntry]:
 
 
 def verify_labelings_per_graph(entry: CensusEntry) -> int:
-    """Recount the covers of one underlying diagram from the realize side.
+    """Recount the covers of one underlying diagram from the realize side,
+    by orbit counting.
 
-    Enumerates every coloring and matching of the diagram, extracts the
-    monodromy tuple of each generic labeling, and counts distinct
-    conjugacy classes over all its label offsets: shifting every label by
-    k rotates the tuple by k.  Raises Mismatch if the recount disagrees
-    with the census class count.
+    A class is the diagram with a colouring and pairwise distinct critical
+    labels 1..n, up to isomorphism.  Each of the g face-equation solutions
+    over both colourings whose integrated labels are distinct gives n
+    labelings, one per shift of every label.  For d >= 3 the diagram's
+    automorphisms, one per canonical root, act freely on these, so the
+    class count is n g / |Aut|; the quadratic map's deck involution fixes
+    every labeling, which halves |Aut| there.  Raises Mismatch if the
+    quotient leaves a remainder or disagrees with the census class count.
     """
-    from .realize import canonical_tuple
     cm = entry.sample
     if cm is None:
         raise Mismatch("census entry carries no sample diagram")
-    seen = set()
-    for colored in checkerboard(cm.m):
+    m = cm.m
+    g = 0
+    for colored in checkerboard(m):
         for counts in enumerate_matchings(colored):
             labels = integrate_labels(colored, enrich(colored, counts))
-            if len(set(labels.values())) != len(labels):
-                continue
-            t = monodromy(colored, labels)
-            seen.update(canonical_tuple(TranspositionTuple(t.d, t.taus[k:] + t.taus[:k]))
-                        for k in range(t.n))
-    if len(seen) != entry.class_count:
-        raise Mismatch("recount %d != census %d" % (len(seen), entry.class_count))
-    return len(seen)
+            g += len(set(labels.values())) == len(labels)
+    n = m.num_vertices
+    aut = len(m.canonical_roots()) // (2 if n == 2 else 1)
+    count, rem = divmod(n * g, aut)
+    if rem or count != entry.class_count:
+        raise Mismatch("recount %d * %d / %d != census %d"
+                       % (n, g, aut, entry.class_count))
+    return count

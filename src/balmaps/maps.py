@@ -510,7 +510,9 @@ class ColoredMap:
 def checkerboard(m: CombinatorialMap) -> Tuple[ColoredMap, ColoredMap]:
     """The two proper face 2-colorings of a 4-valent map.
 
-    The first coloring is the one where face 0 is blue.
+    The first coloring is the one where face 0 is blue.  A 4-valent sphere
+    map has no bridge and even degrees, so its faces are 2-colourable, and
+    ColoredMap checks the colouring.
     """
     if not m.is_four_valent():
         raise NotFourValent("checkerboard coloring needs a 4-valent map")
@@ -524,8 +526,6 @@ def checkerboard(m: CombinatorialMap) -> Tuple[ColoredMap, ColoredMap]:
             if color[g] == -1:
                 color[g] = 1 - color[f]
                 stack.append(g)
-            elif color[g] == color[f]:
-                raise NotFourValent("face adjacency is not bipartite")
     blue = frozenset(i for i, c in enumerate(color) if c == 1)
     first = ColoredMap(m, blue)
     return first, first.swapped()
@@ -724,12 +724,10 @@ def dual_bipartite(cm: ColoredMap, labels: Dict[int, int],
     white per white face, one edge per edge of the diagram, and one face per
     4-valent vertex, red-labeled by that vertex's critical label.
     ``blue_labels`` optionally labels the blue vertices in ascending id order.
+    The dual checks itself when built, so labels that are not distinct in
+    1..V raise InvalidInput.
     """
-    from .errors import NotRealized
     m = cm.m
-    n = m.num_vertices
-    if sorted(labels.get(v, 0) for v in m.vertex_ids()) != list(range(1, n + 1)):
-        raise NotRealized("need distinct critical labels 1..%d" % n)
     # dual on the same darts: sigma* = phi^(-1), alpha* = alpha.  With this
     # chirality the greater-label-left orientation of the dual has unique
     # incoming edges at blue vertices (and unique outgoing at white), which
@@ -744,6 +742,6 @@ def dual_bipartite(cm: ColoredMap, labels: Dict[int, int],
     reds = []
     for orbit in dual.faces:
         v = m.vertex_of[m.alpha[orbit[0]]]
-        reds.append(labels[v])
+        reds.append(labels.get(v, 0))
     return FaceLabeledGraph(dual, blue_vs, tuple(reds), None if blue_labels is None
                             else tuple(zip(sorted(blue_vs), blue_labels)))

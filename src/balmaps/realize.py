@@ -23,11 +23,10 @@ balanced => realizable half of the theorem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .balance import face_weights, is_balanced, matching_is_valid, solve_face_equations
 from .errors import (
-    InconsistentCocycle,
     InvalidInput,
     InvalidMatching,
     InvalidTuple,
@@ -81,46 +80,6 @@ class TranspositionTuple:
 def _conjugate_flat(taus: Tuple[Pair, ...], g: Tuple[int, ...]) -> Tuple[Pair, ...]:
     """Rename every point x as g[x], keeping each pair sorted."""
     return tuple((g[a], g[b]) if g[a] < g[b] else (g[b], g[a]) for a, b in taus)
-
-
-def canonical_tuple(t: TranspositionTuple) -> Tuple[Pair, ...]:
-    """Lexicographically least flat encoding over all diagonal conjugations.
-
-    A point met for the first time takes the least unused name: swapping
-    any other unused name with that one leaves the earlier pairs alone and
-    makes this pair smaller.  Only a pair of two new points leaves a
-    choice, which of the two takes the smaller name; the search branches
-    there and drops a branch once its prefix exceeds the best encoding
-    found.
-    """
-    best: Optional[List[Pair]] = None
-    stack = [([0] * (t.d + 1), [])]  # (name per point, 0 for none yet; encoding so far)
-    while stack:
-        name, img = stack.pop()
-        tied = best is not None
-        if tied and img != best[:len(img)]:
-            if img > best[:len(img)]:
-                continue
-            tied = False
-        free = max(name) + 1
-        for a, b in t.taus[len(img):]:
-            if not name[a] and not name[b]:
-                alt = name[:]
-                alt[a], alt[b] = free + 1, free
-                stack.append((alt, img + [(free, free + 1)]))
-            for x in (a, b):
-                if not name[x]:
-                    name[x] = free
-                    free += 1
-            pair = (name[a], name[b]) if name[a] < name[b] else (name[b], name[a])
-            if tied and pair != best[len(img)]:
-                if pair > best[len(img)]:
-                    break
-                tied = False
-            img.append(pair)
-        else:
-            best = img
-    return tuple(best)
 
 
 # -- enrichment --------------------------------------------------------------------
@@ -201,8 +160,7 @@ def integrate_labels(cm: ColoredMap, counts: Dict[int, int]) -> Dict[int, int]:
                 labels[w] = want
                 stack.append(w)
             elif labels[w] != want:
-                raise InconsistentCocycle(
-                    "label conflict at vertex %d (core map bug)" % w)
+                raise Mismatch("label conflict at vertex %d (core map bug)" % w)
     return labels
 
 

@@ -50,11 +50,6 @@ def census4():
     return hurwitz.census(4)
 
 
-def tuples_conjugate(a, b):
-    """True if two transposition tuples are simultaneously conjugate."""
-    return a.d == b.d and realize.canonical_tuple(a) == realize.canonical_tuple(b)
-
-
 def make_labeled_duals(d):
     """All vertex-labeled duals of degree-d covers: one dual per class,
     decorated with every blue labeling."""

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from balmaps import balance, maps
-from balmaps.errors import PreconditionFailed, TooLarge
+from balmaps.errors import LimitExceeded, PreconditionFailed
 
 
 def colored(m):
@@ -104,7 +104,7 @@ def test_curve_oracle_octahedron():
 
 def test_curve_oracle_cap():
     cm = colored(maps.turkshead(6))
-    with pytest.raises(TooLarge):
+    with pytest.raises(LimitExceeded):
         balance.enumerate_blue_left_curves(cm)
 
 

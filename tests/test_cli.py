@@ -314,6 +314,24 @@ def test_hurwitz_count_too_long_to_print(capsys):
     assert json.loads(out)["error"] == "LimitExceeded"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["hurwitz", "count", "2"], "closed formula requires d >= 3"),
+    (["hurwitz", "enumerate", "1"], "degree must be at least 2"),
+], ids=["count-2", "enumerate-1"])
+def test_hurwitz_degree_too_small_is_invalid_input(capsys, argv, message):
+    code, out = run_capture(capsys, argv)
+    assert code == 2
+    assert out == '{"error":"InvalidInput","message":"%s"}\n' % message
+
+
+def test_curve_oracle_refuses_more_than_ten_vertices(tmp_path, capsys):
+    path = write_map(tmp_path, maps.checkerboard(maps.turkshead(6))[0])
+    code, out = run_capture(capsys, ["balance", path, "--oracle", "curves"])
+    assert code == 2
+    assert out == ('{"error":"LimitExceeded",'
+                   '"message":"curve oracle capped at 10 vertices"}\n')
+
+
 def test_generate_huge_turkshead_is_refused(capsys):
     # refused before any table is built, so no memory is spent on it
     code, out = run_capture(capsys, ["generate", "turkshead", str(10 ** 9)])

@@ -13,12 +13,15 @@ from balmaps.errors import (
     InvalidArc,
     InvalidRectangle,
     MapError,
-    NotApplicable,
     TrivialCut,
 )
 from tests.test_dps import random_tree
 from tests.test_maps import relabeled_colored
 from tests.test_realize import pinch_in
+
+
+class NotApplicable(MapError):
+    """A four-point cut that the classifier declines to split."""
 
 
 def colored(m):

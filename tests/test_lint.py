@@ -55,3 +55,18 @@ def test_one_map_constructor_and_one_trace_kernel():
     assert signature("_bfs_trace") == (["self", "root", "bound"], ["None"], None, [], None)
     assert [f.name for f in methods.values() for d in f.decorator_list
             if _name(d) in ("classmethod", "staticmethod")] == []
+
+
+def test_every_error_class_is_raised():
+    """Each MapError subclass in errors.py is raised somewhere in the
+    library, so a class that only tests use, or that nothing raises any
+    more, cannot stay."""
+    tree = ast.parse((SRC / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    classes.discard("MapError")
+    raised = set()
+    for _, node in _nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.add(_name(exc))
+    assert sorted(classes - raised) == []

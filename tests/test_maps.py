@@ -439,6 +439,19 @@ def test_dual_bipartite_octahedron():
     assert g.m.num_faces == 6
 
 
+def test_dual_bipartite_refuses_bad_labels():
+    """Labels that are missing, repeated or out of range are refused by the
+    dual's own check."""
+    from balmaps import realize
+    cm, _ = maps.checkerboard(maps.octahedron())
+    labels = realize.realize_generic(cm)[1]
+    v, w = sorted(labels)[:2]
+    for bad in ({**labels, v: labels[w]}, {**labels, v: 0}, {**labels, v: 7},
+                {u: l for u, l in labels.items() if u != v}):
+        with pytest.raises(InvalidInput, match="bijection onto 1..2d-2"):
+            maps.dual_bipartite(cm, bad)
+
+
 def test_face_labeled_graph_checks_itself():
     """A malformed dual raises InvalidInput when it is built."""
     from balmaps import realize

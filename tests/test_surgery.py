@@ -12,9 +12,10 @@ import pytest
 
 from balmaps import decompose, maps
 from balmaps.cli import run
-from balmaps.errors import InvalidInput, NotApplicable
+from balmaps.errors import InvalidInput
 from tests.test_cli import write_map
 from tests.test_decompose import (
+    NotApplicable,
     _quadratic_chain,
     _sum_pair,
     colored,
