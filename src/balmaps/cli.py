@@ -137,7 +137,7 @@ def cmd_dps(args) -> int:
         try:
             d = int(args.input)
         except ValueError:
-            raise MapError("dps verify takes a degree, got %r" % args.input)
+            raise InvalidInput("dps verify takes a degree, got %r" % args.input)
     result = dps.verify_counting_chain(d)
     _emit(result)
     return 0 if result["ok"] else 1
@@ -162,11 +162,11 @@ _NAMED_MAPS = {"quadratic": maps.quadratic, "octahedron": maps.octahedron}
 def cmd_generate(args) -> int:
     if args.kind == "turkshead":
         if args.n is None:
-            raise MapError("turkshead needs an index n")
+            raise InvalidInput("turkshead needs an index n")
         m = maps.turkshead(args.n)
     elif args.kind == "pinch":
         if not args.map or not args.darts:
-            raise MapError("pinch needs --map and --darts D1 D2")
+            raise InvalidInput("pinch needs --map and --darts D1 D2")
         cm = _load_colored(args.map)
         m = maps.pinch(cm, args.darts[0], args.darts[1])
     else:

@@ -113,7 +113,7 @@ class CombinatorialMap:
     """An embedded graph on the oriented sphere, as a rotation system."""
 
     __slots__ = ("n", "sigma", "alpha", "phi", "faces", "face_of",
-                 "vertex_of", "_vertices", "_code", "_root", "_orbits")
+                 "vertex_of", "_vertices", "_code", "_root", "_lab", "_orbits")
 
     def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
         n = len(sigma) - 1
@@ -277,12 +277,12 @@ class CombinatorialMap:
 
     def _least_root(self):
         """The code (the dart count, then the least BFS trace over all
-        roots), the least root that gives it, and the union-find of the
-        automorphism orbits found (None if no root tied).  A root whose
-        trace exceeds the best is dropped at its first larger entry; one
-        that ties it gives an automorphism, since one dart fixes it, and a
-        root whose orbit holds a smaller dart is skipped: each traced tie
-        at least doubles the group."""
+        roots), the least root that gives it, that root's dart labels, and
+        the union-find of the automorphism orbits found (None if no root
+        tied).  A root whose trace exceeds the best is dropped at its first
+        larger entry; one that ties it gives an automorphism, since one dart
+        fixes it, and a root whose orbit holds a smaller dart is skipped:
+        each traced tie at least doubles the group."""
         n = self.n
         trace_from = self._bfs_trace
         best = best_lab = best_root = parent = None
@@ -305,16 +305,16 @@ class CombinatorialMap:
                 dart = dict(zip(lab, range(n + 1)))
                 for d in range(1, n + 1):
                     union(parent, d, dart[best_lab[d]])
-        return (n,) + tuple(best), best_root, parent
+        return (n,) + tuple(best), best_root, best_lab, parent
 
     def canonical_code(self) -> Tuple[int, ...]:
         """Lexicographically least BFS trace over all root darts.
 
         Complete invariant: two maps have equal codes iff some dart
         relabeling commutes with both sigma and alpha.  Scanned once, with
-        the least root and orbits kept for ``canonical_roots``."""
+        the least root, its labels and the orbits kept."""
         if self._code is None:
-            self._code, self._root, self._orbits = self._least_root()
+            self._code, self._root, self._lab, self._orbits = self._least_root()
         return self._code
 
     def canonical_roots(self) -> List[int]:
@@ -485,13 +485,18 @@ class ColoredMap:
 
     def colored_code(self) -> Tuple[int, ...]:
         """The map's code, then the least blue bits of the faces over its
-        canonical roots.  An automorphism keeps or swaps the colour classes,
-        so a root on a white face gives the least, or any root if none is."""
+        canonical roots, with no trace.  An automorphism keeps or swaps the
+        colour classes, and the first bit is the root face's, so any root
+        on a white face gives the least: the least root's bits, complemented
+        if its face is blue and some canonical root's face is white."""
         if self._colored_code is None:
-            roots = self.m.canonical_roots()
-            root = next((r for r in roots if not self.is_forward(r)), roots[0])
-            self._colored_code = self.m._code + tuple(
-                self.face_bits(self.m._bfs_trace(root)[1]))
+            m = self.m
+            if m._code is None:
+                m.canonical_code()
+            bits = self.face_bits(m._lab)
+            if self.is_forward(m._root) and not all(map(self.is_forward, m.canonical_roots())):
+                bits = [1 - b for b in bits]
+            self._colored_code = m._code + tuple(bits)
         return self._colored_code
 
     def __eq__(self, other):
@@ -714,8 +719,8 @@ class FaceLabeledGraph:
         def decorate(lab):
             return ([self.face_red[i] for i in _by_least_label(m.faces, lab)]
                     + [marks[i] for i in _by_least_label(m._vertices, lab)])
-        roots = m.canonical_roots()
-        return m._code + tuple(min(decorate(m._bfs_trace(r)[1]) for r in roots))
+        labs = (m._lab if r == m._root else m._bfs_trace(r)[1] for r in m.canonical_roots())
+        return m._code + tuple(min(map(decorate, labs)))
 
 
 def dual_bipartite(cm: ColoredMap, labels: Dict[int, int],

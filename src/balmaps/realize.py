@@ -73,9 +73,6 @@ class TranspositionTuple:
         if count_components(self.d, self.taus) != 1:
             raise InvalidTuple("tuple does not act transitively")
 
-    def conjugate(self, g: Tuple[int, ...]) -> "TranspositionTuple":
-        return TranspositionTuple(self.d, _conjugate_flat(self.taus, g))
-
 
 def _conjugate_flat(taus: Tuple[Pair, ...], g: Tuple[int, ...]) -> Tuple[Pair, ...]:
     """Rename every point x as g[x], keeping each pair sorted."""

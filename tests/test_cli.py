@@ -324,6 +324,17 @@ def test_hurwitz_degree_too_small_is_invalid_input(capsys, argv, message):
     assert out == '{"error":"InvalidInput","message":"%s"}\n' % message
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["dps", "verify", "x"], "dps verify takes a degree, got 'x'"),
+    (["generate", "turkshead"], "turkshead needs an index n"),
+    (["generate", "pinch"], "pinch needs --map and --darts D1 D2"),
+], ids=["dps-verify-x", "turkshead-no-n", "pinch-no-darts"])
+def test_missing_or_malformed_argument_is_invalid_input(capsys, argv, message):
+    code, out = run_capture(capsys, argv)
+    assert code == 2
+    assert out == '{"error":"InvalidInput","message":"%s"}\n' % message
+
+
 def test_curve_oracle_refuses_more_than_ten_vertices(tmp_path, capsys):
     path = write_map(tmp_path, maps.checkerboard(maps.turkshead(6))[0])
     code, out = run_capture(capsys, ["balance", path, "--oracle", "curves"])

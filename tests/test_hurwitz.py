@@ -18,6 +18,7 @@ CLASS_PINS = {
     5: "9f67ee4330fa8bf7014af4cf5ddbf511e278f3799aa78975c017447e1e96bf70",
 }
 GLUED_CODES_5 = "e545dda0cefc9aa1f37c296d230e45991751069e5d0881b126cec87943d5bb1f"
+GLUED_COLORED_CODES_5 = "a95e67a0ac3dbcb4034ee2ddc2bb7d58aa4bdfc28e8cd2389bb603366dd0f3ed"
 
 
 def digest(obj) -> str:
@@ -121,7 +122,7 @@ def test_conjugating_rep_is_idempotent(classes4):
     for cls in rng.sample(classes4, 12):
         g = list(range(1, 5))
         rng.shuffle(g)
-        conj = cls.representative.conjugate((0,) + tuple(g))
+        conj = conjugate(cls.representative, (0,) + tuple(g))
         assert brute_canonical_tuple(conj) == cls.representative.taus
 
 
@@ -236,6 +237,9 @@ def test_glued_codes_pinned(glued5):
     codes = [real.colored.m.canonical_code() for real in glued5]
     assert len(set(codes)) == 89
     assert digest(codes) == GLUED_CODES_5
+    colored = [real.colored.colored_code() for real in glued5]
+    assert len(set(colored)) == 144
+    assert digest(colored) == GLUED_COLORED_CODES_5
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -251,7 +255,7 @@ def test_least_slice_tuples_match_brute_force(d):
             t = realize.TranspositionTuple(d, ((1, 2),) + rest)
         except InvalidTuple:
             continue
-        if all(t.conjugate(g).taus >= t.taus for g in stabilizer):
+        if all(conjugate(t, g).taus >= t.taus for g in stabilizer):
             least.append(t.taus)
     assert len(least) == hurwitz.hurwitz_count(d)
     assert hurwitz._least_slice_tuples(d) == least
@@ -301,15 +305,20 @@ def test_index_tables_decode_to_conjugates(classes4, classes5):
                 assert tuple(trans[i] for i in img) == realize._conjugate_flat(taus, g)
 
 
+def conjugate(t, g):
+    """The tuple t with every point x renamed g[x]."""
+    return realize.TranspositionTuple(t.d, realize._conjugate_flat(t.taus, g))
+
+
 def brute_canonical_tuple(t):
-    return min(t.conjugate((0,) + g).taus
+    return min(conjugate(t, (0,) + g).taus
                for g in itertools.permutations(range(1, t.d + 1)))
 
 
 def random_conjugate(t, rng):
     g = list(range(1, t.d + 1))
     rng.shuffle(g)
-    return t.conjugate((0,) + tuple(g))
+    return conjugate(t, (0,) + tuple(g))
 
 
 def test_canonical_tuple_matches_brute_force(classes4, classes5):

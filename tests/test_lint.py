@@ -18,6 +18,14 @@ def _name(func):
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
 
+def _raises():
+    """(where, class name) of every ``raise`` of an exception in the library."""
+    for where, node in _nodes():
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield where, _name(exc)
+
+
 def test_no_validate_and_no_map_check_knob():
     found = []
     for where, node in _nodes():
@@ -64,9 +72,11 @@ def test_every_error_class_is_raised():
     tree = ast.parse((SRC / "errors.py").read_text())
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
     classes.discard("MapError")
-    raised = set()
-    for _, node in _nodes():
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            raised.add(_name(exc))
+    raised = {name for _, name in _raises()}
     assert sorted(classes - raised) == []
+
+
+def test_no_bare_map_error_is_raised():
+    """Every failure raises a named subclass, so the CLI's JSON ``error``
+    field names the kind of failure, never the base class."""
+    assert [where for where, name in _raises() if name == "MapError"] == []

@@ -665,3 +665,4 @@ def test_canonical_roots_are_the_roots_of_the_code(corpus6):
         code = list(m2.canonical_code()[1:])
         assert m2.canonical_roots() == [
             r for r in range(1, m2.n + 1) if m2._bfs_trace(r)[0] == code]
+        assert m2._lab == reference_trace(m2, m2._root)[1]

@@ -17,7 +17,7 @@ from balmaps.errors import (
 )
 from tests.test_balance import assert_hall_violator
 from tests.test_dps import random_tree
-from tests.test_hurwitz import brute_canonical_tuple
+from tests.test_hurwitz import brute_canonical_tuple, conjugate
 
 
 def colored(m):
@@ -331,7 +331,7 @@ def braid_sample(d, rng):
         taus[i], taus[i + 1] = taus[i + 1], (min(x, y), max(x, y))
     g = list(range(1, d + 1))
     rng.shuffle(g)
-    return realize.TranspositionTuple(d, tuple(taus)).conjugate((0,) + tuple(g))
+    return conjugate(realize.TranspositionTuple(d, tuple(taus)), (0,) + tuple(g))
 
 
 def braid_sample_map(d, rng):
