@@ -186,14 +186,6 @@ def build_corpus(max_vertices: int) -> Corpus:
             uncolored.append(m)
             first, second = checkerboard(m)
             colored.append(first)
-            if not _swaps_colors(first):
+            if not first.swaps_colors():
                 colored.append(second)
     return Corpus(max_vertices, colored, uncolored)
-
-
-def _swaps_colors(cm: ColoredMap) -> bool:
-    """True if some automorphism of the map takes blue faces to white ones:
-    it keeps or swaps the colour classes as a whole, and the canonical roots
-    are one orbit of Aut(m), so iff those roots lie on faces of both colours."""
-    m = cm.m
-    return len({cm.is_blue(m.face_of[r]) for r in m.canonical_roots()}) == 2

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .balance import check_global
-from .errors import (
-    ColorMismatch,
-    InvalidArc,
-    InvalidRectangle,
-    TrivialCut,
-)
+from .errors import ColorMismatch, InvalidArc, InvalidRectangle
 from .maps import ColoredMap, CombinatorialMap, pinch, rewire
 
 
@@ -32,18 +27,12 @@ class CutCurve:
     For a two-point cut, ``darts`` holds one dart per crossed edge, both
     with the same left face; for a four-point cut it holds the cyclic
     sequence (y1, y2, y3, y4) where y_i crosses edge i and has the face
-    entered after that crossing on its left.
+    entered after that crossing on its left.  Cuts are listed in signature
+    order: two-point cuts first, by their two edge ids, then four-point
+    cuts, by the least rotation or reversal of their darts.
     """
     kind: str  # "two_point" | "four_point"
     darts: Tuple[int, ...]
-
-    def edges(self, m: CombinatorialMap) -> Tuple[int, ...]:
-        return tuple(m.edge_of(d) for d in self.darts)
-
-    def signature(self, m: CombinatorialMap) -> Tuple:
-        if self.kind == "two_point":
-            return (0,) + tuple(sorted(self.edges(m)))
-        return (1,) + _four_cut_canonical(m, self.darts)
 
 
 def _four_cut_canonical(m: CombinatorialMap, ys: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -135,20 +124,6 @@ def find_two_cuts(cm: ColoredMap) -> List[CutCurve]:
     m = cm.m
     return [CutCurve("two_point", (a, b)) for a, b in _two_cut_candidates(m)
             if _cut_sides(m, (a, m.alpha[b]), 1) is not None]
-
-
-def split_two_cut(cm: ColoredMap, cut: CutCurve) -> Tuple[ColoredMap, ColoredMap]:
-    """Cut along a two-point curve; on each side the two half-edges fuse
-    into one edge through a regular point."""
-    m = cm.m
-    a, b = cut.darts
-    if m.edge_of(a) == m.edge_of(b):
-        raise TrivialCut("both intersection points on one edge")
-    ys = (a, m.alpha[b])
-    sides = _cut_sides(m, ys, 1)
-    if sides is None:
-        raise TrivialCut("curve does not separate the diagram coherently")
-    return _fuse(cm, ys, *sides, [0], [0])
 
 
 # -- 4-point cuts -----------------------------------------------------------------

@@ -31,7 +31,7 @@ from .realize import TranspositionTuple, graph_from_monodromy
 
 TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red_b)
 
-# _trees streams (2d-2)! d^(d-3) trees, 1,008,000 at degree 5; enumerate_trees lists fewer
+# _trees streams (2d-2)! d^(d-3) trees, 1,008,000 at degree 5
 TREE_DEGREE_CAP = 5
 # bounds decoding time, laps x O(d): a path tree on d whites takes d laps
 DECODE_DEGREE_CAP = 500
@@ -67,13 +67,6 @@ class EdgeLabeledTree:
         # with d-1 edges, acyclic is the same as connected
         if count_components(d, ((e[0] + 1, e[1] + 1) for e in self.edges)) != 1:
             raise InvalidInput("edges contain a cycle")
-
-    def canonical_key(self) -> Tuple:
-        """Invariant under renaming of the white vertices."""
-        name = _white_names(self.d, self.edges)
-        return tuple(sorted(
-            (blue,) + tuple(sorted(((name[wa], ra), (name[wb], rb))))
-            for wa, wb, blue, ra, rb in self.edges))
 
 
 def _white_names(d: int, edges) -> List[Tuple[int, ...]]:
@@ -163,13 +156,6 @@ def _trees(d: int) -> Iterator[EdgeLabeledTree]:
             yield EdgeLabeledTree(d, tuple(
                 (wa, wb, blue, reds[2 * i], reds[2 * i + 1])
                 for i, (wa, wb, blue) in enumerate(shape)))
-
-
-def enumerate_trees(d: int) -> List[EdgeLabeledTree]:
-    """All (2d-2)! d^(d-3) edge-labeled, red-labeled trees, for d < TREE_DEGREE_CAP."""
-    if d >= TREE_DEGREE_CAP:
-        raise LimitExceeded("tree list capped at degree %d" % (TREE_DEGREE_CAP - 1))
-    return list(_trees(d))
 
 
 # -- orientation, Felsner normalization, Bernardi tree --------------------------------

@@ -84,10 +84,6 @@ class DegreePropertyFailed(MapError):
 
 # -- decompose ----------------------------------------------------------------
 
-class TrivialCut(MapError):
-    pass
-
-
 class ColorMismatch(MapError):
     pass
 

@@ -328,16 +328,6 @@ class CombinatorialMap:
             return [self._root]
         return [d for d in range(1, self.n + 1) if find(self._orbits, d) == self._root]
 
-    def relabeled(self, perm: Perm) -> "CombinatorialMap":
-        """Conjugate sigma and alpha by a dart permutation (an isomorphic copy)."""
-        n = self.n
-        sigma = [0] * (n + 1)
-        alpha = [0] * (n + 1)
-        for d in range(1, n + 1):
-            sigma[perm[d]] = perm[self.sigma[d]]
-            alpha[perm[d]] = perm[self.alpha[d]]
-        return CombinatorialMap(sigma, alpha)
-
     def __eq__(self, other):
         return (isinstance(other, CombinatorialMap)
                 and self.sigma == other.sigma and self.alpha == other.alpha)
@@ -483,18 +473,25 @@ class ColoredMap:
         return [1 if i in self.blue_faces else 0
                 for i in _by_least_label(self.m.faces, lab)]
 
+    def swaps_colors(self) -> bool:
+        """True if some automorphism of the map takes blue faces to white
+        ones.  It keeps or swaps the colour classes as a whole, and the
+        canonical roots are one orbit of Aut(m), so iff those roots lie on
+        faces of both colours."""
+        return len(set(map(self.is_forward, self.m.canonical_roots()))) == 2
+
     def colored_code(self) -> Tuple[int, ...]:
         """The map's code, then the least blue bits of the faces over its
-        canonical roots, with no trace.  An automorphism keeps or swaps the
-        colour classes, and the first bit is the root face's, so any root
-        on a white face gives the least: the least root's bits, complemented
-        if its face is blue and some canonical root's face is white."""
+        canonical roots, with no trace.  The first bit is the root face's,
+        so any root on a white face gives the least: the least root's bits,
+        complemented if its face is blue and an automorphism swaps the
+        colours."""
         if self._colored_code is None:
             m = self.m
             if m._code is None:
                 m.canonical_code()
             bits = self.face_bits(m._lab)
-            if self.is_forward(m._root) and not all(map(self.is_forward, m.canonical_roots())):
+            if self.is_forward(m._root) and self.swaps_colors():
                 bits = [1 - b for b in bits]
             self._colored_code = m._code + tuple(bits)
         return self._colored_code

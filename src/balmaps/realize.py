@@ -7,7 +7,7 @@ themselves are never built: vertex labels in Z/n are integrated on the
 tau_j is the pair of blue faces (sheets) at the vertex labeled j.  Counts
 (edge id -> count) and labels (vertex id -> label) are plain dicts.  The
 inverse direction glues d blue and d white n-gons according to a
-transposition tuple, directly as the 4-valent diagram with its counts,
+transposition tuple, directly as the 4-valent diagram with its labels,
 which makes realizability checkable with no reference to the balance
 conditions.
 
@@ -190,8 +190,9 @@ def monodromy(cm: ColoredMap, labels: Dict[int, int]) -> TranspositionTuple:
 
 @dataclass
 class Realization:
+    """A glued diagram and the critical label of each vertex; the blue dart
+    from label j to label j' carries (j' - j - 1) mod n inserted vertices."""
     colored: ColoredMap
-    counts: Dict[int, int]  # inserted count per edge id
     labels: Dict[int, int]  # critical label per vertex
 
 
@@ -259,21 +260,16 @@ def graph_from_monodromy(t: TranspositionTuple) -> Realization:
     # blue dart x runs to its sheet's next visit, dart x + 1, or from the
     # last visit back to the first, and ends at the white dart of the
     # other slot of that visit
-    counts = {}
     first = 1
     for x in range(1, 2 * n + 1):
-        s = slot[x]
-        if sheet[slot[x + 1]] == sheet[s]:
+        if sheet[slot[x + 1]] == sheet[slot[x]]:
             nxt = slot[x + 1]
         else:
             nxt, first = slot[first], x + 1
         y = wid[nxt ^ 1]
         alpha[x], alpha[y] = y, x
-        c = (nxt // 2 - s // 2 - 1) % n
-        if c:
-            counts[x] = c
     cm = ColoredMap(CombinatorialMap(sigma, alpha), range(d))
-    return Realization(cm, counts, labels)
+    return Realization(cm, labels)
 
 
 # -- top-level decision procedures ----------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from balmaps import balance, corpus, decompose, dps, hurwitz, maps, realize
 from tests.conftest import felsner_by_reversals
 from tests.test_decompose import split_four_cut
+from tests.test_dps import canonical_key
 from tests.test_hurwitz import brute_canonical_tuple
 
 
@@ -135,7 +136,7 @@ def test_criterion_6_dps_bijection(duals3, duals4):
     elapsed = time.time() - t0
     chain3 = dps.verify_counting_chain(3)
     chain4 = dps.verify_counting_chain(4)
-    distinct4 = len({t.canonical_key() for t in trees4})
+    distinct4 = len({canonical_key(t) for t in trees4})
     ok = (ok3 == 24 and ok4 == 2880 and distinct4 == 2880
           and chain3["ok"] and chain4["ok"])
     print("criterion 6 timing: d=4 round trips %.1fs" % elapsed)

@@ -96,7 +96,7 @@ def test_seven_vertices():
     assert _alpha_digest(ms) == ALPHA_DIGESTS[7]
     for m in ms:
         first, second = maps.checkerboard(m)
-        assert corpus._swaps_colors(first) == (
+        assert first.swaps_colors() == (
             first.colored_code() == second.colored_code())
 
 

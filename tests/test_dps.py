@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import sys
 
@@ -33,12 +34,26 @@ def random_tree(rng, d):
         for i, (a, b) in enumerate(pairs)))
 
 
+def enumerate_trees(d):
+    """Every tree of degree d, as one list."""
+    return list(dps._trees(d))
+
+
+def canonical_key(t):
+    """The tree's edges with each white named by its sorted blue labels:
+    invariant under renaming of the white vertices."""
+    name = dps._white_names(t.d, t.edges)
+    return tuple(sorted(
+        (blue,) + tuple(sorted(((name[wa], ra), (name[wb], rb))))
+        for wa, wb, blue, ra, rb in t.edges))
+
+
 def test_enumerate_trees_counts():
-    assert len(dps.enumerate_trees(2)) == 1
-    assert len(dps.enumerate_trees(3)) == 24
-    trees4 = dps.enumerate_trees(4)
+    assert len(enumerate_trees(2)) == 1
+    assert len(enumerate_trees(3)) == 24
+    trees4 = enumerate_trees(4)
     assert len(trees4) == 2880
-    assert len({t.canonical_key() for t in trees4}) == 2880
+    assert len({canonical_key(t) for t in trees4}) == 2880
 
 
 def test_canonical_key_ignores_white_names():
@@ -52,22 +67,21 @@ def test_canonical_key_ignores_white_names():
                  for wa, wb, blue, ra, rb in t.edges]
         rng.shuffle(edges)
         renamed = dps.EdgeLabeledTree(12, tuple(edges))
-        assert renamed.canonical_key() == t.canonical_key()
+        assert canonical_key(renamed) == canonical_key(t)
 
 
-def test_enumerate_trees_cap():
-    with pytest.raises(LimitExceeded):
-        dps.enumerate_trees(6)
+def test_tree_stream_cap_acts_before_any_work(monkeypatch, capsys):
+    """Degree 6 would stream 10! 6^3 trees; the counting chain and the CLI
+    refuse it before a shape is listed."""
+    from balmaps.cli import run
 
-
-def test_enumerate_trees_refuses_degree_five_before_any_work(monkeypatch):
-    """The d = 5 list would hold 1,008,000 trees; it is refused before a
-    shape is listed, while verify_counting_chain(5) still streams them."""
     def shapes(d):
         raise AssertionError("shapes listed for degree %d" % d)
     monkeypatch.setattr(dps, "_edge_labeled_shapes", shapes)
-    with pytest.raises(LimitExceeded, match="degree 4"):
-        dps.enumerate_trees(5)
+    with pytest.raises(LimitExceeded, match="degree 5"):
+        dps.verify_counting_chain(6)
+    assert run(["dps", "verify", "6"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "LimitExceeded"
 
 
 def path_tree(d):
@@ -101,7 +115,7 @@ def parity_trees():
     """Every tree with d <= 4, 200 seeded random trees with d = 5..400, and
     the path and the star at d = 3, 10 and 60."""
     for d in (2, 3, 4):
-        yield from dps.enumerate_trees(d)
+        yield from enumerate_trees(d)
     rng = random.Random(19)
     for _ in range(200):
         yield random_tree(rng, rng.randint(5, 400))
@@ -154,8 +168,8 @@ def test_blue_labels_clockwise_around_whites():
     """Each white's rotation ascends by blue label, and the JSON form lists
     the same rotation per white."""
     rng = random.Random(113)
-    trees = dps.enumerate_trees(3) + [random_tree(rng, rng.randint(5, 60))
-                                      for _ in range(20)]
+    trees = enumerate_trees(3) + [random_tree(rng, rng.randint(5, 60))
+                                  for _ in range(20)]
     for t in trees:
         rotations = {}
         for w in range(t.d):
@@ -326,9 +340,9 @@ def test_round_trip_d3_exhaustive(duals3):
         trees.append(t)
         g2 = dps.tree_to_graph(t)
         assert g2.canonical_code() == g.canonical_code()
-    keys = {t.canonical_key() for t in trees}
+    keys = {canonical_key(t) for t in trees}
     assert len(keys) == 24
-    assert keys == {t.canonical_key() for t in dps.enumerate_trees(3)}
+    assert keys == {canonical_key(t) for t in enumerate_trees(3)}
 
 
 def test_round_trip_d4_sampled(duals4):
@@ -341,10 +355,10 @@ def test_round_trip_d4_sampled(duals4):
 
 def test_tree_round_trip_from_tree_side():
     for d in (2, 3, 4):
-        for t in dps.enumerate_trees(d):
+        for t in enumerate_trees(d):
             g = dps.tree_to_graph(t)
             t2 = dps.graph_to_tree(g)
-            assert t2.canonical_key() == t.canonical_key()
+            assert canonical_key(t2) == canonical_key(t)
 
 
 @settings(max_examples=50, deadline=None)
@@ -352,7 +366,7 @@ def test_tree_round_trip_from_tree_side():
 def test_round_trip_random_trees(d, rng):
     t = random_tree(rng, d)
     t2 = dps.graph_to_tree(dps.tree_to_graph(t))
-    assert t2.canonical_key() == t.canonical_key()
+    assert canonical_key(t2) == canonical_key(t)
 
 
 @settings(max_examples=50, deadline=None)
@@ -367,7 +381,7 @@ def test_random_covers_balance_realize_and_round_trip(d, rng):
     assert realize.is_realizable(cm)
     t2 = realize.monodromy(cm, realize.realize_generic(cm)[1])
     assert realize.graph_from_monodromy(t2).colored.colored_code() == cm.colored_code()
-    assert dps.graph_to_tree(dps.tree_to_graph(t)).canonical_key() == t.canonical_key()
+    assert canonical_key(dps.graph_to_tree(dps.tree_to_graph(t))) == canonical_key(t)
 
 
 @pytest.mark.parametrize("t", [
@@ -379,7 +393,7 @@ def test_round_trip_large_tree(t):
     g = dps.tree_to_graph(t)
     assert g.m.num_vertices == 2 * d
     assert g.m.num_faces == 2 * d - 2
-    assert dps.graph_to_tree(g).canonical_key() == t.canonical_key()
+    assert canonical_key(dps.graph_to_tree(g)) == canonical_key(t)
 
 
 def test_decode_builds_two_maps(monkeypatch):

@@ -1,11 +1,30 @@
 """Source checks on ``src/balmaps``: every value type checks itself once,
 when it is built, so no caller validates a value and no caller skips the
-map check."""
+map check; and every public name has a caller in the library or a stated
+reason to stay."""
 
 import ast
+import collections
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "balmaps"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "balmaps"
+
+# Public names that nothing in src/ calls, each with the reason it stays.  A
+# reason that starts with "perfbench" marks a name the benchmark reads, which
+# perfbench/run.py or perfbench/workloads.py must still load or list.
+NO_CALLER = {
+    "find_two_cuts": "perfbench traces it; decompose_full uses the private kernels",
+    "find_four_cuts": "perfbench traces it; decompose_full uses the private kernels",
+    "map_from_json": "perfbench traces it and reads its inputs with it",
+    "isomorphic": "perfbench compares a relabeled copy with it",
+    "verify_labelings_per_graph": "perfbench traces it: the census recount",
+    "is_realizable": "the theorem's decision: balanced iff realizable",
+    "rooted_count": "the mass formula, the oracle for the exhaustive corpus",
+    "murasugi_sum": "the paper's construction; its one call is its own recursion",
+    "gluing_curve": "the paper's construction: the cut that undoes a Murasugi sum",
+    "collapse_arc": "the paper's construction: an arc collapsed to a new vertex",
+}
 
 
 def _nodes():
@@ -80,3 +99,63 @@ def test_no_bare_map_error_is_raised():
     """Every failure raises a named subclass, so the CLI's JSON ``error``
     field names the kind of failure, never the base class."""
     assert [where for where, name in _raises() if name == "MapError"] == []
+
+
+def _loaded_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _uncalled():
+    """The public functions, classes and methods of the library,
+    ``__init__.py`` aside, whose name src/ never loads outside the
+    definition itself; and the names of all of them."""
+    loads = collections.Counter()
+    defs = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loads.update(_loaded_names(tree))
+        todo = list(tree.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defs.append((node.name, sum(x == node.name for x in _loaded_names(node))))
+            if isinstance(node, ast.ClassDef):
+                todo += node.body
+    return {name for name, own in defs if loads[name] == own}, {name for name, _ in defs}
+
+
+def test_every_public_name_has_a_caller():
+    """Code that only tests call goes, or moves beside its tests."""
+    uncalled, _ = _uncalled()
+    assert sorted(uncalled - set(NO_CALLER)) == []
+
+
+def test_no_caller_list_is_current():
+    """Each listed name is defined and still has no caller in src/, and
+    each one kept for perfbench still appears in its text; once the
+    benchmark lets a name go, the name goes."""
+    uncalled, defined = _uncalled()
+    assert sorted(set(NO_CALLER) - defined) == []
+    assert sorted(set(NO_CALLER) - uncalled) == []
+    read = set()  # attributes perfbench loads and strings in its tuples (TARGETS)
+    for name in ("run.py", "workloads.py"):
+        for node in ast.walk(ast.parse((ROOT / "perfbench" / name).read_text())):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Tuple):
+                read.update(e.value for e in node.elts if isinstance(e, ast.Constant))
+    assert [name for name, why in NO_CALLER.items()
+            if why.startswith("perfbench") and name not in read] == []
+
+
+def test_package_reexports_nothing():
+    """The submodules are the one public surface: ``__init__.py`` holds its
+    docstring and ``__version__``, and imports nothing."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert [type(node).__name__ for node in tree.body] == ["Expr", "Assign"]

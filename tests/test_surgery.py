@@ -21,6 +21,7 @@ from tests.test_decompose import (
     colored,
     random_cover,
     split_four_cut,
+    split_two_cut,
 )
 
 
@@ -58,7 +59,7 @@ def surgery_outputs(sample, rng):
         yield maps.pinch(m, *pinch_points(m, cm.blue_faces, rng))
     for cm in sample:
         for cut in decompose.find_two_cuts(cm):
-            yield from decompose.split_two_cut(cm, cut)
+            yield from split_two_cut(cm, cut)
         for cut in decompose.find_four_cuts(cm):
             try:
                 yield from split_four_cut(cm, cut)
