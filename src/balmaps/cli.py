@@ -160,21 +160,17 @@ _NAMED_MAPS = {"quadratic": maps.quadratic, "octahedron": maps.octahedron}
 
 
 def cmd_generate(args) -> int:
-    if args.kind == "turkshead":
-        if args.n is None:
-            raise InvalidInput("turkshead needs an index n")
-        m = maps.turkshead(args.n)
-    elif args.kind == "pinch":
+    if args.kind == "pinch":
         if not args.map or not args.darts:
             raise InvalidInput("pinch needs --map and --darts D1 D2")
-        cm = _load_colored(args.map)
-        m = maps.pinch(cm, args.darts[0], args.darts[1])
+        cm = maps.pinch(_load_colored(args.map), args.darts[0], args.darts[1])
+    elif args.kind == "turkshead":
+        if args.n is None:
+            raise InvalidInput("turkshead needs an index n")
+        cm = maps.checkerboard(maps.turkshead(args.n))[0]
     else:
-        m = _NAMED_MAPS[args.kind]()
-    if isinstance(m, maps.ColoredMap):
-        _emit(mapio.map_to_dict(m))
-    else:
-        _emit(mapio.map_to_dict(maps.checkerboard(m)[0]))
+        cm = maps.checkerboard(_NAMED_MAPS[args.kind]())[0]
+    _emit(mapio.map_to_dict(cm))
     return 0
 
 

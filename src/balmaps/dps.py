@@ -23,7 +23,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DegreePropertyFailed, InvalidInput, LimitExceeded, Mismatch
 from .maps import FaceLabeledGraph, count_components, dual_bipartite
@@ -31,8 +31,6 @@ from .realize import TranspositionTuple, graph_from_monodromy
 
 TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red_b)
 
-# _trees streams (2d-2)! d^(d-3) trees, 1,008,000 at degree 5
-TREE_DEGREE_CAP = 5
 # bounds decoding time, laps x O(d): a path tree on d whites takes d laps
 DECODE_DEGREE_CAP = 500
 
@@ -108,8 +106,6 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
     edge by its endpoint away from the root"; forgetting vertex names and
     deduplicating leaves one representative per shape.
     """
-    if d == 2:
-        return [((0, 1, 1),)]
     shapes = set()
     for pruefer in itertools.product(range(1, d + 1), repeat=d - 2):
         edges = _pruefer_decode(pruefer, d)
@@ -136,26 +132,6 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
             for a, b, blue in labeled))
         shapes.add(shape)
     return sorted(shapes)
-
-
-def _trees(d: int) -> Iterator[EdgeLabeledTree]:
-    """The trees of degree d one at a time, up to TREE_DEGREE_CAP.  For d >= 3 whites
-    are named by their distinct blue labels, so each (shape, reds) pair is
-    a distinct tree; at d = 2 the two are one, and the first is kept."""
-    if d > TREE_DEGREE_CAP:
-        raise LimitExceeded("tree enumeration capped at degree %d" % TREE_DEGREE_CAP)
-    if d < 2:
-        raise InvalidInput("degree must be at least 2")
-    shapes = _edge_labeled_shapes(d)
-    if d >= 3 and len(shapes) != d ** (d - 3):
-        raise InvalidInput("shape enumeration produced %d trees, expected %d"
-                           % (len(shapes), d ** (d - 3)))
-    n = 2 * d - 2
-    for shape in shapes:
-        for reds in itertools.permutations(range(1, n + 1)) if d > 2 else [(1, 2)]:
-            yield EdgeLabeledTree(d, tuple(
-                (wa, wb, blue, reds[2 * i], reds[2 * i + 1])
-                for i, (wa, wb, blue) in enumerate(shape)))
 
 
 # -- orientation, Felsner normalization, Bernardi tree --------------------------------
@@ -185,8 +161,6 @@ def orient_greater_label_left(g: FaceLabeledGraph) -> EdgeOrientation:
     its left; check the unique-in (blue) / unique-out (white) property."""
     m = g.m
     labels = g.blue_label_map()
-    if not labels:
-        raise InvalidInput("orientation needs blue vertex labels")
     root = next(v for v, lab in labels.items() if lab == g.d)
     forward = {}
     for e in m.edges():
@@ -490,11 +464,20 @@ def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
 
 
 def verify_counting_chain(d: int) -> dict:
-    """|trees| = (2d-2)! d^(d-3) and |classes| = |trees| / d!; the trees
-    are counted as they are built, not held."""
+    """|trees| = (2d-2)! d^(d-3), and |trees| = |tuples|, the sum of the
+    conjugacy orbits over the classes (|classes| d! for d >= 3).  For
+    d >= 3 whites are named by their distinct blue labels, so each shape
+    with each placement of the reds is a distinct tree, and the trees are
+    counted, not built; each shape is built once, as a tree.  The classes
+    come first, so their degree cap acts before any shape is listed."""
     from .hurwitz import enumerate_classes
-    trees = sum(1 for _ in _trees(d))
     classes = enumerate_classes(d)
+    shapes = _edge_labeled_shapes(d)
+    for shape in shapes:
+        EdgeLabeledTree(d, tuple((wa, wb, blue, 2 * i + 1, 2 * i + 2)
+                                 for i, (wa, wb, blue) in enumerate(shape)))
+    # at d = 2 swapping the whites swaps the reds: one tree per shape
+    trees = len(shapes) * (math.factorial(2 * d - 2) if d >= 3 else 1)
     expected_trees = math.factorial(2 * d - 2) * d ** (d - 3) if d >= 3 else 1
     return {
         "d": d,
@@ -502,5 +485,5 @@ def verify_counting_chain(d: int) -> dict:
         "expected_trees": expected_trees,
         "classes": len(classes),
         "trees_over_dfact": trees // math.factorial(d),
-        "ok": trees == expected_trees and trees == len(classes) * math.factorial(d),
+        "ok": trees == expected_trees and trees == sum(c.orbit_size for c in classes),
     }

@@ -55,7 +55,7 @@ class InvalidMatching(MapError):
 class NotBalanced(MapError):
     """Negative verdict; ``witness`` is the failed balance condition's."""
 
-    def __init__(self, message: str, witness=None):
+    def __init__(self, message: str, witness):
         super().__init__(message)
         self.witness = witness
 

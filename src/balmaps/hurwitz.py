@@ -231,7 +231,7 @@ def enumerate_classes(d: int) -> List[TupleClass]:
 class CensusEntry:
     underlying: Tuple[int, ...]  # canonical code of the uncolored diagram
     class_count: int
-    sample: Optional[ColoredMap] = None
+    sample: ColoredMap
 
     def to_dict(self) -> dict:
         return {"underlying": list(self.underlying),
@@ -270,10 +270,7 @@ def verify_labelings_per_graph(entry: CensusEntry) -> int:
     every labeling, which halves |Aut| there.  Raises Mismatch if the
     quotient leaves a remainder or disagrees with the census class count.
     """
-    cm = entry.sample
-    if cm is None:
-        raise Mismatch("census entry carries no sample diagram")
-    m = cm.m
+    m = entry.sample.m
     g = 0
     for colored in checkerboard(m):
         for counts in enumerate_matchings(colored):

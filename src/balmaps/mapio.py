@@ -6,8 +6,8 @@ tuple.json: {"fmt": 1, "d": d, "taus": [[a, b], ...]}        (1-based points)
 tree.json:  {"fmt": 1, "d": d,
              "edges": [{"white": [i, j], "blue": k, "red": [ri, rj]}, ...],
              "rotation": {white index: [blue labels clockwise]}}
-dual.json:  map.json fields plus "blue_vertices", "face_reds",
-             "blue_labels" ({vertex: label}).
+dual.json:  map.json fields plus "blue_vertices", "face_reds" and
+             "blue_labels" ({vertex: label}), all three required.
 
 Face indices are positions in the list of phi-orbits sorted by minimal dart.
 """
@@ -92,8 +92,7 @@ def dual_to_dict(g: FaceLabeledGraph) -> dict:
     out = map_to_dict(g.m)
     out["blue_vertices"] = sorted(g.blue_vertices)
     out["face_reds"] = list(g.face_red)
-    if g.blue_labels is not None:
-        out["blue_labels"] = {str(v): lab for v, lab in sorted(g.blue_labels)}
+    out["blue_labels"] = {str(v): lab for v, lab in sorted(g.blue_labels)}
     return out
 
 
@@ -102,11 +101,10 @@ def dual_from_dict(data: dict) -> FaceLabeledGraph:
         fields = {k: data[k] for k in ("darts", "sigma", "alpha")}
         blue = frozenset(_int(v) for v in data["blue_vertices"])
         reds = tuple(_int(r) for r in data["face_reds"])
-        labels = data.get("blue_labels")
-        if labels is not None:
-            if not isinstance(labels, dict):
-                raise TypeError("blue_labels must be an object")
-            labels = tuple(sorted((int(v), _int(l)) for v, l in labels.items()))
+        labels = data["blue_labels"]
+        if not isinstance(labels, dict):
+            raise TypeError("blue_labels must be an object")
+        labels = tuple(sorted((int(v), _int(l)) for v, l in labels.items()))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput("dual object needs darts, sigma, alpha, blue_vertices, "
                            "face_reds and integer blue_labels: %s" % exc)

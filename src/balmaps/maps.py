@@ -341,13 +341,11 @@ class CombinatorialMap:
 
 
 def build_map(sigma_cycles: Iterable[Sequence[int]],
-              alpha_pairs: Iterable[Sequence[int]],
-              darts: Optional[int] = None) -> CombinatorialMap:
-    """Construct a validated map from sigma cycles and alpha pairs."""
+              alpha_pairs: Iterable[Sequence[int]], darts: int) -> CombinatorialMap:
+    """Construct a validated map on darts 1..``darts`` from sigma cycles
+    and alpha pairs."""
     cyc = [tuple(c) for c in sigma_cycles]
     pairs = [tuple(p) for p in alpha_pairs]
-    if darts is None:
-        darts = max(max(c) for c in cyc if c) if cyc else 0
     for p in pairs:
         if len(p) != 2:
             raise AlphaNotInvolution("alpha must be given as dart pairs")
@@ -536,20 +534,19 @@ def checkerboard(m: CombinatorialMap) -> Tuple[ColoredMap, ColoredMap]:
 # -- surgery -------------------------------------------------------------------
 
 
-def rewire(cm, vertices: Iterable[int], alpha_pairs: Iterable[Tuple[int, int]],
-           extra_cycles: Iterable[Sequence[int]] = ()):
+def rewire(cm: ColoredMap, vertices: Iterable[int], alpha_pairs: Iterable[Tuple[int, int]],
+           extra_cycles: Iterable[Sequence[int]] = ()) -> ColoredMap:
     """The map on the darts at ``vertices`` plus one new vertex per extra
     sigma cycle (new darts are numbered above the old range), with every
     pair in ``alpha_pairs`` made an edge and every other dart keeping its
     alpha.  The darts are renumbered in ascending order.
 
-    For a ColoredMap, a face of the result is blue when it holds an old
-    dart of a blue face.  Corner colors alternate at every kept vertex, so
-    a surgery that merges faces of both colors flips some vertices against
-    the rest and fails the coloring check.
+    A face of the result is blue when it holds an old dart of a blue face.
+    Corner colors alternate at every kept vertex, so a surgery that merges
+    faces of both colors flips some vertices against the rest and fails
+    the coloring check.
     """
-    colored = isinstance(cm, ColoredMap)
-    m = cm.m if colored else cm
+    m = cm.m
     vertices = set(vertices)
     sig = {d: m.sigma[d] for d in range(1, m.n + 1) if m.vertex_of[d] in vertices}
     for cyc in extra_cycles:
@@ -563,8 +560,6 @@ def rewire(cm, vertices: Iterable[int], alpha_pairs: Iterable[Tuple[int, int]],
     sigma = [0] + [new_id[sig[d]] for d in darts]
     alpha = [0] + [new_id[alp[d] if d in alp else m.alpha[d]] for d in darts]
     out = CombinatorialMap(sigma, alpha)
-    if not colored:
-        return out
     return ColoredMap(out, {out.face_of[new_id[d]] for d in darts
                             if d <= m.n and m.face_of[d] in cm.blue_faces})
 
@@ -637,15 +632,14 @@ def turkshead(n: int) -> CombinatorialMap:
     return _from_rotations(rot)
 
 
-def pinch(cm, dart1: int, dart2: int):
+def pinch(cm: ColoredMap, dart1: int, dart2: int) -> ColoredMap:
     """Identify two boundary points of one face into a new 4-valent vertex.
 
     The points are interior points of the (distinct) edges carrying dart1
     and dart2, which must lie on the same face.  Splits that face in two;
-    for a ColoredMap both parts keep the face's color, so that color's
-    count goes up by one.
+    both parts keep the face's color, so that color's count goes up by one.
     """
-    m = cm.m if isinstance(cm, ColoredMap) else cm
+    m = cm.m
     if not (1 <= dart1 <= m.n and 1 <= dart2 <= m.n):
         raise InvalidPinch("dart out of range")
     if m.face_of[dart1] != m.face_of[dart2]:
@@ -668,21 +662,21 @@ class FaceLabeledGraph:
     4-valent diagram.
 
     ``blue_vertices`` are vertex ids (minimal darts); ``face_red`` assigns a
-    distinct label in 1..2d-2 to every face; ``blue_labels`` optionally
-    labels the blue vertices 1..d.  Construction raises InvalidInput
-    unless all of this holds.
+    distinct label in 1..2d-2 to every face; ``blue_labels`` labels the
+    blue vertices 1..d.  Construction raises InvalidInput unless all of
+    this holds.
     """
     m: CombinatorialMap
     blue_vertices: frozenset
     face_red: Tuple[int, ...]
-    blue_labels: Optional[Tuple[Tuple[int, int], ...]] = None  # (vertex, label)
+    blue_labels: Tuple[Tuple[int, int], ...]  # (vertex, label)
 
     @property
     def d(self) -> int:
         return len(self.blue_vertices)
 
     def blue_label_map(self) -> Dict[int, int]:
-        return dict(self.blue_labels) if self.blue_labels else {}
+        return dict(self.blue_labels)
 
     def __post_init__(self) -> None:
         m = self.m
@@ -698,34 +692,20 @@ class FaceLabeledGraph:
             raise InvalidInput("face count must be 2d-2")
         if sorted(self.face_red) != list(range(1, 2 * d - 1)):
             raise InvalidInput("face labels must be a bijection onto 1..2d-2")
-        if self.blue_labels is not None:
-            lab = self.blue_label_map()
-            if set(lab) != set(blues) or sorted(lab.values()) != list(range(1, d + 1)):
-                raise InvalidInput("blue vertex labels must be a bijection onto 1..d")
+        lab = self.blue_label_map()
+        if set(lab) != set(blues) or sorted(lab.values()) != list(range(1, d + 1)):
+            raise InvalidInput("blue vertex labels must be a bijection onto 1..d")
         for v in blues:
             if not (1 <= v <= m.n and m.vertex_of[v] == v):
                 raise InvalidInput("blue vertex %r is not a vertex id" % (v,))
 
-    def canonical_code(self) -> Tuple[int, ...]:
-        """Canonical form refined by face reds and blue vertex labels: every
-        trace has 2n entries, so it is the map's code, then the least
-        decoration over its canonical roots."""
-        m, labels = self.m, self.blue_label_map()
-        marks = [labels.get(c[0], -1) if c[0] in self.blue_vertices else 0 for c in m._vertices]
-
-        def decorate(lab):
-            return ([self.face_red[i] for i in _by_least_label(m.faces, lab)]
-                    + [marks[i] for i in _by_least_label(m._vertices, lab)])
-        labs = (m._lab if r == m._root else m._bfs_trace(r)[1] for r in m.canonical_roots())
-        return m._code + tuple(min(map(decorate, labs)))
-
 
 def dual_bipartite(cm: ColoredMap, labels: Dict[int, int],
-                   blue_labels: Optional[Sequence[int]] = None) -> FaceLabeledGraph:
+                   blue_labels: Sequence[int]) -> FaceLabeledGraph:
     """Dual of a realized colored map: one blue vertex per blue face, one
     white per white face, one edge per edge of the diagram, and one face per
     4-valent vertex, red-labeled by that vertex's critical label.
-    ``blue_labels`` optionally labels the blue vertices in ascending id order.
+    ``blue_labels`` labels the blue vertices in ascending id order.
     The dual checks itself when built, so labels that are not distinct in
     1..V raise InvalidInput.
     """
@@ -745,5 +725,5 @@ def dual_bipartite(cm: ColoredMap, labels: Dict[int, int],
     for orbit in dual.faces:
         v = m.vertex_of[m.alpha[orbit[0]]]
         reds.append(labels.get(v, 0))
-    return FaceLabeledGraph(dual, blue_vs, tuple(reds), None if blue_labels is None
-                            else tuple(zip(sorted(blue_vs), blue_labels)))
+    return FaceLabeledGraph(dual, blue_vs, tuple(reds),
+                            tuple(zip(sorted(blue_vs), blue_labels)))

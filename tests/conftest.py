@@ -56,12 +56,30 @@ def make_labeled_duals(d):
     out = []
     for cls in hurwitz.enumerate_classes(d):
         real = realize.graph_from_monodromy(cls.representative)
-        g0 = maps.dual_bipartite(real.colored, real.labels)
+        g0 = maps.dual_bipartite(real.colored, real.labels, range(1, d + 1))
         blues = sorted(g0.blue_vertices)
         for perm in itertools.permutations(range(1, d + 1)):
             out.append(maps.FaceLabeledGraph(
                 g0.m, g0.blue_vertices, g0.face_red, tuple(zip(blues, perm))))
     return out
+
+
+def dual_code(g):
+    """The code of a labeled dual: its map's code, then the least
+    decoration over the map's canonical roots, which is the red of every
+    face and the mark of every vertex (its blue label, 0 for a white one),
+    each ordered by least dart label.  Every trace has 2n entries, so this
+    is the least trace-then-decoration over all roots, a complete invariant
+    of the dual with its reds and labels."""
+    m, labels = g.m, g.blue_label_map()
+    marks = [labels.get(cyc[0], 0) for cyc in m.vertices()]
+
+    def decorate(lab):
+        return ([g.face_red[i] for i in maps._by_least_label(m.faces, lab)]
+                + [marks[i] for i in maps._by_least_label(m.vertices(), lab)])
+    code = m.canonical_code()
+    labs = (m._lab if r == m._root else m._bfs_trace(r)[1] for r in m.canonical_roots())
+    return code + tuple(min(map(decorate, labs)))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ def colored(m):
 
 
 def figure_eight():
-    m = maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]])
+    m = maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]], 4)
     return colored(m)
 
 

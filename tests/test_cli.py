@@ -8,6 +8,7 @@ import pytest
 
 from balmaps import dps, mapio, maps
 from balmaps.cli import build_parser, run
+from tests.conftest import dual_code
 
 
 def run_capture(capsys, argv, stdin=None, monkeypatch=None):
@@ -58,7 +59,7 @@ def test_balance_exit_codes(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["balanced"]
 
-    fig8 = maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]])
+    fig8 = maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]], 4)
     path = write_map(tmp_path, maps.checkerboard(fig8)[0], "f8.json")
     code, out = run_capture(capsys, ["balance", path, "--witness"])
     assert code == 1
@@ -82,7 +83,7 @@ def test_realize_and_from_tuple(tmp_path, capsys):
 
 
 def test_realize_unbalanced_is_exit_one(tmp_path, capsys):
-    fig8 = maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]])
+    fig8 = maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]], 4)
     path = write_map(tmp_path, maps.checkerboard(fig8)[0])
     code, out = run_capture(capsys, ["realize", path])
     assert code == 1
@@ -196,6 +197,26 @@ def test_dps_verify(capsys):
     assert json.loads(out)["ok"]
 
 
+def test_dps_verify_degree_two(capsys):
+    """The one degree-2 tuple is fixed by the deck involution, so its orbit
+    is the single tuple that the single tree matches."""
+    code, out = run_capture(capsys, ["dps", "verify", "2"])
+    assert code == 0
+    assert out == ('{"d":2,"trees":1,"expected_trees":1,"classes":1,'
+                   '"trees_over_dfact":0,"ok":true}\n')
+
+
+def test_dps_verify_short_shape_list_is_a_negative_verdict(monkeypatch, capsys):
+    """A shape listing one short counts (2d-2)! trees too few: the chain
+    fails with "ok": false and exit 1, not with an error."""
+    listed = dps._edge_labeled_shapes
+    monkeypatch.setattr(dps, "_edge_labeled_shapes", lambda d: listed(d)[:-1])
+    code, out = run_capture(capsys, ["dps", "verify", "4"])
+    assert code == 1
+    data = json.loads(out)
+    assert (data["trees"], data["expected_trees"], data["ok"]) == (2160, 2880, False)
+
+
 def test_dps_encode_decode(tmp_path, capsys, duals3):
     g = duals3[0]
     p = tmp_path / "dual.json"
@@ -208,7 +229,20 @@ def test_dps_encode_decode(tmp_path, capsys, duals3):
     code, out = run_capture(capsys, ["dps", "decode", str(tp)])
     assert code == 0
     g2 = mapio.dual_from_dict(json.loads(out))
-    assert g2.canonical_code() == g.canonical_code()
+    assert dual_code(g2) == dual_code(g)
+
+
+def test_dps_encode_needs_blue_labels(tmp_path, capsys, duals3):
+    """A dual without ``blue_labels`` is refused as it is read."""
+    doc = mapio.dual_to_dict(duals3[0])
+    del doc["blue_labels"]
+    p = tmp_path / "dual.json"
+    p.write_text(json.dumps(doc))
+    code, out = run_capture(capsys, ["dps", "encode", str(p)])
+    assert code == 2
+    assert out == ('{"error":"InvalidInput","message":"dual object needs darts, sigma, '
+                   'alpha, blue_vertices, face_reds and integer blue_labels: '
+                   '\'blue_labels\'"}\n')
 
 
 @pytest.mark.parametrize("tree", [
@@ -246,7 +280,7 @@ def test_dps_encode_rejects_blue_non_vertex(tmp_path, capsys):
     """Every edge of this dual has vertex 1 at one end, so a blue vertex
     99, which is no vertex, passes the bipartite check; it is refused as
     the dual is read, not by the orientation."""
-    star = maps.build_map([[1, 2, 3, 4], [5, 6], [7], [8]], [[1, 5], [2, 6], [3, 7], [4, 8]])
+    star = maps.build_map([[1, 2, 3, 4], [5, 6], [7], [8]], [[1, 5], [2, 6], [3, 7], [4, 8]], 8)
     doc = dict(mapio.map_to_dict(star), blue_vertices=[1, 99], face_reds=[1, 2],
                blue_labels={"1": 1, "99": 2})
     p = tmp_path / "dual.json"

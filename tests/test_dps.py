@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from balmaps import balance, dps, mapio, maps, realize
 from balmaps.errors import DegreePropertyFailed, InvalidInput, LimitExceeded
-from tests.conftest import clockwise_cycles, felsner_by_reversals, reverse_cycle
+from tests.conftest import clockwise_cycles, dual_code, felsner_by_reversals, reverse_cycle
 
 
 def random_tree(rng, d):
@@ -35,8 +36,14 @@ def random_tree(rng, d):
 
 
 def enumerate_trees(d):
-    """Every tree of degree d, as one list."""
-    return list(dps._trees(d))
+    """Every tree of degree d, as one list: each shape with every placement
+    of the red labels, but one at d = 2, where swapping the two whites
+    swaps the reds."""
+    n = 2 * d - 2
+    return [dps.EdgeLabeledTree(d, tuple((wa, wb, blue, reds[2 * i], reds[2 * i + 1])
+                                         for i, (wa, wb, blue) in enumerate(shape)))
+            for shape in dps._edge_labeled_shapes(d)
+            for reds in (itertools.permutations(range(1, n + 1)) if d > 2 else [(1, 2)])]
 
 
 def canonical_key(t):
@@ -71,8 +78,9 @@ def test_canonical_key_ignores_white_names():
 
 
 def test_tree_stream_cap_acts_before_any_work(monkeypatch, capsys):
-    """Degree 6 would stream 10! 6^3 trees; the counting chain and the CLI
-    refuse it before a shape is listed."""
+    """The counting chain enumerates the classes before it lists a shape,
+    so the class enumeration's cap refuses degree 6, in the library and in
+    the CLI, before any shape is listed."""
     from balmaps.cli import run
 
     def shapes(d):
@@ -137,7 +145,7 @@ def test_decode_tuples_pinned():
 
 def test_dual_code_format_pinned():
     t = dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
-    assert dps.tree_to_graph(t).canonical_code() == (
+    assert dual_code(dps.tree_to_graph(t)) == (
         16, 2, 3, 1, 4, 5, 1, 6, 2, 3, 7, 8, 9, 10, 5, 11, 12, 7, 6, 13, 11, 4,
         10, 14, 8, 9, 15, 12, 16, 16, 13, 15, 14, 1, 2, 3, 4, 1, 0, 0, 2, 3, 0)
 
@@ -330,7 +338,7 @@ def test_round_trip_d2():
     from tests.conftest import make_labeled_duals
     for g in make_labeled_duals(2):
         t = dps.graph_to_tree(g)
-        assert dps.tree_to_graph(t).canonical_code() == g.canonical_code()
+        assert dual_code(dps.tree_to_graph(t)) == dual_code(g)
 
 
 def test_round_trip_d3_exhaustive(duals3):
@@ -339,7 +347,7 @@ def test_round_trip_d3_exhaustive(duals3):
         t = dps.graph_to_tree(g)
         trees.append(t)
         g2 = dps.tree_to_graph(t)
-        assert g2.canonical_code() == g.canonical_code()
+        assert dual_code(g2) == dual_code(g)
     keys = {canonical_key(t) for t in trees}
     assert len(keys) == 24
     assert keys == {canonical_key(t) for t in enumerate_trees(3)}
@@ -350,7 +358,7 @@ def test_round_trip_d4_sampled(duals4):
     for g in rng.sample(duals4, 120):
         t = dps.graph_to_tree(g)
         g2 = dps.tree_to_graph(t)
-        assert g2.canonical_code() == g.canonical_code()
+        assert dual_code(g2) == dual_code(g)
 
 
 def test_tree_round_trip_from_tree_side():
@@ -421,14 +429,16 @@ def test_round_trip_on_realized_generator_duals():
     for make in (maps.quadratic, maps.octahedron, lambda: maps.turkshead(4)):
         cm = maps.checkerboard(make())[0]
         counts, labels = realize.realize_generic(cm)
-        g0 = maps.dual_bipartite(cm, labels)
-        blues = sorted(g0.blue_vertices)
-        g = maps.FaceLabeledGraph(g0.m, g0.blue_vertices, g0.face_red,
-                                  tuple(zip(blues, range(1, g0.d + 1))))
+        g = maps.dual_bipartite(cm, labels, range(1, len(cm.blue_faces) + 1))
         t = dps.graph_to_tree(g)
-        assert dps.tree_to_graph(t).canonical_code() == g.canonical_code()
+        assert dual_code(dps.tree_to_graph(t)) == dual_code(g)
 
 
 def test_counting_chain():
+    """Degree 5 counts its 1,008,000 trees against the 8400 classes
+    without building them."""
     assert dps.verify_counting_chain(3)["ok"]
     assert dps.verify_counting_chain(4)["ok"]
+    assert dps.verify_counting_chain(5) == {
+        "d": 5, "trees": 1008000, "expected_trees": 1008000, "classes": 8400,
+        "trees_over_dfact": 8400, "ok": True}

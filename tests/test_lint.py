@@ -1,7 +1,8 @@
 """Source checks on ``src/balmaps``: every value type checks itself once,
 when it is built, so no caller validates a value and no caller skips the
-map check; and every public name has a caller in the library or a stated
-reason to stay."""
+map check; every public name has a caller in the library or a stated
+reason to stay; and every default, an option's second value, is set by a
+library caller or has a stated reason to stay."""
 
 import ast
 import collections
@@ -24,6 +25,23 @@ NO_CALLER = {
     "murasugi_sum": "the paper's construction; its one call is its own recursion",
     "gluing_curve": "the paper's construction: the cut that undoes a Murasugi sum",
     "collapse_arc": "the paper's construction: an arc collapsed to a new vertex",
+}
+
+# Every parameter default and dataclass field default in src/, keyed
+# module.owner.name (the owner of an __init__ parameter is its class), each
+# with the library caller that sets it or the reason it stays.
+OPTIONS = {
+    "maps.CombinatorialMap._bfs_trace.bound":
+        "_least_root passes its best trace; realize traces one root unbounded",
+    "maps.rewire.extra_cycles": "pinch and the odd/odd split add a vertex; 2-cut fusions none",
+    "balance.is_balanced.oracle": "the CLI's --oracle; realize uses the flow",
+    "maps.ColoredMap.check": "swapped() and perfbench's fresh copies skip a known colouring",
+    "cli.run.argv": "main() reads sys.argv; in-process callers pass their own",
+    "balance.BalanceReport.witness": "every report passes it by keyword, None when positive",
+    "balance.BalanceReport.matching": "set only when the flow solves the face equations",
+    "decompose.DecompositionTree.cut": "decompose_full sets it on internal nodes only",
+    "decompose.DecompositionTree.pieces": "decompose_full sets it on internal nodes only",
+    "decompose.DecompositionTree.kind": "decompose_full sets it on leaves only",
 }
 
 
@@ -159,3 +177,53 @@ def test_package_reexports_nothing():
     docstring and ``__version__``, and imports nothing."""
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert [type(node).__name__ for node in tree.body] == ["Expr", "Assign"]
+
+
+def _defaults():
+    """module.owner.name of every parameter default and every default of
+    an annotated class field in the library."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        todo = [(path.stem, node) for node in ast.parse(path.read_text(), str(path)).body]
+        while todo:
+            owner, node = todo.pop()
+            if isinstance(node, ast.ClassDef):
+                todo += [(owner + "." + node.name, item) for item in node.body]
+                found += [owner + "." + node.name + "." + item.target.id for item in node.body
+                          if isinstance(item, ast.AnnAssign) and item.value is not None]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(node, "name", "<lambda>")
+                where = owner if name == "__init__" else owner + "." + name
+                a = node.args
+                args = a.posonlyargs + a.args
+                found += [where + "." + x.arg for x in args[len(args) - len(a.defaults):]]
+                found += [where + "." + x.arg for x, v in zip(a.kwonlyargs, a.kw_defaults)
+                          if v is not None]
+                todo += [(where, sub) for sub in ast.iter_child_nodes(node)]
+            else:
+                todo += [(owner, sub) for sub in ast.iter_child_nodes(node)]
+    return found
+
+
+def test_every_default_is_a_listed_option():
+    """An option that only tests set to its second value becomes a
+    constant: a new default needs an OPTIONS entry, and an entry whose
+    default is gone goes with it."""
+    found = _defaults()
+    assert sorted(set(found) - set(OPTIONS)) == []
+    assert sorted(set(OPTIONS) - set(found)) == []
+    assert len(found) == len(set(found))
+
+
+def test_no_public_method_name_is_shared():
+    """A public method whose name another class also defines would pass
+    the caller lint on the other's calls, so each name has one class;
+    ``to_dict``, the JSON writer of each CLI result, is the exception."""
+    owners = collections.defaultdict(list)
+    for _, node in _nodes():
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    owners[item.name].append(node.name)
+    assert {name: classes for name, classes in owners.items()
+            if len(classes) > 1 and name != "to_dict"} == {}

@@ -15,6 +15,7 @@ from balmaps.errors import (
     NonZeroGenus,
     NotFourValent,
 )
+from tests.conftest import dual_code
 
 
 def relabeled(m, perm):
@@ -49,7 +50,7 @@ def isomorphism_brute_force(a, b):
 
 
 def figure_eight():
-    return maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]])
+    return maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]], 4)
 
 
 def test_quadratic_counts():
@@ -78,17 +79,17 @@ def test_build_map_errors():
     # each case pins the check that fires first, by class and message
     cases = [
         # singleton alpha cycles are rejected as non-pairs by the builder
-        (lambda: maps.build_map([[1, 2], [3, 4]], [[1, 2], [3], [4]]),
+        (lambda: maps.build_map([[1, 2], [3, 4]], [[1, 2], [3], [4]], 4),
          AlphaNotInvolution, "alpha must be given as dart pairs"),
         (lambda: maps.CombinatorialMap((0, 2, 1, 4, 3), (0, 2, 1, 3, 4)),
          AlphaHasFixedPoint, "alpha fixes dart 3"),
-        (lambda: maps.build_map([[1, 2, 3], [4]], [[1, 2, 3], [4]]),
+        (lambda: maps.build_map([[1, 2, 3], [4]], [[1, 2, 3], [4]], 4),
          AlphaNotInvolution, "alpha must be given as dart pairs"),
         # two disjoint loops on separate vertices
-        (lambda: maps.build_map([[1, 2], [3, 4]], [[1, 2], [3, 4]]),
+        (lambda: maps.build_map([[1, 2], [3, 4]], [[1, 2], [3, 4]], 4),
          Disconnected, "sigma and alpha do not act transitively"),
         # torus: one vertex, two crossing loops
-        (lambda: maps.build_map([[1, 2, 3, 4]], [[1, 3], [2, 4]]),
+        (lambda: maps.build_map([[1, 2, 3, 4]], [[1, 3], [2, 4]], 4),
          NonZeroGenus, "V-E+F = 0, not a sphere map"),
     ]
     for build, cls, message in cases:
@@ -337,7 +338,7 @@ def test_checkerboard_counts():
 
 def test_checkerboard_requires_four_valent():
     tri = maps.build_map([[1, 2], [3, 4], [5, 6]],
-                         [[1, 4], [3, 6], [5, 2]])
+                         [[1, 4], [3, 6], [5, 2]], 6)
     with pytest.raises(NotFourValent):
         maps.checkerboard(tri)
 
@@ -431,7 +432,7 @@ def test_dual_bipartite_quadratic():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.quadratic())
     counts, labels = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, labels)
+    g = maps.dual_bipartite(cm, labels, [1, 2])
     assert g.d == 2
     assert g.m.num_vertices == 4
     assert g.m.num_faces == 2
@@ -442,7 +443,7 @@ def test_dual_bipartite_octahedron():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.octahedron())
     counts, labels = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, labels)
+    g = maps.dual_bipartite(cm, labels, [1, 2, 3, 4])
     assert g.d == 4
     assert len(g.blue_vertices) == 4
     assert g.m.num_vertices == 8
@@ -459,24 +460,24 @@ def test_dual_bipartite_refuses_bad_labels():
     for bad in ({**labels, v: labels[w]}, {**labels, v: 0}, {**labels, v: 7},
                 {u: l for u, l in labels.items() if u != v}):
         with pytest.raises(InvalidInput, match="bijection onto 1..2d-2"):
-            maps.dual_bipartite(cm, bad)
+            maps.dual_bipartite(cm, bad, [1, 2, 3, 4])
 
 
 def test_face_labeled_graph_checks_itself():
     """A malformed dual raises InvalidInput when it is built."""
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.quadratic())
-    g = maps.dual_bipartite(cm, realize.realize_generic(cm)[1])
+    g = maps.dual_bipartite(cm, realize.realize_generic(cm)[1], [1, 2])
     blue = sorted(g.blue_vertices)
     with pytest.raises(InvalidInput, match="bijection onto 1..2d-2"):
-        maps.FaceLabeledGraph(g.m, g.blue_vertices, (1, 1))
+        maps.FaceLabeledGraph(g.m, g.blue_vertices, (1, 1), g.blue_labels)
     with pytest.raises(InvalidInput, match="bijection onto 1..d"):
         maps.FaceLabeledGraph(g.m, g.blue_vertices, g.face_red, ((blue[0], 1), (blue[1], 1)))
     with pytest.raises(InvalidInput, match="not bipartite"):
-        maps.FaceLabeledGraph(g.m, frozenset(g.m.vertex_ids()), g.face_red)
+        maps.FaceLabeledGraph(g.m, frozenset(g.m.vertex_ids()), g.face_red, g.blue_labels)
     # every edge of this map has vertex 1 at one end, so only the vertex
     # check refuses a blue vertex that is no vertex
-    star = maps.build_map([[1, 2, 3, 4], [5, 6], [7], [8]], [[1, 5], [2, 6], [3, 7], [4, 8]])
+    star = maps.build_map([[1, 2, 3, 4], [5, 6], [7], [8]], [[1, 5], [2, 6], [3, 7], [4, 8]], 8)
     with pytest.raises(InvalidInput, match="blue vertex 99 is not a vertex id"):
         maps.FaceLabeledGraph(star, frozenset({1, 99}), (1, 2), ((1, 1), (99, 2)))
 
@@ -522,9 +523,7 @@ def relabeled_dual(g, rng):
     reds = [0] * m.num_faces
     for f, orbit in enumerate(g.m.faces):
         reds[m.face_of[perm[orbit[0]]]] = g.face_red[f]
-    labels = None
-    if g.blue_labels is not None:
-        labels = tuple(sorted((m.vertex_of[perm[v]], l) for v, l in g.blue_labels))
+    labels = tuple(sorted((m.vertex_of[perm[v]], l) for v, l in g.blue_labels))
     return maps.FaceLabeledGraph(
         m, frozenset(m.vertex_of[perm[v]] for v in g.blue_vertices), tuple(reds), labels)
 
@@ -571,15 +570,14 @@ def test_bfs_trace_matches_reference(corpus6):
 
 def dual_decoration(g):
     """The decoration of a labeled dual for ``full_scan``: the red of every
-    face, then every vertex's mark (its blue label, -1 for an unlabeled
-    blue vertex, 0 for a white one), each ordered by least dart label."""
+    face, then every vertex's mark (its blue label, 0 for a white one),
+    each ordered by least dart label."""
     m, labels = g.m, g.blue_label_map()
 
     def decorate(lab):
         first = lambda cyc: min(lab[x] for x in cyc)
         faces = sorted(range(m.num_faces), key=lambda i: first(m.faces[i]))
-        marks = [labels.get(cyc[0], -1) if cyc[0] in g.blue_vertices else 0
-                 for cyc in sorted(m.vertices(), key=first)]
+        marks = [labels.get(cyc[0], 0) for cyc in sorted(m.vertices(), key=first)]
         return [g.face_red[i] for i in faces] + marks
     return decorate
 
@@ -634,8 +632,8 @@ def test_least_trace_matches_full_scan(corpus6, duals4, least_trace_calls):
         least_trace_calls.clear()
     for g in duals4:
         g2 = relabeled_dual(g, rng)
-        assert_kernel_matches_scan(g2.canonical_code(), least_trace_calls, dual_decoration(g2))
-        assert g2.canonical_code() == g.canonical_code()
+        assert_kernel_matches_scan(dual_code(g2), least_trace_calls, dual_decoration(g2))
+        assert dual_code(g2) == dual_code(g)
         least_trace_calls.clear()
 
 

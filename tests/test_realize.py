@@ -133,7 +133,7 @@ def test_monodromy_round_trip_octahedron():
 
 
 def test_realize_generic_requires_balance():
-    fig8 = colored(maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]]))
+    fig8 = colored(maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]], 4))
     with pytest.raises(NotBalanced):
         realize.realize_generic(fig8)
 
@@ -142,7 +142,7 @@ def test_is_realizable_basics():
     assert realize.is_realizable(colored(maps.quadratic()))
     assert realize.is_realizable(colored(maps.octahedron()))
     assert realize.is_realizable(colored(maps.turkshead(4)))
-    fig8 = colored(maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]]))
+    fig8 = colored(maps.build_map([[1, 2, 3, 4]], [[1, 2], [3, 4]], 4))
     assert not realize.is_realizable(fig8)
 
 

@@ -56,7 +56,7 @@ def surgery_outputs(sample, rng):
         m = maps.turkshead(n)
         cm = colored(m)
         yield maps.pinch(cm, *pinch_points(m, cm.white_faces, rng))
-        yield maps.pinch(m, *pinch_points(m, cm.blue_faces, rng))
+        yield maps.pinch(cm, *pinch_points(m, cm.blue_faces, rng)).m
     for cm in sample:
         for cut in decompose.find_two_cuts(cm):
             yield from split_two_cut(cm, cut)
@@ -111,7 +111,10 @@ def test_rewire_rejects_merging_both_colors():
     m = q.m
     assert m.vertices() == [(1, 3, 5, 7), (2, 8, 6, 4)]
     pairs = [(1, 4), (3, 6), (5, 8), (7, 2)]
-    turned = maps.rewire(m, m.vertex_ids(), pairs)
+    alpha = [0] * (m.n + 1)
+    for a, b in pairs:
+        alpha[a], alpha[b] = b, a
+    turned = maps.CombinatorialMap(m.sigma, alpha)
     assert (turned.num_vertices, turned.num_faces) == (2, 4)
     for face in turned.faces:
         assert {q.is_blue(m.face_of[d]) for d in face} == {True, False}
