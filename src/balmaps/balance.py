@@ -28,8 +28,7 @@ class BalanceReport:
     jordan_ok: bool
     global_ok: bool
     local_ok: Optional[bool]  # None when gated off by an earlier failure
-    witness: Optional[dict] = None
-    matching: Optional[Dict[int, int]] = None  # inserted count per edge id
+    witness: Optional[dict]  # None when balanced
 
     @property
     def balanced(self) -> bool:
@@ -218,25 +217,17 @@ def is_balanced(cm: ColoredMap, oracle: str = "flow") -> BalanceReport:
         raise PreconditionFailed("unknown oracle %r" % oracle)
     jordan, wit = check_jordan(cm)
     if not jordan:
-        return BalanceReport(False, check_global(cm), None, witness=wit)
-    glob = check_global(cm)
-    if not glob:
+        return BalanceReport(False, check_global(cm), None, wit)
+    if not check_global(cm):
         blue = len(cm.blue_faces)
-        wit = {"blue": blue, "white": cm.m.num_faces - blue}
-        return BalanceReport(True, False, None, witness=wit)
-    matching = None
-    if oracle in ("flow", "both"):
-        ok_flow, matching, info = check_balance_flow(cm)
-    if oracle in ("curves", "both"):
-        ok_curves, cwit = check_local_curves(cm)
-    if oracle == "flow":
-        local, wit = ok_flow, (None if ok_flow else info)
-    elif oracle == "curves":
-        local, wit = ok_curves, cwit
-    else:
-        if ok_flow != ok_curves:
-            raise Mismatch(
-                "flow and curve oracles disagree: flow=%s curves=%s" % (ok_flow, ok_curves))
-        local, wit = ok_flow, (cwit if not ok_curves else None)
-    return BalanceReport(True, True, local, witness=wit,
-                         matching=matching if local else None)
+        return BalanceReport(True, False, None, {"blue": blue, "white": cm.m.num_faces - blue})
+    verdicts = []  # (ok, witness) per oracle asked, the flow's first
+    if oracle != "curves":
+        ok, _, info = check_balance_flow(cm)
+        verdicts.append((ok, None if ok else info))
+    if oracle != "flow":
+        verdicts.append(check_local_curves(cm))
+    (first, _), (local, wit) = verdicts[0], verdicts[-1]
+    if first != local:
+        raise Mismatch("flow and curve oracles disagree: flow=%s curves=%s" % (first, local))
+    return BalanceReport(True, True, local, wit)

@@ -86,19 +86,17 @@ def cmd_hurwitz(args) -> int:
     if args.action == "count":
         _emit({"d": args.d, "count": hurwitz.hurwitz_count(args.d)})
         return 0
-    if args.action == "enumerate":
-        classes = hurwitz.enumerate_classes(args.d)
-        data = {"d": args.d, "count": len(classes),
-                "classes": [[list(p) for p in c.representative.taus]
-                            for c in classes]}
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(mapio.dumps(data))
-            _emit({"d": args.d, "count": len(classes), "out": args.out})
-        else:
-            _emit(data)
-        return 0
-    return cmd_census(args)
+    classes = hurwitz.enumerate_classes(args.d)
+    data = {"d": args.d, "count": len(classes),
+            "classes": [[list(p) for p in c.representative.taus]
+                        for c in classes]}
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(mapio.dumps(data))
+        _emit({"d": args.d, "count": len(classes), "out": args.out})
+    else:
+        _emit(data)
+    return 0
 
 
 def cmd_census(args) -> int:
@@ -122,6 +120,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_dps(args) -> int:
+    if args.input is None:
+        raise InvalidInput("dps %s needs %s" % (
+            args.action, "a degree" if args.action == "verify" else "an input file"))
     if args.action == "encode":
         g = mapio.dual_from_dict(_load(args.input))
         t = dps.graph_to_tree(g)
@@ -132,12 +133,10 @@ def cmd_dps(args) -> int:
         g = dps.tree_to_graph(t)
         _emit(mapio.dual_to_dict(g))
         return 0
-    d = args.d
-    if args.input is not None:
-        try:
-            d = int(args.input)
-        except ValueError:
-            raise InvalidInput("dps verify takes a degree, got %r" % args.input)
+    try:
+        d = int(args.input)
+    except ValueError:
+        raise InvalidInput("dps verify takes a degree, got %r" % args.input)
     result = dps.verify_counting_chain(d)
     _emit(result)
     return 0 if result["ok"] else 1
@@ -225,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_from_tuple)
 
     s = sub.add_parser("hurwitz")
-    s.add_argument("action", choices=["count", "enumerate", "census"])
+    s.add_argument("action", choices=["count", "enumerate"])
     s.add_argument("d", type=int)
     s.add_argument("--out")
     s.set_defaults(func=cmd_hurwitz)
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("dps")
     s.add_argument("action", choices=["encode", "decode", "verify"])
     s.add_argument("input", nargs="?")
-    s.add_argument("-d", "--degree", dest="d", type=int, default=3)
     s.set_defaults(func=cmd_dps)
 
     s = sub.add_parser("decompose")

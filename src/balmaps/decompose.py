@@ -189,9 +189,10 @@ def _classify(cm: ColoredMap, ys):
     across y_{i+1}, so that face is also the face of alpha(y_{i+1}).
 
     Odd/odd sides always split.  Even/even sides split only in a globally
-    balanced diagram, along a curve whose four faces are distinct and
-    alternate in color.  A 2-cut piece can have an odd vertex count, so
-    mixed-parity curves occur; neither surgery applies to them.
+    balanced diagram, along a curve whose four faces are distinct.  Their
+    colors alternate anyway: the faces of y_i and y_{i+1} lie on the two
+    sides of y_{i+1}'s edge.  A 2-cut piece can have an odd vertex count,
+    so mixed-parity curves occur; neither surgery applies to them.
     """
     m = cm.m
     if (len(ys) != 4 or not all(1 <= y <= m.n for y in ys)
@@ -209,8 +210,6 @@ def _classify(cm: ColoredMap, ys):
     if not odd:
         if not check_global(cm):
             return "even/even cut needs global balance"
-        if sum(cm.is_blue(m.face_of[y]) for y in ys) != 2:
-            return "cut faces do not alternate in color"
         if len({m.face_of[y] for y in ys}) != 4:
             return "curve visits a face twice"
     return X, Y, odd

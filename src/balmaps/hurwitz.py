@@ -24,7 +24,6 @@ from .maps import ColoredMap, checkerboard
 from .realize import (
     TranspositionTuple,
     _conjugate_flat,
-    enrich,
     enumerate_matchings,
     graph_from_monodromy,
     integrate_labels,
@@ -274,7 +273,7 @@ def verify_labelings_per_graph(entry: CensusEntry) -> int:
     g = 0
     for colored in checkerboard(m):
         for counts in enumerate_matchings(colored):
-            labels = integrate_labels(colored, enrich(colored, counts))
+            labels = integrate_labels(colored, counts)
             g += len(set(labels.values())) == len(labels)
     n = m.num_vertices
     aut = len(m.canonical_roots()) // (2 if n == 2 else 1)

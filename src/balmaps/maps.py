@@ -322,8 +322,7 @@ class CombinatorialMap:
 
         Every such root ties the least one or is skipped for a smaller one
         in its orbit, so they form the least one's union-find class."""
-        if self._code is None:
-            self.canonical_code()
+        self.canonical_code()
         if self._orbits is None:
             return [self._root]
         return [d for d in range(1, self.n + 1) if find(self._orbits, d) == self._root]
@@ -486,12 +485,11 @@ class ColoredMap:
         colours."""
         if self._colored_code is None:
             m = self.m
-            if m._code is None:
-                m.canonical_code()
+            code = m.canonical_code()
             bits = self.face_bits(m._lab)
             if self.is_forward(m._root) and self.swaps_colors():
                 bits = [1 - b for b in bits]
-            self._colored_code = m._code + tuple(bits)
+            self._colored_code = code + tuple(bits)
         return self._colored_code
 
     def __eq__(self, other):
@@ -567,47 +565,15 @@ def rewire(cm: ColoredMap, vertices: Iterable[int], alpha_pairs: Iterable[Tuple[
 # -- generators ---------------------------------------------------------------
 
 
-def _from_rotations(vertex_germs: List[List[Tuple[int, int]]]) -> CombinatorialMap:
-    """Build a map from, per vertex, the counterclockwise list of
-    (edge id, end) germs.  Edge e gets darts 2e+1 (end 0) and 2e+2 (end 1)."""
-    used = {}
-    cycles = []
-    for germs in vertex_germs:
-        cyc = []
-        for e, end in germs:
-            d = 2 * e + 1 + end
-            if d in used:
-                raise InvalidInput("edge end (%d,%d) used twice" % (e, end))
-            used[d] = True
-            cyc.append(d)
-        cycles.append(cyc)
-    n = len(used)
-    pairs = [(2 * e + 1, 2 * e + 2) for e in range(n // 2)]
-    return build_map(cycles, pairs, darts=n)
-
-
 def quadratic() -> CombinatorialMap:
     """Two circles crossing at two points: V=2, E=4, F=4."""
-    u = [(0, 0), (1, 0), (2, 0), (3, 0)]
-    v = [(0, 1), (3, 1), (2, 1), (1, 1)]
-    return _from_rotations([u, v])
+    return build_map([(1, 3, 5, 7), (2, 8, 6, 4)], [(1, 2), (3, 4), (5, 6), (7, 8)], 8)
 
 
 def octahedron() -> CombinatorialMap:
-    """The octahedron map, drawn as a triangle inside a triangle.
-
-    Outer vertices o1..o3, inner i1..i3; i_k sits between o_k and o_{k+1}.
-    Edges 0..2 outer arcs o_k-o_{k+1}, 3..5 inner arcs i_k-i_{k+1},
-    6..8 cords o_k-i_k, 9..11 cords i_k-o_{k+1}.
-    """
-    rot = []
-    for k in range(3):
-        out_k, out_prev = k, (k - 1) % 3
-        rot.append([(out_k, 0), (6 + k, 0), (9 + (k - 1) % 3, 1), (out_prev, 1)])
-    for k in range(3):
-        in_k, in_prev = 3 + k, 3 + (k - 1) % 3
-        rot.append([(9 + k, 0), (in_k, 0), (in_prev, 1), (6 + k, 1)])
-    return _from_rotations(rot)
+    """The octahedron map: the 3 x 3 turkshead, a triangle inside a
+    triangle with each inner vertex between two outer ones."""
+    return turkshead(3)
 
 
 def turkshead(n: int) -> CombinatorialMap:
@@ -623,13 +589,16 @@ def turkshead(n: int) -> CombinatorialMap:
     if n > 10 ** 5:
         raise LimitExceeded("turkshead index capped at 100000")
     # edge ids: outer_k = k, inner_k = n+k, cordA_k (a_k-b_k) = 2n+k,
-    # cordB_k (b_k-a_{k+1}) = 3n+k
+    # cordB_k (b_k-a_{k+1}) = 3n+k; edge e runs from dart 2e+1 to dart 2e+2.
+    # Each vertex lists its darts counterclockwise.
     rot = []
     for k in range(n):
-        rot.append([(k, 0), (2 * n + k, 0), (3 * n + (k - 1) % n, 1), ((k - 1) % n, 1)])
+        p = (k - 1) % n
+        rot.append((2 * k + 1, 4 * n + 2 * k + 1, 6 * n + 2 * p + 2, 2 * p + 2))
     for k in range(n):
-        rot.append([(3 * n + k, 0), (n + k, 0), (n + (k - 1) % n, 1), (2 * n + k, 1)])
-    return _from_rotations(rot)
+        p = (k - 1) % n
+        rot.append((6 * n + 2 * k + 1, 2 * n + 2 * k + 1, 2 * n + 2 * p + 2, 4 * n + 2 * k + 2))
+    return build_map(rot, [(2 * e + 1, 2 * e + 2) for e in range(4 * n)], 8 * n)
 
 
 def pinch(cm: ColoredMap, dart1: int, dart2: int) -> ColoredMap:

@@ -27,7 +27,6 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .balance import face_weights, is_balanced, matching_is_valid, solve_face_equations
 from .errors import (
-    InvalidInput,
     InvalidMatching,
     InvalidTuple,
     LimitExceeded,
@@ -166,17 +165,16 @@ def integrate_labels(cm: ColoredMap, counts: Dict[int, int]) -> Dict[int, int]:
 
 def monodromy(cm: ColoredMap, labels: Dict[int, int]) -> TranspositionTuple:
     """Extract the transposition tuple of a diagram with pairwise distinct
-    critical labels 1..n per vertex.
+    critical labels 1..n per vertex, as ranked by realize_generic or glued
+    by graph_from_monodromy.
 
     Sheets are the blue faces in ascending face index, and tau_j is the
     pair of sheets whose blue faces meet at the vertex labeled j: crossing
     that vertex swaps their white neighbours and no others.  So shifting
-    every label by k rotates the tuple by k.
+    every label by k rotates the tuple by k.  The tuple checks itself.
     """
     m = cm.m
     n = m.num_vertices
-    if sorted(labels.values()) != list(range(1, n + 1)):
-        raise InvalidInput("critical labels must be pairwise distinct")
     sheet = {f: i for i, f in enumerate(sorted(cm.blue_faces), 1)}
     pairs: List[List[int]] = [[] for _ in range(n + 1)]
     for x in range(1, m.n + 1):
@@ -281,12 +279,11 @@ def _ranked(cm: ColoredMap, counts: Dict[int, int]) -> Tuple[Dict[int, int], Dic
 
     A face's corners carry distinct labels that wind once around it, and
     the ranking keeps their cyclic order, so the counts
-    (rank(head) - rank(tail) - 1) mod n solve the face equations again;
-    integrating them and shifting by the rank of dart 1's vertex gives back
-    the ranks, which is checked.  Raises InvalidMatching if an enrichment
-    fails and Mismatch if the ranks do not come back.
+    (rank(head) - rank(tail) - 1) mod n solve the face equations again,
+    which enrich checks (InvalidMatching otherwise).  They are the ranks'
+    coboundary mod n, so they integrate back to the ranks.
     """
-    labels = integrate_labels(cm, enrich(cm, counts))
+    labels = integrate_labels(cm, counts)
     order = sorted(labels, key=lambda v: (labels[v], v))
     rank = {v: i for i, v in enumerate(order)}
     m, n = cm.m, cm.m.num_vertices
@@ -296,25 +293,21 @@ def _ranked(cm: ColoredMap, counts: Dict[int, int]) -> Tuple[Dict[int, int], Dic
         c = (rank[m.vertex_of[m.alpha[d]]] - rank[m.vertex_of[d]] - 1) % n
         if c:
             counts[e] = c
-    shift = rank[m.vertex_of[1]]
-    labels = {v: (l + shift - 1) % n + 1
-              for v, l in integrate_labels(cm, enrich(cm, counts)).items()}
-    if labels != {v: r + 1 for v, r in rank.items()}:
-        raise Mismatch("ranked counts do not integrate to the ranks")
-    return counts, labels
+    return enrich(cm, counts), {v: r + 1 for v, r in rank.items()}
 
 
 def realize_generic(cm: ColoredMap) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Inserted counts per edge and pairwise distinct critical labels per
-    vertex, ranked from the balance flow's solution.
+    vertex, ranked from the face equations' solution.
 
-    Raises NotBalanced, carrying the balance report's witness, when the
-    map is not balanced.
+    The map is balanced iff that solution exists (see is_realizable);
+    otherwise this raises NotBalanced, carrying the balance report's
+    witness.
     """
-    report = is_balanced(cm)
-    if not report.balanced:
-        raise NotBalanced("map is not balanced", report.witness)
-    return _ranked(cm, report.matching)
+    solved = solve_face_equations(cm)
+    if solved is None or solved[0] is None:
+        raise NotBalanced("map is not balanced", is_balanced(cm).witness)
+    return _ranked(cm, solved[0])
 
 
 def is_realizable(cm: ColoredMap) -> bool:

@@ -123,9 +123,9 @@ def test_is_balanced_examples():
 def test_matching_from_flow_is_valid(corpus6):
     checked = 0
     for cm in corpus6.colored:
-        rep = balance.is_balanced(cm)
-        if rep.balanced:
-            assert balance.matching_is_valid(cm, rep.matching)
+        if balance.is_balanced(cm).balanced:
+            ok, counts, _ = balance.check_balance_flow(cm)
+            assert ok and balance.matching_is_valid(cm, counts)
             checked += 1
     assert checked > 0
 

@@ -192,7 +192,7 @@ def test_decompose_command(tmp_path, capsys):
 
 
 def test_dps_verify(capsys):
-    code, out = run_capture(capsys, ["dps", "verify", "-d", "3"])
+    code, out = run_capture(capsys, ["dps", "verify", "3"])
     assert code == 0
     assert json.loads(out)["ok"]
 
@@ -362,11 +362,84 @@ def test_hurwitz_degree_too_small_is_invalid_input(capsys, argv, message):
     (["dps", "verify", "x"], "dps verify takes a degree, got 'x'"),
     (["generate", "turkshead"], "turkshead needs an index n"),
     (["generate", "pinch"], "pinch needs --map and --darts D1 D2"),
-], ids=["dps-verify-x", "turkshead-no-n", "pinch-no-darts"])
+    (["dps", "verify"], "dps verify needs a degree"),
+    (["dps", "encode"], "dps encode needs an input file"),
+    (["dps", "decode"], "dps decode needs an input file"),
+], ids=["dps-verify-x", "turkshead-no-n", "pinch-no-darts", "dps-verify-no-degree",
+        "dps-encode-no-input", "dps-decode-no-input"])
 def test_missing_or_malformed_argument_is_invalid_input(capsys, argv, message):
     code, out = run_capture(capsys, argv)
     assert code == 2
     assert out == '{"error":"InvalidInput","message":"%s"}\n' % message
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["hurwitz", "census", "4"], "invalid choice: 'census'"),
+    (["dps", "verify", "-d", "3"], "unrecognized arguments: -d"),
+    (["dps", "encode", "in.json", "-d", "3"], "unrecognized arguments: -d 3"),
+], ids=["hurwitz-census", "dps-verify-flag", "dps-encode-flag"])
+def test_each_command_has_one_spelling(capsys, argv, refusal):
+    """The census is ``census D`` and the chain's degree is positional;
+    the parser refuses the other spellings."""
+    assert run(argv) == 2
+    assert refusal in capsys.readouterr().err
+
+
+def _doc_file(tmp_path, doc):
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def _octahedron_file(tmp_path):
+    return write_map(tmp_path, maps.checkerboard(maps.octahedron())[0])
+
+
+def _digon_dual(tmp_path):
+    """A blue and a white vertex joined by two edges: two faces, where a
+    dual on one blue vertex has none."""
+    digon = maps.build_map([[1, 3], [2, 4]], [[1, 2], [3, 4]], 4)
+    return _doc_file(tmp_path, dict(mapio.map_to_dict(digon), blue_vertices=[1],
+                                    face_reds=[1, 2], blue_labels={"1": 1}))
+
+
+def _white_out_degree_two(tmp_path):
+    """_dual_doc with its vertex colours swapped and its faces red-labeled
+    in order: white vertex 3 then has two outgoing edges."""
+    return _doc_file(tmp_path, dict(_dual_doc(), blue_vertices=[9, 11, 15],
+                                    face_reds=[1, 2, 3, 4],
+                                    blue_labels={"9": 1, "11": 2, "15": 3}))
+
+
+def _tree_file(tmp_path, white, blue):
+    return _doc_file(tmp_path, {"fmt": 1, "d": 2,
+                                "edges": [{"white": white, "blue": blue, "red": [1, 2]}]})
+
+
+@pytest.mark.parametrize("argv,error,message", [
+    (lambda tmp: ["generate", "turkshead", "0"],
+     "InvalidInput", "turkshead index must be >= 1"),
+    (lambda tmp: ["generate", "pinch", "--map", _octahedron_file(tmp), "--darts", "0", "1"],
+     "InvalidPinch", "dart out of range"),
+    (lambda tmp: ["generate", "pinch", "--map", _octahedron_file(tmp), "--darts", "1", "1"],
+     "InvalidPinch", "darts lie on the same edge"),
+    (lambda tmp: ["census", "5"], "LimitExceeded", "census capped at degree 4"),
+    (lambda tmp: ["dps", "encode", _digon_dual(tmp)],
+     "InvalidInput", "face count must be 2d-2"),
+    (lambda tmp: ["dps", "encode", _white_out_degree_two(tmp)],
+     "DegreePropertyFailed", "white vertex 3 has out-degree 2"),
+    (lambda tmp: ["dps", "decode", _tree_file(tmp, [0, 1], 2)],
+     "InvalidInput", "blue labels must be a bijection onto 1..d-1"),
+    (lambda tmp: ["dps", "decode", _tree_file(tmp, [0, 0], 1)],
+     "InvalidInput", "bad white endpoints (0, 0)"),
+], ids=["turkshead-0", "pinch-dart-out-of-range", "pinch-one-edge", "census-5",
+        "dual-face-count", "dual-white-out-degree", "tree-blue-labels", "tree-white-endpoints"])
+def test_input_errors_reached_from_the_cli(tmp_path, capsys, argv, error, message):
+    code = run(argv(tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "%s: %s\n" % (error, message)
+    assert json.loads(captured.out) == {"error": error, "message": message}
 
 
 def test_curve_oracle_refuses_more_than_ten_vertices(tmp_path, capsys):

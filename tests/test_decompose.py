@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -75,9 +76,10 @@ def _rect_darts(cm, face):
     return orbit[0], orbit[1]
 
 
-def _sum_pair(a, b, seed=0):
-    """Murasugi sum of a and b along canonical rectangles; returns the sum
-    and its gluing curve."""
+def _rectangles(a, b, seed=0):
+    """Random rectangles in a white face of a and a blue face of b, as
+    (da1, da2, db1, db2), or None if their sides share an edge or an
+    opposite face."""
     rng = random.Random(seed)
     wa = rng.choice(sorted(a.white_faces))
     bb = rng.choice(sorted(b.blue_faces))
@@ -93,6 +95,16 @@ def _sum_pair(a, b, seed=0):
     opp_b = {b.m.face_of[b.m.alpha[db1]], b.m.face_of[b.m.alpha[db2]]}
     if len(opp_a) != 2 or len(opp_b) != 2:
         return None
+    return da1, da2, db1, db2
+
+
+def _sum_pair(a, b, seed=0):
+    """Murasugi sum of a and b along canonical rectangles; returns the sum
+    and its gluing curve."""
+    darts = _rectangles(a, b, seed)
+    if darts is None:
+        return None
+    da1, da2, db1, db2 = darts
     s = decompose.murasugi_sum(a, da1, da2, b, db1, db2)
     curve = decompose.gluing_curve(a, b, s, da1, da2, db1, db2)
     return s, curve
@@ -133,6 +145,24 @@ def test_murasugi_round_trips_many():
     assert done >= 50
 
 
+def test_murasugi_sum_in_both_orders():
+    """The summand with the blue rectangle may come first: the sum and
+    its gluing curve put it behind the white one, so both argument orders
+    give the same sum and curve, and the curve splits it back into both
+    summands."""
+    pieces = [colored(maps.quadratic()), colored(maps.octahedron()),
+              colored(maps.turkshead(2)), colored(maps.turkshead(3))]
+    for a, b in itertools.permutations(pieces, 2):
+        da1, da2, db1, db2 = next(filter(None, (_rectangles(a, b, seed) for seed in range(50))))
+        s = decompose.murasugi_sum(a, da1, da2, b, db1, db2)
+        assert decompose.murasugi_sum(b, db1, db2, a, da1, da2) == s
+        curve = decompose.gluing_curve(a, b, s, da1, da2, db1, db2)
+        assert decompose.gluing_curve(b, a, s, db1, db2, da1, da2) == curve
+        p1, p2 = split_four_cut(s, curve)
+        assert sorted([p1.colored_code(), p2.colored_code()]) == \
+            sorted([a.colored_code(), b.colored_code()])
+
+
 def test_murasugi_rejects_same_colors():
     a = colored(maps.quadratic())
     b = colored(maps.quadratic())
@@ -149,8 +179,10 @@ def test_murasugi_rejects_bad_rectangle():
     wa = next(iter(a.white_faces))
     bb = next(iter(b.blue_faces))
     oa, ob = a.m.faces[wa], b.m.faces[bb]
-    with pytest.raises(InvalidRectangle):
+    with pytest.raises(InvalidRectangle, match="corners must lie on one face"):
         decompose.murasugi_sum(a, oa[0], a.m.alpha[oa[0]], b, ob[0], ob[1])
+    with pytest.raises(InvalidRectangle, match="sides must sit on distinct edges"):
+        decompose.murasugi_sum(a, oa[0], oa[0], b, ob[0], ob[1])
 
 
 def test_sum_decomposes_into_standard_pieces():
@@ -186,8 +218,16 @@ def test_collapse_arc_rejects_non_consecutive():
     cm = colored(maps.turkshead(4))
     blue_face = max(cm.blue_faces, key=lambda f: len(cm.m.faces[f]))
     orb = cm.m.faces[blue_face]
-    with pytest.raises(InvalidArc):
+    with pytest.raises(InvalidArc, match="first and third of three"):
         decompose.collapse_arc(cm, orb[0], orb[1])
+
+
+def test_collapse_arc_rejects_one_edge():
+    """Around a bigon the third boundary edge is the first one again."""
+    q = colored(maps.quadratic())
+    d = q.m.faces[0][0]
+    with pytest.raises(InvalidArc, match="ends must sit on distinct edges"):
+        decompose.collapse_arc(q, d, d)
 
 
 def three_face_walk(cm):

@@ -37,8 +37,6 @@ OPTIONS = {
     "balance.is_balanced.oracle": "the CLI's --oracle; realize uses the flow",
     "maps.ColoredMap.check": "swapped() and perfbench's fresh copies skip a known colouring",
     "cli.run.argv": "main() reads sys.argv; in-process callers pass their own",
-    "balance.BalanceReport.witness": "every report passes it by keyword, None when positive",
-    "balance.BalanceReport.matching": "set only when the flow solves the face equations",
     "decompose.DecompositionTree.cut": "decompose_full sets it on internal nodes only",
     "decompose.DecompositionTree.pieces": "decompose_full sets it on internal nodes only",
     "decompose.DecompositionTree.kind": "decompose_full sets it on leaves only",

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 
@@ -73,6 +74,15 @@ def test_turkshead_counts(n):
 
 def test_octahedron_is_turkshead_three():
     assert maps.isomorphic(maps.octahedron(), maps.turkshead(3))
+
+
+def test_generator_tables_pinned():
+    """One sha256 over the exact sigma and alpha tables of the generators,
+    so that no rewrite of them renumbers a dart."""
+    h = hashlib.sha256()
+    for m in [maps.quadratic(), maps.octahedron()] + [maps.turkshead(n) for n in range(1, 41)]:
+        h.update(repr((m.sigma, m.alpha)).encode())
+    assert h.hexdigest() == "25ade906eedb37e565cffcce79a78159e8c6571e3f1dedc9d417d25cc6b4f6d8"
 
 
 def test_build_map_errors():

@@ -386,6 +386,30 @@ def pinch_in(cm, faces, rng):
     return maps.pinch(cm, a, b)
 
 
+def test_realize_generic_agrees_with_balance(corpus6):
+    """realize_generic decides from the face equations alone.  On every
+    corpus colouring and a seeded pinch of each, a negative verdict
+    carries is_balanced's witness, and a positive one gives labels that
+    are a bijection onto 1..V and counts that solve the face equations."""
+    rng = random.Random("realize-witness")
+    verdicts = Counter()
+    for base in corpus6.colored:
+        for cm in (base, pinch_in(base, range(base.m.num_faces), rng)):
+            rep = balance.is_balanced(cm)
+            try:
+                counts, labels = realize.realize_generic(cm)
+            except NotBalanced as exc:
+                assert not rep.balanced and exc.witness == rep.witness
+                verdicts["negative"] += 1
+                continue
+            assert rep.balanced
+            assert sorted(labels) == sorted(cm.m.vertex_ids())
+            assert sorted(labels.values()) == list(range(1, cm.m.num_vertices + 1))
+            assert balance.matching_is_valid(cm, counts)
+            verdicts["positive"] += 1
+    assert verdicts == {"positive": 18, "negative": 4246}
+
+
 @pytest.mark.parametrize("seed, degrees, oracle, samples", [
     ("pinched-covers", (3, 5), "both", 200),
     ("pinched-covers-flow", (6, 30), "flow", 100),
