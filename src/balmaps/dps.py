@@ -1,19 +1,20 @@
 """Bijection between face-labeled bipartite duals and edge-labeled trees.
 
-One direction orients the dual greater-label-left, removes clockwise
-cycles, runs a rightmost depth-first search against the orientation
-(Bernardi's spanning tree), chops the root, and reads a red label off each
-surviving segment.  Felsner's clockwise-free orientation (EJC 2004) is
-read off the greatest face potential, a distance in the dual (Khuller, Naor
-and Klein, SIAM J. Discrete Math. 1993), by one 0-1 breadth-first search.
+One direction orients the dual greater-label-left, one flag per dart,
+removes clockwise cycles, runs a rightmost depth-first search against the
+orientation (Bernardi's spanning tree), chops the root, and reads a red
+label off each surviving segment.  Felsner's clockwise-free orientation
+(EJC 2004) is read off the greatest face potential, a distance in the dual
+(Khuller, Naor and Klein, SIAM J. Discrete Math. 1993), by one 0-1
+breadth-first search.
 The other direction grows hairs on the tree, slot-indexed by the red
 labels, and sews them up by a last-in-first-out matching run around the
-cyclic contour walk until one lap repeats the previous one: 4d - 4 runs
-of hairs in consecutive slots, matched run against run, for 2-8 laps on
-random trees up to d = 400 and d laps on a path tree.  The sewing pairs
-every sheet with a white polygon in every slot, which is the cover's
-monodromy tuple; the realize module glues its polygons and the dual of
-that diagram is the decoded graph.
+cyclic contour walk until one lap's matches repeat the previous lap's:
+4d - 4 runs of hairs in consecutive slots, matched run against run, for
+2-8 laps on random trees up to d = 400 and d laps on a path tree.  The
+sewing pairs every sheet with a white polygon in every slot, which is the
+cover's monodromy tuple; the realize module glues its polygons into
+tables, and their dual, the one map a decode builds, is the decoded graph.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import DegreePropertyFailed, InvalidInput, LimitExceeded, Mismatch
 from .maps import FaceLabeledGraph, count_components, dual_bipartite
-from .realize import TranspositionTuple, graph_from_monodromy
+from .realize import TranspositionTuple, _glue
 
 TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red_b)
 
@@ -139,49 +140,34 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
 
 @dataclass
 class EdgeOrientation:
-    """A direction for every edge of a face-labeled dual: ``forward[e]`` is
-    the dart whose base is the tail."""
+    """A direction for every edge of a face-labeled dual: ``tail[c]`` says
+    that dart c's base is its edge's tail, true for one dart of each edge."""
     g: FaceLabeledGraph
-    forward: Dict[int, int]
+    tail: List[bool]
     root_vertex: int
     root_face: int
-
-    def points_into(self, c: int) -> bool:
-        """Is the edge carrying dart c directed toward c's base vertex?"""
-        m = self.g.m
-        return self.forward[m.edge_of(c)] == m.alpha[c]
-
-    def copy(self) -> "EdgeOrientation":
-        return EdgeOrientation(self.g, dict(self.forward),
-                               self.root_vertex, self.root_face)
 
 
 def orient_greater_label_left(g: FaceLabeledGraph) -> EdgeOrientation:
     """Direct every edge so the incident face with greater red label is on
     its left; check the unique-in (blue) / unique-out (white) property."""
     m = g.m
-    labels = g.blue_label_map()
-    root = next(v for v, lab in labels.items() if lab == g.d)
-    forward = {}
-    for e in m.edges():
-        left_e = g.face_red[m.face_of[e]]
-        left_other = g.face_red[m.face_of[m.alpha[e]]]
-        forward[e] = e if left_e > left_other else m.alpha[e]
-    indeg = {v: 0 for v in m.vertex_ids()}
-    outdeg = {v: 0 for v in m.vertex_ids()}
-    for e, f in forward.items():
-        outdeg[m.vertex_of[f]] += 1
-        indeg[m.vertex_of[m.alpha[f]]] += 1
+    red = [g.face_red[f] for f in m.face_of]  # per dart, the red on its left
+    # an edge with one face on both sides is directed from its greater dart
+    tail = [r > red[a] or r == red[a] and c > a for c, (r, a) in enumerate(zip(red, m.alpha))]
+    blues = g.blue_vertices
+    count = [0] * (m.n + 1)  # per vertex: its heads at a blue, its tails at a white
+    for c, v in enumerate(m.vertex_of):
+        count[v] += tail[c] != (v in blues)
     for v in m.vertex_ids():
-        if v in g.blue_vertices:
-            if indeg[v] != 1:
-                raise DegreePropertyFailed("blue vertex %d has in-degree %d" % (v, indeg[v]))
-        else:
-            if outdeg[v] != 1:
-                raise DegreePropertyFailed("white vertex %d has out-degree %d" % (v, outdeg[v]))
+        if count[v] != 1:
+            if v in blues:
+                raise DegreePropertyFailed("blue vertex %d has in-degree %d" % (v, count[v]))
+            raise DegreePropertyFailed("white vertex %d has out-degree %d" % (v, count[v]))
+    root = next(v for v, lab in g.blue_labels if lab == g.d)
     root_face = max((m.face_of[c] for c in m.vertex_cycle(root)),
-                    key=lambda f: g.face_red[f])
-    return EdgeOrientation(g, forward, root, root_face)
+                    key=g.face_red.__getitem__)
+    return EdgeOrientation(g, tail, root, root_face)
 
 
 def felsner_normalize(o: EdgeOrientation) -> EdgeOrientation:
@@ -198,75 +184,66 @@ def felsner_normalize(o: EdgeOrientation) -> EdgeOrientation:
     the root face when crossing an edge from left to right costs 1 and back
     costs 0 (Khuller, Naor and Klein, "The lattice structure of flow in
     planar graphs", SIAM J. Discrete Math. 1993). One 0-1 breadth-first
-    search over the faces finds it.
+    search over the faces finds it, and both darts of an edge flip their
+    flags where it differs across the edge.
     """
     m = o.g.m
+    tail = o.tail
     dist = [m.num_faces] * m.num_faces
     dist[o.root_face] = 0
     queue = deque([o.root_face])
     while queue:
         f = queue.popleft()
         for c in m.faces[f]:
-            step = o.forward[m.edge_of(c)] == c
+            step = tail[c]
             g = m.face_of[m.alpha[c]]
             if dist[f] + step < dist[g]:
                 dist[g] = dist[f] + step
                 (queue.append if step else queue.appendleft)(g)
-    out = o.copy()
-    for e, c in o.forward.items():
-        if dist[m.face_of[m.alpha[c]]] - dist[m.face_of[c]] == 1:
-            out.forward[e] = m.alpha[c]
-    return out
+    left = [dist[f] for f in m.face_of]  # per dart, the distance on its left
+    return EdgeOrientation(o.g, [t == (x == left[a]) for t, x, a in zip(tail, left, m.alpha)],
+                           o.root_vertex, o.root_face)
 
 
-@dataclass
-class SpanningTree:
-    root: int
-    edges: frozenset        # edge ids in the tree
-    parent_dart: Dict[int, int]  # vertex -> dart at that vertex toward parent
-
-
-def bernardi_spanning_tree(o: EdgeOrientation) -> SpanningTree:
-    """Rightmost depth-first search from the root, against the orientation.
+def bernardi_spanning_tree(o: EdgeOrientation) -> Dict[int, int]:
+    """Rightmost depth-first search from the root, against the orientation:
+    each other vertex's dart toward its parent, in the order reached.
 
     At a vertex entered via departure dart e, candidates are scanned from
-    alpha(e) clockwise (reverse rotation); only edges pointing into the
-    current vertex are traversable, and first visits make tree edges.
+    alpha(e) clockwise (by sigma^-1) round to alpha(e), a tail and so never
+    traversed; at the root, from the root dart round to itself.  Only
+    edges pointing into the current vertex are traversable, and first
+    visits make tree edges.
     """
     m = o.g.m
+    tail, alpha, vertex_of = o.tail, m.alpha, m.vertex_of
+    back = [0] * (m.n + 1)  # sigma^-1
+    for c, x in enumerate(m.sigma):
+        back[x] = c
     root = o.root_vertex
-    visited = {root}
-    tree_edges = set()
-    parent_dart: Dict[int, int] = {}
-
-    def candidates(v: int, anchor: Optional[int]):
-        cyc = m.vertex_cycle(v)
-        k = len(cyc)
-        if anchor is None:
-            return [cyc[(-1 - i) % k] for i in range(k)]
-        i = cyc.index(anchor)
-        return [cyc[(i - 1 - j) % k] for j in range(k - 1)]
-
-    # one candidate iterator per vertex on the current search path
-    path = [iter(candidates(root, None))]
+    visited = [False] * (m.n + 1)
+    visited[root] = True
+    parent: Dict[int, int] = {}
+    # per vertex on the search path: its last scanned dart and its entry dart
+    path = [[root, root]]
     while path:
-        for c in path[-1]:
-            if not o.points_into(c):
-                continue  # edge not directed into the current vertex
-            u = m.vertex_of[m.alpha[c]]
-            if u in visited:
-                continue
-            visited.add(u)
-            tree_edges.add(m.edge_of(c))
-            parent_dart[u] = m.alpha[c]
-            path.append(iter(candidates(u, m.alpha[c])))
-            break
-        else:
+        top = path[-1]
+        c = top[0] = back[top[0]]
+        if c == top[1]:
             path.pop()
-    if len(visited) != m.num_vertices:
+        if tail[c]:
+            continue  # edge not directed into the current vertex
+        a = alpha[c]
+        u = vertex_of[a]
+        if visited[u]:
+            continue
+        visited[u] = True
+        parent[u] = a
+        path.append([a, a])
+    if len(parent) + 1 != m.num_vertices:
         raise Mismatch("search visited %d of %d vertices"
-                       % (len(visited), m.num_vertices))
-    return SpanningTree(root, frozenset(tree_edges), parent_dart)
+                       % (len(parent) + 1, m.num_vertices))
+    return parent
 
 
 # -- the bijection ----------------------------------------------------------------------
@@ -274,34 +251,31 @@ def bernardi_spanning_tree(o: EdgeOrientation) -> SpanningTree:
 
 def graph_to_tree(g: FaceLabeledGraph) -> EdgeLabeledTree:
     """Bernardi tree of the dual, chopped at the root, red labels read off
-    the white-to-blue right-side faces."""
+    the white-to-blue right-side faces.  The orientation is a flag per
+    dart, and each step walks the dart tables once."""
     m = g.m
-    d = g.d
-    labels = g.blue_label_map()
+    blues = g.blue_vertices
     o = felsner_normalize(orient_greater_label_left(g))
-    st = bernardi_spanning_tree(o)
-    root = st.root
-    root_tree_edges = [e for e in st.edges
-                       if root in (m.vertex_of[e], m.vertex_of[m.alpha[e]])]
-    if len(root_tree_edges) != 1:
-        raise Mismatch("root must be a leaf of the spanning tree")
-    kept = st.edges - {root_tree_edges[0]}
-    whites = sorted(v for v in m.vertex_ids() if v not in g.blue_vertices)
-    widx = {v: i for i, v in enumerate(whites)}
-    # (white, red) of each kept edge, bucketed by its blue end
-    ends_at: Dict[int, List[Tuple[int, int]]] = {v: [] for v in g.blue_vertices}
-    for e in kept:
-        c = e if m.vertex_of[e] not in g.blue_vertices else m.alpha[e]
+    root = o.root_vertex
+    widx = {v: i for i, v in enumerate(v for v in m.vertex_ids() if v not in blues)}
+    # (white, red) of each tree edge, bucketed by its blue end
+    ends_at: Dict[int, List[Tuple[int, int]]] = {v: [] for v in blues}
+    for u, a in bernardi_spanning_tree(o).items():
+        c = m.alpha[a] if u in blues else a  # the edge's dart at its white end
         ends_at[m.vertex_of[m.alpha[c]]].append(
             (widx[m.vertex_of[c]], g.face_red[m.face_of[m.alpha[c]]]))
+    if len(ends_at[root]) != 1:
+        raise Mismatch("root must be a leaf of the spanning tree")
     edges = []
-    for mid in sorted(g.blue_vertices - {root}):
+    for mid, label in sorted(g.blue_labels):
+        if mid == root:
+            continue
         ends = ends_at[mid]
         if len(ends) != 2:
             raise Mismatch("midpoint %d has tree degree %d" % (mid, len(ends)))
         (wa, ra), (wb, rb) = sorted(ends)
-        edges.append((wa, wb, labels[mid], ra, rb))
-    return EdgeLabeledTree(d, tuple(edges))
+        edges.append((wa, wb, label, ra, rb))
+    return EdgeLabeledTree(g.d, tuple(edges))
 
 
 def _contour_runs(t: EdgeLabeledTree) -> List[Tuple[int, int, int]]:
@@ -316,31 +290,39 @@ def _contour_runs(t: EdgeLabeledTree) -> List[Tuple[int, int, int]]:
     segment and turns to the next one counterclockwise at the vertex it
     reaches; each of the 2n corners gives a run (vertex, first slot,
     count).  It starts at slot 0 of white 0, splitting the corner there.
+
+    The tables are per segment end: edge i's ends are 4i..4i+3 at white a,
+    its midpoint, white b and its midpoint, and end e crosses to e ^ 1.
     """
     d = t.d
     n = 2 * d - 2
-    across: Dict[Tuple[int, int], int] = {}  # (vertex, slot) -> far end
-    for i, (wa, wb, _, ra, rb) in enumerate(t.edges):
-        for w, r in ((wa, ra), (wb, rb)):
-            across[w, (r - 2) % n] = d + i
-            across[d + i, (r - 2) % n] = w
-    slots: List[List[int]] = [[] for _ in range(2 * d - 1)]
-    for v, s in across:
-        slots[v].append(s)
-    turn = {}  # (vertex, slot) -> the next segment's slot counterclockwise
-    for v, ss in enumerate(slots):
-        ss.sort(reverse=v >= d)
-        turn.update(((v, s), after) for s, after in zip(ss, ss[1:] + ss[:1]))
-    first = slots[0][0]
-    runs, v, s = [(0, 0, first)], 0, first
+    vertex: List[int] = []  # per end
+    slot: List[int] = []  # per end
+    at: List[List[int]] = [[] for _ in range(2 * d - 1)]  # the ends at each vertex
+    for mid, (wa, wb, _, ra, rb) in enumerate(t.edges, d):
+        sa, sb = (ra - 2) % n, (rb - 2) % n
+        at[wa].append(len(vertex))
+        at[mid] += (len(vertex) + 1, len(vertex) + 3)
+        at[wb].append(len(vertex) + 2)
+        vertex += (wa, mid, wb, mid)
+        slot += (sa, sa, sb, sb)
+    turn = [0] * (2 * n)  # per end, the next end counterclockwise at its vertex
+    for v, ends in enumerate(at):
+        ends.sort(key=slot.__getitem__, reverse=v >= d)
+        for e, after in zip(ends, ends[1:] + ends[:1]):
+            turn[e] = after
+    start = at[0][0]
+    first = slot[start]
+    runs, e = [(0, 0, first)], start
     for _ in range(2 * n):
-        v = across[v, s]
+        arrived = slot[e]
+        e = turn[e ^ 1]
+        v = vertex[e]
         step = 1 if v < d else -1
-        s, arrived = turn[v, s], s
-        runs.append((v, (arrived + step) % n, (step * (s - arrived) - 1) % n))
-        if (v, s) == (0, first):
+        runs.append((v, (arrived + step) % n, (step * (slot[e] - arrived) - 1) % n))
+        if e == start:
             break
-    if len(runs) != 2 * n + 1 or (v, s) != (0, first):
+    if len(runs) != 2 * n + 1 or e != start:
         raise Mismatch("contour does not close after %d corners" % (2 * n))
     # the last corner stops at slot n - 1; the first run holds the rest
     runs[-1] = (0, runs[-1][1], n - 1 - arrived)
@@ -360,21 +342,24 @@ def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
     min(count, top count) hairs match at once.  The contour is a cycle
     with no distinguished start, so it is run lap after lap with the stack
     kept between laps: a chord straddling the start of a lap closes in the
-    next.  The first lap that matches as the one before it is returned.
+    next.  The first lap whose matches, in the order made, equal the lap
+    before's is returned; only it is cut into intervals, sorted and merged.
 
     Why the stable lap is the planar sewing is not proved here.  It gave
     exactly the map of an earlier decoder, which cut the walk at each
     position in turn and kept the first cut that sewed up into a valid
     sphere, on all 2905 trees with d <= 4 and 230 random trees with
     d = 5..14.  Random trees up to d = 400 settle in 2-8 laps, a path tree
-    on d whites in d.  A sewing that breaks the tuple read off it fails
-    that tuple's construction with InvalidTuple.  Laps are capped at the
-    hair count plus 2, past which Mismatch is raised.
+    on d whites in d.  Equal laps merge equal, so this never stops before
+    comparing merged laps would, and it stopped at the same lap on 10170
+    trees: all with d <= 4, 4000 seeded random ones with d <= 120, paths
+    and stars with d = 3..79, and the 3111 pinned up to d = 400.  A sewing
+    that breaks the tuple read off it fails that tuple's construction with
+    InvalidTuple.  Laps are capped at the hair count plus 2, past which
+    Mismatch is raised.
     """
     d = t.d
     n = 2 * d - 2
-    segments = [(d + i, (r - 2) % n, 1, w) for i, (wa, wb, _, ra, rb)
-                in enumerate(t.edges) for w, r in ((wa, ra), (wb, rb))]
     hairs = sum(run[2] for run in runs)
     stack: List[Tuple[int, int, int]] = []  # (vertex, top slot, count)
     previous = None
@@ -387,35 +372,43 @@ def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
                 stack[k] = stack[k][:2] + (stack[k][2] - depth + hairs + 1,)
                 del stack[:k]
                 break
-        pieces = list(segments)
+        matches = []  # (midpoint, white, first slot, count)
         for v, s, c in runs:
-            step = 1 if v < d else -1
-            while c and stack and (stack[-1][0] < d) != (v < d) and stack[-1][1] == s:
-                u, top, k = stack.pop()
-                m = min(c, k)
-                if m < k:
-                    stack.append((u, (top + step * m) % n, k - m))
-                lo = s if step == 1 else (s - m + 1) % n
-                mid, w = (u, v) if v < d else (v, u)
-                pieces.append((mid, lo, min(m, n - lo), w))
-                if lo + m > n:
-                    pieces.append((mid, 0, lo + m - n, w))
-                s = (s + step * m) % n
-                c -= m
+            white = v < d
+            step = 1 if white else -1
+            while c and stack:
+                u, top, k = stack[-1]
+                if top != s or (u < d) == white:
+                    break
+                del stack[-1]
+                if c < k:
+                    stack.append((u, (top + step * c) % n, k - c))
+                    k = c
+                matches.append((u, v, s, k) if white else (v, u, (s - k + 1) % n, k))
+                s = (s + step * k) % n
+                c -= k
             if c:
                 stack.append((v, (s + step * (c - 1)) % n, c))
-        pieces.sort()
-        matched = pieces[:1]
-        for p in pieces[1:]:
-            q = matched[-1]
-            if q[0] == p[0] and q[1] + q[2] == p[1] and q[3] == p[3]:
-                matched[-1] = q[:2] + (q[2] + p[2], p[3])
-            else:
-                matched.append(p)
-        if matched == previous:
-            return matched
-        previous = matched
-    raise Mismatch("contour sewing still changes after %d laps" % (hairs + 2))
+        if matches == previous:
+            break
+        previous = matches
+    else:
+        raise Mismatch("contour sewing still changes after %d laps" % (hairs + 2))
+    pieces = [(d + i, (r - 2) % n, 1, w) for i, (wa, wb, _, ra, rb)
+              in enumerate(t.edges) for w, r in ((wa, ra), (wb, rb))]
+    for mid, w, lo, m in matches:
+        pieces.append((mid, lo, min(m, n - lo), w))
+        if lo + m > n:
+            pieces.append((mid, 0, lo + m - n, w))
+    pieces.sort()
+    matched = pieces[:1]
+    for p in pieces[1:]:
+        q = matched[-1]
+        if q[0] == p[0] and q[1] + q[2] == p[1] and q[3] == p[3]:
+            matched[-1] = q[:2] + (q[2] + p[2], p[3])
+        else:
+            matched.append(p)
+    return matched
 
 
 def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
@@ -452,15 +445,15 @@ def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
 
 
 def tree_to_graph(t: EdgeLabeledTree) -> FaceLabeledGraph:
-    """Inverse of graph_to_tree: the labeled dual of the glued preimage of
-    tree_to_tuple(t).
-
-    The gluing numbers the blue darts by (sheet, side), before the white
-    ones, and a blue vertex of the dual is its face's least dart, so the
-    dual's blue vertices in ascending id order are sheets 1..d.
+    """Inverse of graph_to_tree: the labeled dual of the diagram glued from
+    tree_to_tuple(t), the one map a decode builds.  Each slot writes one
+    sigma 4-cycle, so a dart written twice breaks the dual's phi^-1 and
+    every vertex is 4-valent.  The blue darts 1..2n (n = 2d - 2) come
+    first, sheet by sheet, so the dual's blue vertices in ascending id
+    order are sheets 1..d.
     """
-    real = graph_from_monodromy(tree_to_tuple(t))
-    return dual_bipartite(real.colored, real.labels, range(1, t.d + 1))
+    sigma, alpha, red = _glue(tree_to_tuple(t))
+    return dual_bipartite(sigma, alpha, red, range(1, 4 * t.d - 3))
 
 
 def verify_counting_chain(d: int) -> dict:

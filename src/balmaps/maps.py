@@ -13,7 +13,7 @@ their index in the list of phi-orbits sorted by minimal dart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
     AlphaHasFixedPoint,
@@ -669,30 +669,26 @@ class FaceLabeledGraph:
                 raise InvalidInput("blue vertex %r is not a vertex id" % (v,))
 
 
-def dual_bipartite(cm: ColoredMap, labels: Dict[int, int],
-                   blue_labels: Sequence[int]) -> FaceLabeledGraph:
-    """Dual of a realized colored map: one blue vertex per blue face, one
-    white per white face, one edge per edge of the diagram, and one face per
-    4-valent vertex, red-labeled by that vertex's critical label.
-    ``blue_labels`` labels the blue vertices in ascending id order.
-    The dual checks itself when built, so labels that are not distinct in
-    1..V raise InvalidInput.
+def dual_bipartite(sigma: Sequence[int], alpha: Sequence[int], red: Sequence[int],
+                   blue_darts: Container[int]) -> FaceLabeledGraph:
+    """Dual of a realized 4-valent diagram, given by its ``sigma`` and
+    ``alpha`` tables: a blue vertex per face of ``blue_darts``, labeled
+    1..d in ascending id order, a white per other face, an edge per edge,
+    and a face per vertex, red-labeled ``red[x]`` at its darts x.  Only the
+    dual is built: its map check is the diagram's with vertices and faces
+    swapped, its bipartite check is the diagram's colouring, and labels
+    not distinct in 1..V raise InvalidInput.
     """
-    m = cm.m
     # dual on the same darts: sigma* = phi^(-1), alpha* = alpha.  With this
     # chirality the greater-label-left orientation of the dual has unique
     # incoming edges at blue vertices (and unique outgoing at white), which
     # the tree bijection relies on.  Dual faces are the primal vertices;
     # the face left of a dual dart c is the primal vertex of alpha(c).
-    phi_inv = [0] * (m.n + 1)
-    for d_ in range(1, m.n + 1):
-        phi_inv[m.phi[d_]] = d_
-    dual = CombinatorialMap(phi_inv, m.alpha)
-    blue_vs = frozenset(orbit[0] for i, orbit in enumerate(m.faces)
-                        if i in cm.blue_faces)
-    reds = []
-    for orbit in dual.faces:
-        v = m.vertex_of[m.alpha[orbit[0]]]
-        reds.append(labels.get(v, 0))
-    return FaceLabeledGraph(dual, blue_vs, tuple(reds),
-                            tuple(zip(sorted(blue_vs), blue_labels)))
+    phi_inv = [0] * len(sigma)
+    for x in range(1, len(sigma)):
+        phi_inv[sigma[alpha[x]]] = x
+    dual = CombinatorialMap(phi_inv, alpha)
+    blue_vs = [v for v in dual.vertex_ids() if v in blue_darts]
+    return FaceLabeledGraph(dual, frozenset(blue_vs),
+                            tuple(red[alpha[orbit[0]]] for orbit in dual.faces),
+                            tuple(zip(blue_vs, range(1, len(blue_vs) + 1))))

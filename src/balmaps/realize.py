@@ -211,9 +211,10 @@ def _bucket_ids(keys: List[int], slots: Sequence[int], first: int, top: int) -> 
     return ids
 
 
-def graph_from_monodromy(t: TranspositionTuple) -> Realization:
+def _glue(t: TranspositionTuple) -> Tuple[List[int], List[int], List[int]]:
     """Glue d blue and d white n-gons along the sheet pairings of the tuple,
-    keeping only the 4-valent corners.
+    keeping only the 4-valent corners: the ``sigma`` and ``alpha`` tables,
+    and the critical label of each dart's vertex.
 
     Side j of blue polygon i, from its corner j to corner j+1, is glued to
     side j of white polygon beta_j(i), where beta_0 is the identity and
@@ -247,13 +248,13 @@ def graph_from_monodromy(t: TranspositionTuple) -> Realization:
     wid = _bucket_ids(white, [*slots[2:], 2, 3], 2 * n + 1, d)
     sigma = [0] * (4 * n + 1)
     alpha = [0] * (4 * n + 1)
-    labels = {}
+    red = [0] * (4 * n + 1)
     slot = [0] * (2 * n + 2)  # per blue dart, its slot; 0 (no sheet) past the last
     for j in range(1, n + 1):
         s = 2 * j
         xa, ya, xb, yb = blue[s], wid[s], blue[s + 1], wid[s + 1]
         sigma[xa], sigma[ya], sigma[xb], sigma[yb] = ya, xb, yb, xa
-        labels[xa if sheet[s] < sheet[s + 1] else xb] = j
+        red[xa] = red[ya] = red[xb] = red[yb] = j
         slot[xa], slot[xb] = s, s + 1
     # blue dart x runs to its sheet's next visit, dart x + 1, or from the
     # last visit back to the first, and ends at the white dart of the
@@ -266,8 +267,15 @@ def graph_from_monodromy(t: TranspositionTuple) -> Realization:
             nxt, first = slot[first], x + 1
         y = wid[nxt ^ 1]
         alpha[x], alpha[y] = y, x
-    cm = ColoredMap(CombinatorialMap(sigma, alpha), range(d))
-    return Realization(cm, labels)
+    return sigma, alpha, red
+
+
+def graph_from_monodromy(t: TranspositionTuple) -> Realization:
+    """The diagram glued from the tuple, its first d faces blue, and each
+    vertex's critical label; the map checks itself in full."""
+    sigma, alpha, red = _glue(t)
+    m = CombinatorialMap(sigma, alpha)
+    return Realization(ColoredMap(m, range(t.d)), {v: red[v] for v in m.vertex_ids()})
 
 
 # -- top-level decision procedures ----------------------------------------------------

@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 import sys
+from typing import List, Tuple
 
 import pytest
 
 from balmaps import corpus, hurwitz, maps, realize
+from balmaps.errors import Mismatch
 
 
 @pytest.fixture(scope="session")
@@ -50,13 +53,23 @@ def census4():
     return hurwitz.census(4)
 
 
+def dual_of(cm, labels):
+    """maps.dual_bipartite of a colored map and its critical label per
+    vertex, read into the per-dart tables the builder takes; a vertex with
+    no label gets 0."""
+    m = cm.m
+    red = [labels.get(v, 0) for v in m.vertex_of]
+    return maps.dual_bipartite(m.sigma, m.alpha, red,
+                               {x for x in range(1, m.n + 1) if cm.is_forward(x)})
+
+
 def make_labeled_duals(d):
     """All vertex-labeled duals of degree-d covers: one dual per class,
     decorated with every blue labeling."""
     out = []
     for cls in hurwitz.enumerate_classes(d):
         real = realize.graph_from_monodromy(cls.representative)
-        g0 = maps.dual_bipartite(real.colored, real.labels, range(1, d + 1))
+        g0 = dual_of(real.colored, real.labels)
         blues = sorted(g0.blue_vertices)
         for perm in itertools.permutations(range(1, d + 1)):
             out.append(maps.FaceLabeledGraph(
@@ -92,29 +105,84 @@ def duals4():
     return make_labeled_duals(4)
 
 
+def forward_darts(o):
+    """The tail dart of each edge of an orientation."""
+    return [c for c in range(1, o.g.m.n + 1) if o.tail[c]]
+
+
 def clockwise_cycles(o):
     """The directed cycles of an orientation with the root face on their
     left, i.e. with their bounded side on the right."""
     m = o.g.m
-    return [c for c in maps.directed_cycles(m, o.forward.values())
+    return [c for c in maps.directed_cycles(m, forward_darts(o))
             if o.root_face in maps.left_faces(m, c)]
 
 
 def reverse_cycle(o, darts):
-    m = o.g.m
     for dart in darts:
-        e = m.edge_of(dart)
-        o.forward[e] = m.alpha[o.forward[e]]
+        o.tail[dart] = not o.tail[dart]
+        o.tail[o.g.m.alpha[dart]] = not o.tail[o.g.m.alpha[dart]]
 
 
 def felsner_by_reversals(o, rng=None):
     """Oracle for dps.felsner_normalize: reverse clockwise cycles, the first
     one listed or a random one, until none remains."""
     m = o.g.m
-    out = o.copy()
+    out = dataclasses.replace(o, tail=list(o.tail))
     for _ in range(m.num_edges * m.num_faces + 1):
         cw = clockwise_cycles(out)
         if not cw:
             return out
         reverse_cycle(out, rng.choice(cw) if rng is not None else cw[0])
     raise AssertionError("clockwise cycles persist")
+
+
+def sew_reference(t, runs):
+    """Oracle for dps._sew, its merged-lap version: every lap is cut into
+    intervals, sorted and merged, and the first lap whose merged intervals
+    equal the lap before's is returned."""
+    d = t.d
+    n = 2 * d - 2
+    segments = [(d + i, (r - 2) % n, 1, w) for i, (wa, wb, _, ra, rb)
+                in enumerate(t.edges) for w, r in ((wa, ra), (wb, rb))]
+    hairs = sum(run[2] for run in runs)
+    stack: List[Tuple[int, int, int]] = []  # (vertex, top slot, count)
+    previous = None
+    for _ in range(hairs + 2):
+        # a lap pops at most one hair per hair, so deeper ones never matter
+        depth = 0
+        for k in range(len(stack) - 1, -1, -1):
+            depth += stack[k][2]
+            if depth > hairs:
+                stack[k] = stack[k][:2] + (stack[k][2] - depth + hairs + 1,)
+                del stack[:k]
+                break
+        pieces = list(segments)
+        for v, s, c in runs:
+            step = 1 if v < d else -1
+            while c and stack and (stack[-1][0] < d) != (v < d) and stack[-1][1] == s:
+                u, top, k = stack.pop()
+                m = min(c, k)
+                if m < k:
+                    stack.append((u, (top + step * m) % n, k - m))
+                lo = s if step == 1 else (s - m + 1) % n
+                mid, w = (u, v) if v < d else (v, u)
+                pieces.append((mid, lo, min(m, n - lo), w))
+                if lo + m > n:
+                    pieces.append((mid, 0, lo + m - n, w))
+                s = (s + step * m) % n
+                c -= m
+            if c:
+                stack.append((v, (s + step * (c - 1)) % n, c))
+        pieces.sort()
+        matched = pieces[:1]
+        for p in pieces[1:]:
+            q = matched[-1]
+            if q[0] == p[0] and q[1] + q[2] == p[1] and q[3] == p[3]:
+                matched[-1] = q[:2] + (q[2] + p[2], p[3])
+            else:
+                matched.append(p)
+        if matched == previous:
+            return matched
+        previous = matched
+    raise Mismatch("contour sewing still changes after %d laps" % (hairs + 2))

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from balmaps import balance, corpus, decompose, dps, hurwitz, maps, realize
-from tests.conftest import dual_code, felsner_by_reversals
+from tests.conftest import dual_code, dual_of, felsner_by_reversals
 from tests.test_decompose import split_four_cut
 from tests.test_dps import canonical_key
 from tests.test_hurwitz import brute_canonical_tuple
@@ -149,14 +149,14 @@ def test_criterion_7_felsner_uniqueness(classes4):
     duals = []
     for cls in classes4:
         real = realize.graph_from_monodromy(cls.representative)
-        duals.append(maps.dual_bipartite(real.colored, real.labels, range(1, 5)))
+        duals.append(dual_of(real.colored, real.labels))
     diffs = 0
     for i, g in enumerate(duals):
         o = dps.orient_greater_label_left(g)
-        base = dps.felsner_normalize(o).forward
+        base = dps.felsner_normalize(o).tail
         for s in range(100):
             rng = random.Random(10007 * i + s)
-            if felsner_by_reversals(o, rng).forward != base:
+            if felsner_by_reversals(o, rng).tail != base:
                 diffs += 1
     assert _verdict("7 (felsner uniqueness)", diffs == 0,
                     "%d duals x 100 schedules, %d mismatches"

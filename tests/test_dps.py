@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from balmaps import balance, dps, mapio, maps, realize
 from balmaps.errors import DegreePropertyFailed, InvalidInput, LimitExceeded
-from tests.conftest import clockwise_cycles, dual_code, felsner_by_reversals, reverse_cycle
+from tests.conftest import (
+    clockwise_cycles,
+    dual_code,
+    dual_of,
+    felsner_by_reversals,
+    forward_darts,
+    reverse_cycle,
+    sew_reference,
+)
 
 
 def random_tree(rng, d):
@@ -143,6 +151,45 @@ def test_decode_tuples_pinned():
         "a1c5a54d286f01ac939a8cccaae44d4fc280e65404bf99ea5537b3deb22e44f1")
 
 
+def dual_pin_trees():
+    """Every tree with d <= 4, the path and the star at d = 3, 10 and 60,
+    and 50 seeded random trees with d = 5..60."""
+    for d in (2, 3, 4):
+        yield from enumerate_trees(d)
+    for d in (3, 10, 60):
+        yield path_tree(d)
+        yield star_tree(d)
+    rng = random.Random(38)
+    for _ in range(50):
+        yield random_tree(rng, rng.randint(5, 60))
+
+
+def test_decode_duals_pinned():
+    """The exact decoded duals: one sha256 over the dart tables, the blue
+    vertices, the reds and the blue labels, fixed by the decoder that built
+    the glued diagram before its dual."""
+    h = hashlib.sha256()
+    for t in dual_pin_trees():
+        g = dps.tree_to_graph(t)
+        h.update(repr((g.m.sigma, g.m.alpha, sorted(g.blue_vertices), g.face_red,
+                       g.blue_labels)).encode())
+    assert h.hexdigest() == (
+        "1e92c05880d9192156c93a779d3f198462f9e31c69a717b0c38e6c78a1d695ff")
+
+
+def test_sew_matches_merged_lap_reference():
+    """The sewing compares raw laps and merges only the last one; the
+    reference merges every lap.  Same intervals on the pinned trees, the
+    path and the star at d = 3..80 and 2000 seeded random trees."""
+    rng = random.Random(2000)
+    trees = itertools.chain(
+        parity_trees(), (f(d) for d in range(3, 81) for f in (path_tree, star_tree)),
+        (random_tree(rng, rng.randint(2, 120)) for _ in range(2000)))
+    for t in trees:
+        runs = dps._contour_runs(t)
+        assert dps._sew(t, runs) == sew_reference(t, runs)
+
+
 def test_dual_code_format_pinned():
     t = dps.EdgeLabeledTree(3, ((0, 1, 1, 1, 2), (1, 2, 2, 3, 4)))
     assert dual_code(dps.tree_to_graph(t)) == (
@@ -193,7 +240,9 @@ def test_orientation_degree_property(duals3):
         m = g.m
         indeg = {v: 0 for v in m.vertex_ids()}
         outdeg = {v: 0 for v in m.vertex_ids()}
-        for e, f in o.forward.items():
+        for e in m.edges():
+            assert o.tail[e] != o.tail[m.alpha[e]]
+        for f in forward_darts(o):
             outdeg[m.vertex_of[f]] += 1
             indeg[m.vertex_of[m.alpha[f]]] += 1
         for v in m.vertex_ids():
@@ -237,25 +286,25 @@ def test_felsner_no_clockwise_cycles_random_trees():
             assert clockwise_cycles(o)
             normal = dps.felsner_normalize(o)
             assert not clockwise_cycles(normal)
-            assert felsner_by_reversals(o).forward == normal.forward
+            assert felsner_by_reversals(o).tail == normal.tail
 
 
 def test_felsner_fixed_point(duals3):
     for g in duals3[:6]:
         o = dps.felsner_normalize(dps.orient_greater_label_left(g))
         again = dps.felsner_normalize(o)
-        assert again.forward == o.forward
+        assert again.tail == o.tail
 
 
 def test_felsner_schedule_independence(duals3):
     """Every schedule of clockwise-cycle reversals ends at the potential."""
     for i, g in enumerate(duals3):
         o = dps.orient_greater_label_left(g)
-        base = dps.felsner_normalize(o).forward
-        assert felsner_by_reversals(o).forward == base
+        base = dps.felsner_normalize(o).tail
+        assert felsner_by_reversals(o).tail == base
         for s in range(10):
             rng = random.Random(100 * i + s)
-            assert felsner_by_reversals(o, rng).forward == base
+            assert felsner_by_reversals(o, rng).tail == base
 
 
 def test_felsner_from_other_orientations(duals3, duals4):
@@ -266,19 +315,19 @@ def test_felsner_from_other_orientations(duals3, duals4):
     clockwise = counterclockwise = others = 0
     for g in duals:
         o = dps.orient_greater_label_left(g)
-        start = dict(o.forward)
-        base = dps.felsner_normalize(o).forward
+        start = list(o.tail)
+        base = dps.felsner_normalize(o).tail
         for _ in range(4):
             for _ in range(rng.randrange(1, 5)):
-                cycle = rng.choice(maps.directed_cycles(g.m, o.forward.values()))
+                cycle = rng.choice(maps.directed_cycles(g.m, forward_darts(o)))
                 if o.root_face in maps.left_faces(g.m, cycle):
                     clockwise += 1
                 else:
                     counterclockwise += 1
                 reverse_cycle(o, cycle)
-            others += o.forward not in (start, base)
-            assert dps.felsner_normalize(o).forward == base
-            assert felsner_by_reversals(o, rng).forward == base
+            others += o.tail not in (start, base)
+            assert dps.felsner_normalize(o).tail == base
+            assert felsner_by_reversals(o, rng).tail == base
     assert clockwise > 0 and counterclockwise > 0
     assert others > len(duals)
 
@@ -286,20 +335,20 @@ def test_felsner_from_other_orientations(duals3, duals4):
 def test_bernardi_spanning_tree(duals3):
     for g in duals3:
         o = dps.felsner_normalize(dps.orient_greater_label_left(g))
-        st = dps.bernardi_spanning_tree(o)
+        parent = dps.bernardi_spanning_tree(o)
         m = g.m
-        assert len(st.edges) == m.num_vertices - 1
+        assert len(parent) == m.num_vertices - 1
         # spanning and acyclic: parent darts reach the root from everywhere
         for v in m.vertex_ids():
             seen = set()
-            while v != st.root:
+            while v != o.root_vertex:
                 assert v not in seen
                 seen.add(v)
-                v = m.vertex_of[m.alpha[st.parent_dart[v]]]
+                v = m.vertex_of[m.alpha[parent[v]]]
         # tree edges are oriented toward the root
-        for u, dart in st.parent_dart.items():
-            e = m.edge_of(dart)
-            assert o.forward[e] == dart
+        for u, dart in parent.items():
+            assert m.vertex_of[dart] == u
+            assert o.tail[dart]
 
 
 def test_bernardi_spanning_tree_ignores_recursion_limit():
@@ -314,8 +363,8 @@ def test_bernardi_spanning_tree_ignores_recursion_limit():
     search_depth = 0
     for v in m.vertex_ids():
         k = 0
-        while v != expected.root:
-            v = m.vertex_of[m.alpha[expected.parent_dart[v]]]
+        while v != o.root_vertex:
+            v = m.vertex_of[m.alpha[expected[v]]]
             k += 1
         search_depth = max(search_depth, k)
     stack_depth = 0
@@ -404,9 +453,9 @@ def test_round_trip_large_tree(t):
     assert canonical_key(dps.graph_to_tree(g)) == canonical_key(t)
 
 
-def test_decode_builds_two_maps(monkeypatch):
-    """The glued diagram and its dual, once each: no subdivided map and
-    no retries."""
+def test_decode_builds_one_map(monkeypatch):
+    """Only the dual: the glued tables are checked as the dual's, with no
+    map of their own, no subdivided map and no retries."""
     builds = []
     init = maps.CombinatorialMap.__init__
 
@@ -419,7 +468,7 @@ def test_decode_builds_two_maps(monkeypatch):
     for d in (2, 3, 6, 10, 14):
         builds.clear()
         dps.tree_to_graph(random_tree(rng, d))
-        assert len(builds) == 2
+        assert len(builds) == 1
 
 
 def test_round_trip_on_realized_generator_duals():
@@ -429,7 +478,7 @@ def test_round_trip_on_realized_generator_duals():
     for make in (maps.quadratic, maps.octahedron, lambda: maps.turkshead(4)):
         cm = maps.checkerboard(make())[0]
         counts, labels = realize.realize_generic(cm)
-        g = maps.dual_bipartite(cm, labels, range(1, len(cm.blue_faces) + 1))
+        g = dual_of(cm, labels)
         t = dps.graph_to_tree(g)
         assert dual_code(dps.tree_to_graph(t)) == dual_code(g)
 

@@ -16,7 +16,7 @@ from balmaps.errors import (
     NonZeroGenus,
     NotFourValent,
 )
-from tests.conftest import dual_code
+from tests.conftest import dual_code, dual_of
 
 
 def relabeled(m, perm):
@@ -442,7 +442,7 @@ def test_dual_bipartite_quadratic():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.quadratic())
     counts, labels = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, labels, [1, 2])
+    g = dual_of(cm, labels)
     assert g.d == 2
     assert g.m.num_vertices == 4
     assert g.m.num_faces == 2
@@ -453,11 +453,12 @@ def test_dual_bipartite_octahedron():
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.octahedron())
     counts, labels = realize.realize_generic(cm)
-    g = maps.dual_bipartite(cm, labels, [1, 2, 3, 4])
+    g = dual_of(cm, labels)
     assert g.d == 4
     assert len(g.blue_vertices) == 4
     assert g.m.num_vertices == 8
     assert g.m.num_faces == 6
+    assert g.blue_labels == tuple(zip(sorted(g.blue_vertices), range(1, 5)))
 
 
 def test_dual_bipartite_refuses_bad_labels():
@@ -470,14 +471,14 @@ def test_dual_bipartite_refuses_bad_labels():
     for bad in ({**labels, v: labels[w]}, {**labels, v: 0}, {**labels, v: 7},
                 {u: l for u, l in labels.items() if u != v}):
         with pytest.raises(InvalidInput, match="bijection onto 1..2d-2"):
-            maps.dual_bipartite(cm, bad, [1, 2, 3, 4])
+            dual_of(cm, bad)
 
 
 def test_face_labeled_graph_checks_itself():
     """A malformed dual raises InvalidInput when it is built."""
     from balmaps import realize
     cm, _ = maps.checkerboard(maps.quadratic())
-    g = maps.dual_bipartite(cm, realize.realize_generic(cm)[1], [1, 2])
+    g = dual_of(cm, realize.realize_generic(cm)[1])
     blue = sorted(g.blue_vertices)
     with pytest.raises(InvalidInput, match="bijection onto 1..2d-2"):
         maps.FaceLabeledGraph(g.m, g.blue_vertices, (1, 1), g.blue_labels)
@@ -490,6 +491,31 @@ def test_face_labeled_graph_checks_itself():
     star = maps.build_map([[1, 2, 3, 4], [5, 6], [7], [8]], [[1, 5], [2, 6], [3, 7], [4, 8]], 8)
     with pytest.raises(InvalidInput, match="blue vertex 99 is not a vertex id"):
         maps.FaceLabeledGraph(star, frozenset({1, 99}), (1, 2), ((1, 1), (99, 2)))
+    # one blue centre and three white leaves: bipartite, but unbalanced
+    with pytest.raises(InvalidInput, match="need equally many blue and white vertices"):
+        maps.FaceLabeledGraph(star, frozenset({1}), (1, 2), ((1, 1),))
+
+
+def test_vertex_cycle_refuses_an_unknown_vertex():
+    q = maps.quadratic()
+    assert q.vertex_cycle(1) == (1, 3, 5, 7)
+    for v in (0, 3, 9):
+        with pytest.raises(InvalidInput, match="no vertex %d" % v):
+            q.vertex_cycle(v)
+
+
+def test_equal_maps_hash_equal():
+    """Maps built apart from equal tables are equal, hash equal and
+    deduplicate in a set, plain and coloured; a colouring tells two
+    coloured maps of one map apart."""
+    a, b = maps.turkshead(3), maps.octahedron()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, maps.quadratic()}) == 2
+    assert repr(a) == "CombinatorialMap(V=6, E=12, F=8)"
+    first, second = maps.checkerboard(a)
+    again = maps.ColoredMap(b, first.blue_faces)
+    assert again == first and hash(again) == hash(first)
+    assert len({first, second, again}) == 2
 
 
 # Literal codes pin the code format: a change to it fails here, not only as a
