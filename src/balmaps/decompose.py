@@ -51,10 +51,9 @@ def _cut_sides(m: CombinatorialMap, ys, min_side: int) -> Optional[Tuple[set, se
     comps = _side_components(m, ys)
     if len(comps) != 2:
         return None
+    # a closed face walk whose edges leave two components crosses each one
+    # way, from the base's side Y to the head's side X
     X, Y = comps if m.vertex_of[m.alpha[ys[0]]] in comps[0] else comps[::-1]
-    for y in ys:
-        if m.vertex_of[m.alpha[y]] not in X or m.vertex_of[y] not in Y:
-            return None
     if len(X) < min_side or len(Y) < min_side:
         return None  # a four-point curve around a single vertex
     return X, Y
@@ -352,6 +351,8 @@ def _first_split(cm: ColoredMap) -> Optional[Tuple[CutCurve, Tuple[ColoredMap, C
         sides = _cut_sides(m, ys, 1)
         if sides is not None:
             return CutCurve("two_point", (a, b)), _fuse(cm, ys, *sides, [0], [0])
+    if m.num_vertices < 4:
+        return None  # a four-point cut needs two vertices on each side
     for ys in _four_cut_candidates(m):
         verdict = _classify(cm, ys)
         if not isinstance(verdict, str):

@@ -104,16 +104,11 @@ def count_components(n: int, pairs: Iterable[Sequence[int]]) -> int:
     return n
 
 
-def _by_least_label(cycles: Sequence[Sequence[int]], lab: Sequence[int]) -> List[int]:
-    """Indices of disjoint dart cycles, ordered by their least dart label."""
-    return sorted(range(len(cycles)), key=lambda i: min(map(lab.__getitem__, cycles[i])))
-
-
 class CombinatorialMap:
     """An embedded graph on the oriented sphere, as a rotation system."""
 
     __slots__ = ("n", "sigma", "alpha", "phi", "faces", "face_of",
-                 "vertex_of", "_vertices", "_code", "_root", "_lab", "_orbits")
+                 "vertex_of", "_vertices", "_code", "_root", "_order", "_orbits")
 
     def __init__(self, sigma: Sequence[int], alpha: Sequence[int]):
         n = len(sigma) - 1
@@ -212,11 +207,12 @@ class CombinatorialMap:
 
     def _bfs_trace(self, root: int, bound: Optional[List[int]] = None
                    ) -> Optional[Tuple[List[int], List[int]]]:
-        """Relabel darts by BFS discovery from ``root``; return (trace, lab).
+        """Relabel darts by BFS discovery from ``root``; return (trace, order).
 
         The trace lists, for each dart in discovery order, the discovery
-        labels of its sigma- and alpha-images; ``lab`` maps each dart to its
-        label.  Two rooted maps are isomorphic iff their traces agree.
+        labels of its sigma- and alpha-images; ``order`` is the queue, every
+        dart in discovery order, so the dart labelled k is ``order[k - 1]``.
+        Two rooted maps are isomorphic iff their traces agree.
         Given a ``bound`` trace, return None at the first entry that makes
         the trace larger than it; comparison stops at the first difference.
 
@@ -257,7 +253,7 @@ class CombinatorialMap:
                     break
                 k += 2
             else:
-                return bound, lab
+                return bound, order
         for d in darts:
             nb = sigma[d]
             x = lab[nb]
@@ -273,11 +269,11 @@ class CombinatorialMap:
                 y = lab[nb] = top
             trace.append(x)
             trace.append(y)
-        return trace, lab
+        return trace, order
 
     def _least_root(self):
         """The code (the dart count, then the least BFS trace over all
-        roots), the least root that gives it, that root's dart labels, and
+        roots), the least root that gives it, that root's BFS queue, and
         the union-find of the automorphism orbits found (None if no root
         tied).  A root whose trace exceeds the best is dropped at its first
         larger entry; one that ties it gives an automorphism, since one dart
@@ -285,36 +281,35 @@ class CombinatorialMap:
         each traced tie at least doubles the group."""
         n = self.n
         trace_from = self._bfs_trace
-        best = best_lab = best_root = parent = None
+        best = best_order = best_root = parent = None
         for root in range(1, n + 1):
             if parent is not None and parent[root] != root:
                 continue
             res = trace_from(root, best)
             if res is None:
                 continue
-            trace, lab = res
+            trace, order = res
             # the trace is not above the best: it beats it unless the kernel
             # handed the best back, which it does for a whole tie
             if trace is not best:
-                best, best_lab, best_root = trace, lab, root
+                best, best_order, best_root = trace, order, root
             else:
-                # the automorphism takes the dart labelled k from best_root
-                # to the dart labelled k from root
+                # the automorphism takes the k-th dart of best_root's queue
+                # to the k-th dart of root's
                 if parent is None:
                     parent = list(range(n + 1))
-                dart = dict(zip(lab, range(n + 1)))
-                for d in range(1, n + 1):
-                    union(parent, d, dart[best_lab[d]])
-        return (n,) + tuple(best), best_root, best_lab, parent
+                for a, b in zip(best_order, order):
+                    union(parent, a, b)
+        return (n,) + tuple(best), best_root, best_order, parent
 
     def canonical_code(self) -> Tuple[int, ...]:
         """Lexicographically least BFS trace over all root darts.
 
         Complete invariant: two maps have equal codes iff some dart
         relabeling commutes with both sigma and alpha.  Scanned once, with
-        the least root, its labels and the orbits kept."""
+        the least root, its queue and the orbits kept."""
         if self._code is None:
-            self._code, self._root, self._lab, self._orbits = self._least_root()
+            self._code, self._root, self._order, self._orbits = self._least_root()
         return self._code
 
     def canonical_roots(self) -> List[int]:
@@ -465,10 +460,13 @@ class ColoredMap:
     def swapped(self) -> "ColoredMap":
         return ColoredMap(self.m, self.white_faces, check=False)
 
-    def face_bits(self, lab: Sequence[int]) -> List[int]:
-        """The blue bit of every face, faces ordered by least dart label."""
-        return [1 if i in self.blue_faces else 0
-                for i in _by_least_label(self.m.faces, lab)]
+    def face_bits(self, order: Sequence[int]) -> List[int]:
+        """The blue bit of every face, faces in order of first appearance in
+        the BFS queue ``order``: a face's least dart label is the queue
+        position of its first dart, so this is by least label."""
+        blue = self.blue_faces
+        return [1 if f in blue else 0
+                for f in dict.fromkeys(map(self.m.face_of.__getitem__, order))]
 
     def swaps_colors(self) -> bool:
         """True if some automorphism of the map takes blue faces to white
@@ -480,13 +478,13 @@ class ColoredMap:
     def colored_code(self) -> Tuple[int, ...]:
         """The map's code, then the least blue bits of the faces over its
         canonical roots, with no trace.  The first bit is the root face's,
-        so any root on a white face gives the least: the least root's bits,
-        complemented if its face is blue and an automorphism swaps the
-        colours."""
+        so any root on a white face gives the least: the bits read off the
+        least root's queue, complemented if its face is blue and an
+        automorphism swaps the colours."""
         if self._colored_code is None:
             m = self.m
             code = m.canonical_code()
-            bits = self.face_bits(m._lab)
+            bits = self.face_bits(m._order)
             if self.is_forward(m._root) and self.swaps_colors():
                 bits = [1 - b for b in bits]
             self._colored_code = code + tuple(bits)

@@ -361,8 +361,8 @@ def is_realizable(cm: ColoredMap) -> bool:
              next(v for v, l in real.labels.items() if l == 1))
     codes = []
     for c, root in zip((cm, real.colored), roots):
-        trace, lab = c.m._bfs_trace(root)
-        codes.append(trace + c.face_bits(lab))
+        trace, order = c.m._bfs_trace(root)
+        codes.append(trace + c.face_bits(order))
     if codes[0] != codes[1]:
         raise Mismatch("the ranked tuple reglues to another diagram")
     return True

@@ -77,22 +77,38 @@ def make_labeled_duals(d):
     return out
 
 
-def dual_code(g):
-    """The code of a labeled dual: its map's code, then the least
-    decoration over the map's canonical roots, which is the red of every
-    face and the mark of every vertex (its blue label, 0 for a white one),
-    each ordered by least dart label.  Every trace has 2n entries, so this
-    is the least trace-then-decoration over all roots, a complete invariant
-    of the dual with its reds and labels."""
+def _by_least_label(cycles, lab):
+    """Indices of disjoint dart cycles, ordered by their least dart label
+    under ``lab``, a table or a dict from dart to label."""
+    return sorted(range(len(cycles)), key=lambda i: min(map(lab.__getitem__, cycles[i])))
+
+
+def face_bit_decoration(cm):
+    """The reference for ColoredMap.face_bits, given labels instead of a
+    queue: the blue bit of every face, faces ordered by least dart label."""
+    return lambda lab: [1 if i in cm.blue_faces else 0 for i in _by_least_label(cm.m.faces, lab)]
+
+
+def dual_decoration(g):
+    """The decoration of a labeled dual under dart labels ``lab``: the red
+    of every face, then every vertex's mark (its blue label, 0 for a white
+    one), each ordered by least dart label."""
     m, labels = g.m, g.blue_label_map()
     marks = [labels.get(cyc[0], 0) for cyc in m.vertices()]
+    return lambda lab: ([g.face_red[i] for i in _by_least_label(m.faces, lab)]
+                        + [marks[i] for i in _by_least_label(m.vertices(), lab)])
 
-    def decorate(lab):
-        return ([g.face_red[i] for i in maps._by_least_label(m.faces, lab)]
-                + [marks[i] for i in maps._by_least_label(m.vertices(), lab)])
+
+def dual_code(g):
+    """The code of a labeled dual: its map's code, then the least
+    decoration over the map's canonical roots.  Every trace has 2n entries,
+    so this is the least trace-then-decoration over all roots, a complete
+    invariant of the dual with its reds and labels."""
+    m, decorate = g.m, dual_decoration(g)
     code = m.canonical_code()
-    labs = (m._lab if r == m._root else m._bfs_trace(r)[1] for r in m.canonical_roots())
-    return code + tuple(min(map(decorate, labs)))
+    orders = (m._order if r == m._root else m._bfs_trace(r)[1] for r in m.canonical_roots())
+    # the k-th dart of a root's queue is labelled k
+    return code + tuple(min(decorate({d: k for k, d in enumerate(o, 1)}) for o in orders))
 
 
 @pytest.fixture(scope="session")

@@ -108,6 +108,12 @@ def test_curve_oracle_cap():
         balance.enumerate_blue_left_curves(cm)
 
 
+def test_unknown_oracle_refused():
+    # the CLI's choices never pass one; a library caller can
+    with pytest.raises(PreconditionFailed, match="unknown oracle 'bogus'"):
+        balance.is_balanced(colored(maps.octahedron()), oracle="bogus")
+
+
 def test_is_balanced_examples():
     assert balance.is_balanced(colored(maps.octahedron()), oracle="both").balanced
     assert balance.is_balanced(colored(maps.quadratic()), oracle="both").balanced

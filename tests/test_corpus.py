@@ -112,6 +112,14 @@ def test_nine_vertices_refused_before_work():
         corpus.enumerate_four_valent(9)
 
 
+def test_seven_vertex_corpus_refused_before_work(monkeypatch):
+    def enumerate_four_valent(v):
+        raise AssertionError("enumerated %d vertices" % v)
+    monkeypatch.setattr(corpus, "enumerate_four_valent", enumerate_four_valent)
+    with pytest.raises(LimitExceeded, match="corpus generation capped at 6 vertices"):
+        corpus.build_corpus(7)
+
+
 def test_known_small_counts():
     assert len(corpus.enumerate_four_valent(1)) == 1
     assert len(corpus.enumerate_four_valent(2)) == 3

@@ -230,35 +230,61 @@ def test_collapse_arc_rejects_one_edge():
         decompose.collapse_arc(q, d, d)
 
 
-def three_face_walk(cm):
-    """Reference for find_four_cuts: from every dart y1, walk the whole
-    faces of y1, y2 and y3 for the next crossing, keep the walks that close
-    up through four distinct edges, and canonicalize each one to drop
-    repeats."""
-    m = cm.m
-    seen = set()
-    out = []
+def closed_face_walks(m):
+    """From every dart y1, walk the whole faces of y1, y2 and y3 for the
+    next crossing; the walks (y1, y2, y3, y4) that close up through four
+    distinct edges."""
     for y1 in range(1, m.n + 1):
-        f1 = m.face_of[y1]
-        for a2 in m.faces[f1]:
+        for a2 in m.faces[m.face_of[y1]]:
             y2 = m.alpha[a2]
             for a3 in m.faces[m.face_of[y2]]:
                 y3 = m.alpha[a3]
                 for a4 in m.faces[m.face_of[y3]]:
                     y4 = m.alpha[a4]
-                    if m.face_of[m.alpha[y1]] != m.face_of[y4]:
-                        continue
                     ys = (y1, y2, y3, y4)
-                    if len({m.edge_of(d) for d in ys}) != 4:
-                        continue
-                    sig = decompose._four_cut_canonical(m, ys)
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    if decompose._cut_sides(m, ys, 2) is not None:
-                        out.append(decompose.CutCurve("four_point", sig))
+                    if (m.face_of[m.alpha[y1]] == m.face_of[y4]
+                            and len({m.edge_of(d) for d in ys}) == 4):
+                        yield ys
+
+
+def three_face_walk(cm):
+    """Reference for find_four_cuts: the closed face walks, each
+    canonicalized to drop repeats, that cut the map in two."""
+    m = cm.m
+    seen = set()
+    out = []
+    for ys in closed_face_walks(m):
+        sig = decompose._four_cut_canonical(m, ys)
+        if sig in seen:
+            continue
+        seen.add(sig)
+        if decompose._cut_sides(m, ys, 2) is not None:
+            out.append(decompose.CutCurve("four_point", sig))
     out.sort(key=lambda c: c.darts)
     return out
+
+
+def test_two_sided_face_walks_cross_one_way():
+    """Why _cut_sides checks no crossing's direction: a closed face walk
+    over distinct edges whose removal leaves two components can be drawn
+    as a simple closed curve (a walk that must cross itself leaves three),
+    which crosses every edge from its base's side to its head's.  Checked
+    on every four-edge walk and every two-point candidate."""
+    rng = random.Random(15)
+    cms = list(build_corpus(4).colored) + list(itertools.islice(pinched_covers(rng), 30))
+    two_sided = 0
+    for cm in cms:
+        m = cm.m
+        walks = [(a, m.alpha[b]) for a, b in decompose._two_cut_candidates(m)]
+        for ys in walks + list(closed_face_walks(m)):
+            comps = decompose._side_components(m, ys)
+            if len(comps) == 2:
+                two_sided += 1
+                heads = {m.vertex_of[m.alpha[y]] for y in ys}
+                bases = {m.vertex_of[y] for y in ys}
+                assert heads <= comps[0] and bases <= comps[1] or (
+                    heads <= comps[1] and bases <= comps[0]), (cm, ys)
+    assert two_sided > 5000
 
 
 def random_cover(rng, d):

@@ -125,10 +125,11 @@ def _loaded_names(node):
             yield sub.attr
 
 
-def _uncalled():
+def _uncalled(private=False):
     """The public functions, classes and methods of the library,
     ``__init__.py`` aside, whose name src/ never loads outside the
-    definition itself; and the names of all of them."""
+    definition itself; and the names of all of them.  With ``private``,
+    the same for the names with one leading underscore."""
     loads = collections.Counter()
     defs = []
     for path in sorted(SRC.glob("*.py")):
@@ -139,7 +140,9 @@ def _uncalled():
         todo = list(tree.body)
         while todo:
             node = todo.pop()
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") == private
+                    and not node.name.startswith("__")):
                 defs.append((node.name, sum(x == node.name for x in _loaded_names(node))))
             if isinstance(node, ast.ClassDef):
                 todo += node.body
@@ -150,6 +153,13 @@ def test_every_public_name_has_a_caller():
     """Code that only tests call goes, or moves beside its tests."""
     uncalled, _ = _uncalled()
     assert sorted(uncalled - set(NO_CALLER)) == []
+
+
+def test_every_private_helper_has_a_caller():
+    """A private helper that nothing in src/ loads is left behind: it goes,
+    or moves beside the tests that use it.  No list excuses one."""
+    uncalled, _ = _uncalled(private=True)
+    assert sorted(uncalled) == []
 
 
 def test_no_caller_list_is_current():

@@ -16,7 +16,7 @@ from balmaps.errors import (
     NonZeroGenus,
     NotFourValent,
 )
-from tests.conftest import dual_code, dual_of
+from tests.conftest import dual_code, dual_decoration, dual_of, face_bit_decoration
 
 
 def relabeled(m, perm):
@@ -538,6 +538,41 @@ def test_canonical_code_format_pinned():
         7, 14, 9, 15, 16, 16, 15, 10, 14, 8, 13)
 
 
+@pytest.fixture(scope="module")
+def pinned_maps(corpus6):
+    """One colouring of each corpus6 map, of turkshead(3..30), and of a
+    relabeled copy of each seeded random cover with d = 3..30 (the covers
+    of test_least_trace_matches_full_scan); the pins read both colourings."""
+    from tests.test_decompose import random_cover  # it imports this module
+    rng = random.Random(11)
+    covers = [random_cover(rng, d) for d in range(3, 31)]
+    heads = [maps.turkshead(k) for k in range(3, 31)]
+    return ([maps.checkerboard(m)[0] for m in list(corpus6.uncolored) + heads]
+            + [relabeled_colored(cm, rng) for cm in covers])
+
+
+def test_colored_codes_pinned(pinned_maps):
+    """One sha256 over the colored code of both colourings of every
+    pinned map: the exact codes, not only their agreement with a scan."""
+    h = hashlib.sha256()
+    for cm in pinned_maps:
+        for c in (cm, cm.swapped()):
+            h.update(repr(c.colored_code()).encode() + b";")
+    assert h.hexdigest() == (
+        "3d82a548e988d5ad1d94c1f0979a1477705c1132f125b0a52f3ba1c14c5392bf")
+
+
+def test_face_bits_follow_least_labels(pinned_maps):
+    """face_bits of every root's queue, in both colourings of every pinned
+    map, are the blue bits of the faces ordered by reference least label."""
+    for cm in pinned_maps:
+        m, pair = cm.m, (cm, cm.swapped())
+        references = [face_bit_decoration(c) for c in pair]
+        for root in range(1, m.n + 1):
+            order, lab = m._bfs_trace(root)[1], reference_trace(m, root)[1]
+            assert [c.face_bits(order) for c in pair] == [ref(lab) for ref in references]
+
+
 # -- the least-trace kernel against a full scan ----------------------------------------
 
 
@@ -582,8 +617,14 @@ def reference_trace(m, root):
     return trace, [lab.get(x, 0) for x in range(m.n + 1)]
 
 
+def reference_queue(m, lab):
+    """The queue of a reference relabeling: the darts by their label."""
+    return sorted(range(1, m.n + 1), key=lab.__getitem__)
+
+
 def test_bfs_trace_matches_reference(corpus6):
-    """Every root's trace and labels are the reference's.  Given a bound,
+    """Every root's trace is the reference's, and its queue lists the
+    darts by their reference label.  Given a bound,
     the kernel returns None exactly when the reference trace is greater
     at the first difference, and the whole trace otherwise.  The bounds
     are the least trace, another root's trace, the root's own trace, and
@@ -595,27 +636,14 @@ def test_bfs_trace_matches_reference(corpus6):
         refs = [reference_trace(m, r) for r in range(1, m.n + 1)]
         least = min(trace for trace, _ in refs)
         for root, (trace, lab) in enumerate(refs, 1):
-            assert m._bfs_trace(root) == (trace, lab)
+            order = reference_queue(m, lab)
+            assert m._bfs_trace(root) == (trace, order)
             k = rng.randrange(len(trace))
             for bound in (least, refs[root % m.n][0], trace,
                           trace[:k] + [trace[k] - 1] + trace[k + 1:],
                           trace[:k] + [trace[k] + 1] + trace[k + 1:]):
                 got = m._bfs_trace(root, bound)
-                assert got == (None if trace > bound else (trace, lab)), (m, root, bound)
-
-
-def dual_decoration(g):
-    """The decoration of a labeled dual for ``full_scan``: the red of every
-    face, then every vertex's mark (its blue label, 0 for a white one),
-    each ordered by least dart label."""
-    m, labels = g.m, g.blue_label_map()
-
-    def decorate(lab):
-        first = lambda cyc: min(lab[x] for x in cyc)
-        faces = sorted(range(m.num_faces), key=lambda i: first(m.faces[i]))
-        marks = [labels.get(cyc[0], 0) for cyc in sorted(m.vertices(), key=first)]
-        return [g.face_red[i] for i in faces] + marks
-    return decorate
+                assert got == (None if trace > bound else (trace, order)), (m, root, bound)
 
 
 def full_scan(m, decorate):
@@ -663,7 +691,8 @@ def test_least_trace_matches_full_scan(corpus6, duals4, least_trace_calls):
                + [c for cm in covers for c in (cm, cm.swapped())])
     for cm in colored:
         cm2 = relabeled_colored(cm, rng)
-        assert_kernel_matches_scan(cm2.colored_code(), least_trace_calls, cm2.face_bits)
+        assert_kernel_matches_scan(cm2.colored_code(), least_trace_calls,
+                                   face_bit_decoration(cm2))
         assert cm2.colored_code() == cm.colored_code()
         least_trace_calls.clear()
     for g in duals4:
@@ -709,4 +738,4 @@ def test_canonical_roots_are_the_roots_of_the_code(corpus6):
         code = list(m2.canonical_code()[1:])
         assert m2.canonical_roots() == [
             r for r in range(1, m2.n + 1) if m2._bfs_trace(r)[0] == code]
-        assert m2._lab == reference_trace(m2, m2._root)[1]
+        assert m2._order == reference_queue(m2, reference_trace(m2, m2._root)[1])
