@@ -3,10 +3,14 @@
 Three conditions: every face is a Jordan domain, the two color classes
 have equally many faces, and every directed simple cycle that keeps blue
 faces on its left sees strictly more blue than white faces on its left
-side.  The local condition is decided by the face equations
-corners(F) + inserted(F) = V, solved as a max flow from the blue faces to
-the white ones, with a plain dict of inserted counts per edge as the
-solution; exhaustive cycle enumeration is kept as an independent oracle.
+side.  The face equations corners(F) + inserted(F) = V, solved as one max
+flow from the blue faces to the white ones, decide all three at once: a
+face with more corners than V, or unequal face counts, leaves them
+unsolvable, and a solution integrates to labels that no non-Jordan face
+could carry.  is_balanced still checks the first two, to name the one
+that fails and give its witness without running the flow.  The solution
+is a plain dict of inserted counts per edge; exhaustive cycle enumeration
+is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ class BalanceReport:
     global_ok: bool
     local_ok: Optional[bool]  # None when gated off by an earlier failure
     witness: Optional[dict]  # None when balanced
+    counts: Optional[Dict[int, int]]  # the flow's face-equation solution, if it ran and filled
 
     @property
     def balanced(self) -> bool:
@@ -110,14 +115,27 @@ def check_local_curves(cm: ColoredMap):
 # -- max-flow formulation --------------------------------------------------------
 
 
-def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Dict[int, int]], dict]]:
-    """The face equations corners(F) + inserted(F) = V by one max flow.
+def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Dict[int, int]], Optional[dict]]:
+    """Whether the map is balanced, decided by one max flow on the face
+    equations corners(F) + inserted(F) = V, as (ok, counts, info).
 
     Blue faces supply w(F) = V - corners(F), white faces demand as much,
     and each edge carries any amount from its blue side to its white side.
-    None when a face has more corners than V or the blue and white weights
-    differ, as then nothing solves them.  Otherwise (counts, info): the
-    equations are solvable iff the flow fills the whole blue supply, and
+    The flow needs no other check, for any colouring:
+
+    1. Equal weights <=> equal face counts.  Every vertex has two blue and
+       two white corners, so both colours have 2V corners in all, and the
+       blue and white weights agree exactly when the face counts do.
+    2. Solvable face equations => every face is Jordan.  Labels integrated
+       from a solution step by count(e) + 1 >= 1 around a face's corners
+       and by V in all, so they are pairwise distinct on one face; a vertex
+       met twice would carry two labels.
+    3. Under those two, the equations are solvable iff the map is locally
+       balanced, which the curve oracle audits.
+
+    When a face has more corners than V or the weights differ, nothing
+    solves the equations: not ok, with no counts and no info.  Otherwise
+    the equations are solvable iff the flow fills the whole blue supply;
     then each blue-white pair's flow goes to its least shared edge.
 
     Augmenting paths are shortest (Edmonds-Karp), found by breadth-first
@@ -134,7 +152,7 @@ def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Dict[int, in
     blue = cm.blue_faces
     total = sum(w[f] for f in blue)
     if min(w) < 0 or total != sum(w) - total:
-        return None
+        return False, None, None
     shared: Dict[Tuple[int, int], int] = {}  # (blue, white) -> least shared edge
     for e in m.edges():
         f1, f2 = m.edge_sides(e)
@@ -167,10 +185,10 @@ def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Dict[int, in
         if end is None:
             blues = sorted(f for f in parent if f in blue)
             whites = sorted(f for f in parent if f not in blue)
-            return None, {"flow_value": value, "capacity": total,
-                          "blue_faces": blues, "white_faces": whites,
-                          "blue_weight": sum(w[f] for f in blues),
-                          "white_weight": sum(w[f] for f in whites)}
+            return False, None, {"flow_value": value, "capacity": total,
+                                 "blue_faces": blues, "white_faces": whites,
+                                 "blue_weight": sum(w[f] for f in blues),
+                                 "white_weight": sum(w[f] for f in whites)}
         path = [end]  # white, blue, ..., white, blue
         while parent[path[-1]] is not None:
             path.append(parent[path[-1]])
@@ -184,18 +202,7 @@ def solve_face_equations(cm: ColoredMap) -> Optional[Tuple[Optional[Dict[int, in
             left[f] -= aug
         value += aug
     counts = {shared[p]: f for p, f in flow.items() if f}
-    return counts, {"flow_value": value, "capacity": total}
-
-
-def check_balance_flow(cm: ColoredMap) -> Tuple[bool, Optional[Dict[int, int]], dict]:
-    """Local balance via max flow: balanced iff solve_face_equations
-    solves the face equations.  Under the preconditions it never returns
-    None: a Jordan face has at most V corners, and equal face counts give
-    equal weights, as every vertex has two corners of each color."""
-    if not check_jordan(cm)[0] or not check_global(cm):
-        raise PreconditionFailed("flow test requires Jordan faces and global balance")
-    counts, info = solve_face_equations(cm)
-    return counts is not None, counts, info
+    return True, counts, {"flow_value": value, "capacity": total}
 
 
 def matching_is_valid(cm: ColoredMap, counts: Dict[int, int]) -> bool:
@@ -210,24 +217,28 @@ def matching_is_valid(cm: ColoredMap, counts: Dict[int, int]) -> bool:
 def is_balanced(cm: ColoredMap, oracle: str = "flow") -> BalanceReport:
     """Conjunction of the three balance conditions.
 
-    ``oracle`` selects how local balance is decided: "flow" (default),
-    "curves", or "both" (must agree, used for auditing).
+    The Jordan and global checks run first and pick the witness of the
+    condition that fails; once both hold, ``oracle`` selects how local
+    balance is decided: "flow" (default), "curves", or "both" (must agree,
+    used for auditing).  ``counts`` holds the flow's solution when it ran
+    and the map is balanced.
     """
     if oracle not in ("flow", "curves", "both"):
         raise PreconditionFailed("unknown oracle %r" % oracle)
     jordan, wit = check_jordan(cm)
     if not jordan:
-        return BalanceReport(False, check_global(cm), None, wit)
+        return BalanceReport(False, check_global(cm), None, wit, None)
     if not check_global(cm):
         blue = len(cm.blue_faces)
-        return BalanceReport(True, False, None, {"blue": blue, "white": cm.m.num_faces - blue})
-    verdicts = []  # (ok, witness) per oracle asked, the flow's first
+        wit = {"blue": blue, "white": cm.m.num_faces - blue}
+        return BalanceReport(True, False, None, wit, None)
+    counts, verdicts = None, []  # (ok, witness) per oracle asked, the flow's first
     if oracle != "curves":
-        ok, _, info = check_balance_flow(cm)
+        ok, counts, info = check_balance_flow(cm)
         verdicts.append((ok, None if ok else info))
     if oracle != "flow":
         verdicts.append(check_local_curves(cm))
     (first, _), (local, wit) = verdicts[0], verdicts[-1]
     if first != local:
         raise Mismatch("flow and curve oracles disagree: flow=%s curves=%s" % (first, local))
-    return BalanceReport(True, True, local, wit)
+    return BalanceReport(True, True, local, wit, counts)

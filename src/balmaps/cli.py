@@ -41,6 +41,11 @@ def _emit(data) -> None:
     sys.stdout.write(mapio.dumps(data))
 
 
+def _write(path: str, data) -> None:
+    with open(path, "w") as fh:
+        fh.write(mapio.dumps(data))
+
+
 def cmd_validate(args) -> int:
     obj = mapio.map_from_dict(_load(args.map))
     m = obj.m if isinstance(obj, maps.ColoredMap) else obj
@@ -91,11 +96,9 @@ def cmd_hurwitz(args) -> int:
             "classes": [[list(p) for p in c.representative.taus]
                         for c in classes]}
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(mapio.dumps(data))
-        _emit({"d": args.d, "count": len(classes), "out": args.out})
-    else:
-        _emit(data)
+        _write(args.out, data)
+        data = {"d": args.d, "count": len(classes), "out": args.out}
+    _emit(data)
     return 0
 
 
@@ -149,8 +152,7 @@ def cmd_decompose(args) -> int:
     leaves = [l.kind for l in tree.leaves()]
     out = {"leaves": leaves, "tree": data}
     if args.tree:
-        with open(args.tree, "w") as fh:
-            fh.write(mapio.dumps(data))
+        _write(args.tree, data)
     _emit(out)
     return 0
 
@@ -182,12 +184,9 @@ def cmd_corpus(args) -> int:
         "codes": [list(cm.colored_code()) for cm in c.colored],
     }
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(mapio.dumps(data))
-        _emit({"max_vertices": args.max_vertices, "colored": len(c.colored),
-               "out": args.out})
-    else:
-        _emit(data)
+        _write(args.out, data)
+        data = {"max_vertices": args.max_vertices, "colored": len(c.colored), "out": args.out}
+    _emit(data)
     return 0
 
 

@@ -169,7 +169,6 @@ def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
 class Corpus:
     """Every connected 4-valent sphere map with 2, 4, ..., max_vertices
     vertices, in both colorings, deduplicated up to colored isomorphism."""
-    max_vertices: int
     colored: List[ColoredMap]
     uncolored: List[CombinatorialMap]
 
@@ -188,4 +187,4 @@ def build_corpus(max_vertices: int) -> Corpus:
             colored.append(first)
             if not first.swaps_colors():
                 colored.append(second)
-    return Corpus(max_vertices, colored, uncolored)
+    return Corpus(colored, uncolored)

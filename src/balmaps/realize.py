@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .balance import face_weights, is_balanced, matching_is_valid, solve_face_equations
+from .balance import check_balance_flow, face_weights, is_balanced, matching_is_valid
 from .errors import (
     InvalidMatching,
     InvalidTuple,
@@ -306,41 +306,28 @@ def _ranked(cm: ColoredMap, counts: Dict[int, int]) -> Tuple[Dict[int, int], Dic
 
 def realize_generic(cm: ColoredMap) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Inserted counts per edge and pairwise distinct critical labels per
-    vertex, ranked from the face equations' solution.
-
-    The map is balanced iff that solution exists (see is_realizable);
-    otherwise this raises NotBalanced, carrying the balance report's
-    witness.
+    vertex, ranked from the face equations' solution in the balance report;
+    raises NotBalanced with the report's witness when there is none.
     """
-    solved = solve_face_equations(cm)
-    if solved is None or solved[0] is None:
-        raise NotBalanced("map is not balanced", is_balanced(cm).witness)
-    return _ranked(cm, solved[0])
+    report = is_balanced(cm)
+    if not report.balanced:
+        raise NotBalanced("map is not balanced", report.witness)
+    return _ranked(cm, report.counts)
 
 
 def is_realizable(cm: ColoredMap) -> bool:
     """Whether the diagram is the preimage of a circle under some generic
     branched self-cover of the sphere.
 
-    Fully constructive and independent of the balance conditions: rank the
+    Fully constructive, with no separate balance condition: rank the
     face-equation solution of one max flow, extract a monodromy tuple,
-    reglue, and compare with the input.  An odd vertex count gives unequal
-    face counts, so unequal weights.  Once the face equations are solvable
-    the comparison cannot fail:
-
-    1. Equal weights <=> equal face counts.  Every vertex has two blue and
-       two white corners, so both colors have 2V corners in all, and
-       sum_blue (V - corners) = sum_white (V - corners) exactly when there
-       are as many blue faces as white ones.
-    2. Solvable face equations => every face is Jordan.  The integrated
-       labels step by count(e) + 1 >= 1 around a face's corners and by n
-       in all, so they are pairwise distinct on one face; a vertex met
-       twice would carry two labels.
-    3. Ranked tau_j reglues to the input.  After ranking, tau_j is the pair
-       of blue faces at the vertex labeled j, distinct by 2.  Each blue
-       face meets its corners in increasing label order, with count(e) =
-       j' - j - 1 on the edge between consecutive ones, which is exactly
-       how the gluing of the tuple builds that face.
+    reglue, and compare with the input.  Once the face equations are
+    solvable the faces are Jordan and equal in number (check_balance_flow,
+    points 1 and 2), and the comparison cannot fail: after ranking, tau_j
+    is the pair of blue faces at the vertex labeled j, distinct as the
+    faces are Jordan.  Each blue face meets its corners in increasing label
+    order, with count(e) = j' - j - 1 on the edge between consecutive ones,
+    which is exactly how the gluing of the tuple builds that face.
 
     So the isomorphism is known: the input's dart at the vertex labeled 1
     in the blue face of tau_1's lower sheet goes to the glued vertex
@@ -350,10 +337,10 @@ def is_realizable(cm: ColoredMap) -> bool:
     instead of answering.
     """
     m = cm.m
-    solved = solve_face_equations(cm)
-    if solved is None or solved[0] is None:
+    ok, counts, _ = check_balance_flow(cm)
+    if not ok:
         return False
-    labels = _ranked(cm, solved[0])[1]
+    labels = _ranked(cm, counts)[1]
     t = monodromy(cm, labels)
     real = graph_from_monodromy(t)
     lower = sorted(cm.blue_faces)[t.taus[0][0] - 1]

@@ -53,6 +53,19 @@ def census4():
     return hurwitz.census(4)
 
 
+def mirror(cm):
+    """The mirror image of a coloured map: sigma inverted and alpha kept.
+    The face through dart d is then the old face through alpha(d), its
+    darts moved by alpha and walked backwards, and keeps its colour."""
+    m = cm.m
+    sigma = [0] * (m.n + 1)
+    for d in range(1, m.n + 1):
+        sigma[m.sigma[d]] = d
+    mm = maps.CombinatorialMap(sigma, m.alpha)
+    return maps.ColoredMap(mm, {mm.face_of[d] for d in range(1, m.n + 1)
+                                if cm.is_forward(m.alpha[d])})
+
+
 def dual_of(cm, labels):
     """maps.dual_bipartite of a colored map and its critical label per
     vertex, read into the per-dart tables the builder takes; a vertex with

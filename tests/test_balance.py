@@ -68,9 +68,16 @@ def test_flow_octahedron():
     assert balance.matching_is_valid(colored(maps.octahedron()), counts)
 
 
-def test_flow_gated_by_preconditions():
-    with pytest.raises(PreconditionFailed):
-        balance.check_balance_flow(figure_eight())
+def test_flow_decides_balance_alone(corpus6):
+    """The flow needs no Jordan or global check before it: on every corpus6
+    colouring its verdict is is_balanced's, and a balanced report carries
+    its counts.  Unequal or negative weights give no flow info at all."""
+    assert len(corpus6.colored) == 2132
+    for cm in corpus6.colored:
+        ok, counts, _ = balance.check_balance_flow(cm)
+        rep = balance.is_balanced(cm)
+        assert ok == rep.balanced and counts == rep.counts
+    assert balance.check_balance_flow(figure_eight()) == (False, None, None)
 
 
 def test_weight_identity_under_global_balance():
@@ -171,12 +178,11 @@ def test_flow_failure_carries_hall_violator(corpus6):
 def face_equations_digest(colorings):
     h = hashlib.sha256()
     for cm in colorings:
-        solved = balance.solve_face_equations(cm)
-        if solved is None:
+        ok, counts, info = balance.check_balance_flow(cm)
+        if info is None:
             h.update(b"None;")
             continue
-        counts, info = solved
-        counts = None if counts is None else sorted(counts.items())
+        counts = sorted(counts.items()) if ok else None
         h.update(repr((counts, sorted(info.items()))).encode() + b";")
     return h.hexdigest()
 

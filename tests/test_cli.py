@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from balmaps import dps, mapio, maps
+from balmaps import balance, dps, mapio, maps, realize
 from balmaps.cli import build_parser, run
 from tests.conftest import dual_code
 
@@ -113,6 +113,35 @@ def test_realize_locally_unbalanced_witness(tmp_path, capsys, corpus6):
     assert code == 1
     wit = json.loads(out)["witness"]
     assert wit["blue_weight"] == 8 and wit["white_weight"] == 4
+
+
+def pinched_negative():
+    """A degree-4 cover pinched in a blue and then in a white face: Jordan
+    faces and equal face counts, but not locally balanced."""
+    t = realize.TranspositionTuple(4, ((1, 2), (1, 2), (1, 3), (1, 3), (1, 4), (1, 4)))
+    cm = maps.pinch(realize.graph_from_monodromy(t).colored, 1, 2)
+    return maps.pinch(cm, 18, 17)
+
+
+@pytest.mark.parametrize("command", ["balance", "realize"])
+def test_each_command_runs_the_flow_once(tmp_path, monkeypatch, command):
+    """One face-equation solve per command, on a balanced map and on a
+    pinched negative that reaches the flow."""
+    runs = []
+    flow = balance.check_balance_flow
+
+    def counted(cm):
+        runs.append(cm)
+        return flow(cm)
+    for module in (balance, realize):
+        monkeypatch.setattr(module, "check_balance_flow", counted)
+    negative = pinched_negative()
+    rep = balance.is_balanced(negative)
+    assert rep.jordan_ok and rep.global_ok and not rep.local_ok
+    for cm, code in ((maps.checkerboard(maps.octahedron())[0], 0), (negative, 1)):
+        runs.clear()
+        assert run([command, write_map(tmp_path, cm)]) == code
+        assert len(runs) == 1
 
 
 @pytest.mark.parametrize("kind,args,digest", [
@@ -470,6 +499,28 @@ def test_corpus_six_output_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "901cda8e7dc16585843f659ec613c5770304559050e45ba6f9c7407ef8389118")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["hurwitz", "enumerate", "4"], "--out"),
+    (["corpus", "4"], "--out"),
+    (["decompose", None], "--tree"),
+], ids=["hurwitz", "corpus", "decompose"])
+def test_written_file_is_the_printed_json(tmp_path, capsys, argv, flag):
+    """A file written by --out or --tree holds the JSON that the command
+    prints without the flag (its "tree" for decompose)."""
+    argv = [a or write_map(tmp_path, maps.checkerboard(maps.turkshead(4))[0]) for a in argv]
+    code, printed = run_capture(capsys, argv)
+    assert code == 0
+    path = tmp_path / "out.json"
+    code, out = run_capture(capsys, argv + [flag, str(path)])
+    assert code == 0
+    if argv[0] == "decompose":
+        assert out == printed
+        printed = mapio.dumps(json.loads(printed)["tree"])
+    else:
+        assert json.loads(out)["out"] == str(path)
+    assert path.read_text() == printed
 
 
 def test_dps_verify_positional_degree(capsys):

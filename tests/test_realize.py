@@ -15,6 +15,7 @@ from balmaps.errors import (
     Mismatch,
     NotBalanced,
 )
+from tests.conftest import mirror
 from tests.test_balance import assert_hall_violator
 from tests.test_dps import random_tree
 from tests.test_hurwitz import brute_canonical_tuple, conjugate
@@ -386,6 +387,17 @@ def pinch_in(cm, faces, rng):
     return maps.pinch(cm, a, b)
 
 
+def pinched_covers(seed, degrees, samples):
+    """Seeded uniform random covers of a degree in ``degrees``, each
+    pinched once in a blue and once in a white face."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        t = dps.tree_to_tuple(random_tree(rng, rng.randint(*degrees)))
+        cm = realize.graph_from_monodromy(t).colored
+        cm = pinch_in(cm, cm.blue_faces, rng)
+        yield pinch_in(cm, cm.white_faces, rng)
+
+
 def test_realize_generic_agrees_with_balance(corpus6):
     """realize_generic decides from the face equations alone.  On every
     corpus colouring and a seeded pinch of each, a negative verdict
@@ -420,19 +432,38 @@ def test_theorem_on_pinched_random_covers(seed, degrees, oracle, samples):
     reach V <= 10 and the flow and curve oracles agree; past the curve
     oracle's cap of 10 vertices the flow decides alone.  Every failed flow
     names a Hall violator, and balanced <=> realizable."""
-    rng = random.Random(seed)
     local = 0
-    for _ in range(samples):
-        t = dps.tree_to_tuple(random_tree(rng, rng.randint(*degrees)))
-        cm = realize.graph_from_monodromy(t).colored
-        cm = pinch_in(cm, cm.blue_faces, rng)
-        cm = pinch_in(cm, cm.white_faces, rng)
+    for cm in pinched_covers(seed, degrees, samples):
         assert oracle == "flow" or cm.m.num_vertices <= 10
         rep = balance.is_balanced(cm, oracle=oracle)
         assert rep.global_ok
-        solved = balance.solve_face_equations(cm)
-        if solved is not None and solved[0] is None:
-            assert_hall_violator(cm, solved[1])
+        ok, _, info = balance.check_balance_flow(cm)
+        if info is not None and not ok:
+            assert_hall_violator(cm, info)
         assert realize.is_realizable(cm) == rep.balanced
         local += rep.jordan_ok and not rep.local_ok
     assert local >= 20
+
+
+def verdicts(cm):
+    return (balance.is_balanced(cm).balanced, realize.is_realizable(cm),
+            balance.check_balance_flow(cm)[0])
+
+
+def test_verdicts_survive_swap_and_mirror(corpus6):
+    """Swapping the colours is f^-1 of the reversed curve, and the mirror
+    is the conjugate cover's preimage of the mirrored curve, so neither
+    changes any verdict: on corpus6 and on both sets of pinched covers.
+    Most inputs are chiral, so the mirror is another coloured map."""
+    inputs = [*corpus6.colored, *pinched_covers("pinched-covers", (3, 5), 200),
+              *pinched_covers("pinched-covers-flow", (6, 30), 100)]
+    balanced = chiral = 0
+    for cm in inputs:
+        v = verdicts(cm)
+        assert len(set(v)) == 1
+        mirrored = mirror(cm)
+        assert verdicts(cm.swapped()) == verdicts(mirrored) == v
+        assert mirror(mirrored).colored_code() == cm.colored_code()
+        balanced += v[0]
+        chiral += mirrored.colored_code() != cm.colored_code()
+    assert (len(inputs), balanced, chiral) == (2432, 156, 1539)
