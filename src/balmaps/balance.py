@@ -27,7 +27,7 @@ from .maps import ColoredMap, directed_cycles, left_faces
 CURVE_ORACLE_MAX_VERTICES = 10
 
 
-@dataclass
+@dataclass(slots=True)
 class BalanceReport:
     jordan_ok: bool
     global_ok: bool

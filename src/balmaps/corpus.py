@@ -165,7 +165,7 @@ def enumerate_four_valent(n_vertices: int) -> List[CombinatorialMap]:
     return sorted(kept, key=CombinatorialMap.canonical_code)
 
 
-@dataclass
+@dataclass(slots=True)
 class Corpus:
     """Every connected 4-valent sphere map with 2, 4, ..., max_vertices
     vertices, in both colorings, deduplicated up to colored isomorphism."""

@@ -20,7 +20,7 @@ from .errors import ColorMismatch, InvalidArc, InvalidRectangle
 from .maps import ColoredMap, CombinatorialMap, pinch, rewire
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CutCurve:
     """A combinatorial isotopy class of cut curves.
 
@@ -309,7 +309,7 @@ def collapse_arc(cm: ColoredMap, dart1: int, dart2: int) -> ColoredMap:
 # -- full decomposition ------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class DecompositionTree:
     map: ColoredMap
     cut: Optional[CutCurve] = None

@@ -36,7 +36,7 @@ TreeEdge = Tuple[int, int, int, int, int]  # (white_a, white_b, blue, red_a, red
 DECODE_DEGREE_CAP = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeLabeledTree:
     """A tree on d unlabeled white vertices whose d-1 edges carry distinct
     blue labels 1..d-1 and whose 2d-2 half-edge segments carry distinct red
@@ -138,7 +138,7 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
 # -- orientation, Felsner normalization, Bernardi tree --------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeOrientation:
     """A direction for every edge of a face-labeled dual: ``tail[c]`` says
     that dart c's base is its edge's tail, true for one dart of each edge."""

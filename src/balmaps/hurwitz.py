@@ -8,6 +8,10 @@ there.  An orderly search emits only the slice tuples that are least among
 their images under those conjugations, one per class, and the closed-form
 count checks that none was missed.  The census maps each class through the
 polygon gluing and groups by the underlying 4-valent diagram.
+
+The classes are a stream: the search yields each tuple as it finds it,
+built from one shared object per transposition, so the census holds its
+entries and never the class list.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import InvalidInput, LimitExceeded, Mismatch
 from .maps import ColoredMap, checkerboard
@@ -50,7 +54,7 @@ def hurwitz_count(d: int) -> int:
     return math.factorial(2 * d - 2) * d ** (d - 3) // math.factorial(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleClass:
     """A diagonal-conjugacy class of transposition tuples."""
     representative: TranspositionTuple
@@ -99,9 +103,11 @@ def _tied(tables: List[List[int]], c: int) -> Optional[List[List[int]]]:
     return keep
 
 
-def _least_slice_tuples(d: int) -> List[Tuple[Pair, ...]]:
+def _least_slice_tuples(d: int) -> Iterator[Tuple[Pair, ...]]:
     """The valid tuples that start with (1 2) and are least among their
-    images under the conjugations fixing {1, 2}, in ascending order; d >= 3.
+    images under the conjugations fixing {1, 2}, yielded in ascending order
+    as the search finds them; d >= 3.  Every factor is the search's own
+    object for its transposition, so the tuples share their d(d-1)/2 pairs.
 
     Depth first over the free slots on an explicit stack, trying the
     transpositions in lexicographic order.  The product
@@ -129,12 +135,11 @@ def _least_slice_tuples(d: int) -> List[Tuple[Pair, ...]]:
     the tuple, which is emitted for the caller to reject as not free.
     """
     n = 2 * d - 2
-    trans, _, tables = _index_tables(d)
+    trans, index, tables = _index_tables(d)
     tables = tables[1:]
-    results: List[Tuple[Pair, ...]] = []
     prod = list(range(d + 1))
     prod[1], prod[2] = 2, 1
-    taus: List[Pair] = [(1, 2)] * (n - 2)  # the factors before the last two
+    taus: List[Pair] = [trans[0]] * (n - 2)  # the factors before the last two
     # per depth (factors chosen): distance, component labels and count,
     # conjugations still tied, next candidate
     dist = [1] * n
@@ -168,7 +173,7 @@ def _least_slice_tuples(d: int) -> List[Tuple[Pair, ...]]:
                 # (p q) must join what is left once (a b) has merged cb into ca
                 cp, cq = (ca if lab[y] == cb else lab[y] for y in (p, q))
                 if ck - (cp != cq) == 1 and _tied(tied[k], c) is not None:
-                    results.append(tuple(taus) + ((a, b), (p, q)))
+                    yield (*taus, trans[c], trans[index[p, q]])
             continue
         left = n - k - 1  # factors still to choose, the forced last one included
         if dk > left or ck - 1 > left:
@@ -177,16 +182,16 @@ def _least_slice_tuples(d: int) -> List[Tuple[Pair, ...]]:
         if keep is None:
             continue
         prod[a], prod[b] = prod[b], prod[a]
-        taus[k] = (a, b)
+        taus[k] = trans[c]
         k += 1
         dist[k], ncomp[k], tied[k], nxt[k] = dk, ck, keep, 0
         comp[k] = [ca if y == cb else y for y in lab] if ca != cb else lab
-    return results
 
 
-def enumerate_classes(d: int) -> List[TupleClass]:
+def _classes(d: int) -> Iterator[TupleClass]:
     """All diagonal-conjugacy classes of valid transposition tuples,
-    canonical representatives in ascending order.
+    canonical representatives in ascending order, each checked as it is
+    found and the whole count at the end; d >= 2.
 
     Each class's lex-least conjugate starts with (1 2), so it is the least
     of its images under the conjugations fixing {1, 2}, which are the ones
@@ -198,14 +203,13 @@ def enumerate_classes(d: int) -> List[TupleClass]:
     the pairs, so the orbit is free iff the images are distinct, and the
     tuple is least iff its own image, the identity's, is the least.
     """
-    if d > 5:
-        raise LimitExceeded("enumeration capped at degree 5")
     if d < 2:
         raise InvalidInput("degree must be at least 2")
     if d == 2:
-        return [TupleClass(TranspositionTuple(2, ((1, 2), (1, 2))), 1)]
+        yield TupleClass(TranspositionTuple(2, ((1, 2), (1, 2))), 1)
+        return
     _, index, tables = _index_tables(d)
-    classes = []
+    found = 0
     dfact = math.factorial(d)
     for taus in _least_slice_tuples(d):
         imgs = _slice_images(taus, index, tables)
@@ -214,19 +218,27 @@ def enumerate_classes(d: int) -> List[TupleClass]:
             raise Mismatch("conjugation orbit of %r is not free" % (taus,))
         if min(imgs) != imgs[0]:
             raise Mismatch("%r is not the least of its conjugates" % (taus,))
-        classes.append(TupleClass(TranspositionTuple(d, taus), dfact))
+        found += 1
+        yield TupleClass(TranspositionTuple(d, taus), dfact)
     count = hurwitz_count(d)
-    if len(classes) != count:
-        why = "missed a conjugate" if len(classes) < count else "kept a class twice"
+    if found != count:
+        why = "missed a conjugate" if found < count else "kept a class twice"
         raise Mismatch("enumerated %d classes, formula gives %d: the search %s"
-                       % (len(classes), count, why))
-    return classes
+                       % (found, count, why))
+
+
+def enumerate_classes(d: int) -> List[TupleClass]:
+    """All diagonal-conjugacy classes of valid transposition tuples,
+    canonical representatives in ascending order, checked as a whole."""
+    if d > 5:
+        raise LimitExceeded("enumeration capped at degree 5")
+    return list(_classes(d))
 
 
 # -- census ------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CensusEntry:
     underlying: Tuple[int, ...]  # canonical code of the uncolored diagram
     class_count: int
@@ -238,14 +250,15 @@ class CensusEntry:
 
 
 def census(d: int) -> List[CensusEntry]:
-    """Group the degree-d classes by the underlying 4-valent diagram.
+    """Group the degree-d classes by the underlying 4-valent diagram,
+    consuming the class stream, so only the entries are held.
 
     Entries are sorted by class count, then by canonical code.
     """
-    if d > 4:
-        raise LimitExceeded("census capped at degree 4")
+    if d > 6:
+        raise LimitExceeded("census capped at degree 6")
     groups: Dict[Tuple[int, ...], CensusEntry] = {}
-    for cls in enumerate_classes(d):
+    for cls in _classes(d):
         real = graph_from_monodromy(cls.representative)
         code = real.colored.m.canonical_code()
         entry = groups.get(code)

@@ -623,7 +623,7 @@ def pinch(cm: ColoredMap, dart1: int, dart2: int) -> ColoredMap:
 # -- duality -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceLabeledGraph:
     """Bipartite sphere map with red-labeled faces, the dual of a realized
     4-valent diagram.

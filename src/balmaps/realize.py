@@ -44,7 +44,7 @@ MATCHING_CAP = 100000
 # -- transposition tuples --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranspositionTuple:
     """(tau_1, ..., tau_n) in S_d with trivial product and transitive
     action; construction raises InvalidTuple otherwise."""
@@ -186,7 +186,7 @@ def monodromy(cm: ColoredMap, labels: Dict[int, int]) -> TranspositionTuple:
 # -- gluing a diagram from a tuple ---------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Realization:
     """A glued diagram and the critical label of each vertex; the blue dart
     from label j to label j' carries (j' - j - 1) mod n inserted vertices."""

@@ -452,7 +452,7 @@ def _tree_file(tmp_path, white, blue):
      "InvalidPinch", "dart out of range"),
     (lambda tmp: ["generate", "pinch", "--map", _octahedron_file(tmp), "--darts", "1", "1"],
      "InvalidPinch", "darts lie on the same edge"),
-    (lambda tmp: ["census", "5"], "LimitExceeded", "census capped at degree 4"),
+    (lambda tmp: ["census", "7"], "LimitExceeded", "census capped at degree 6"),
     (lambda tmp: ["dps", "encode", _digon_dual(tmp)],
      "InvalidInput", "face count must be 2d-2"),
     (lambda tmp: ["dps", "encode", _white_out_degree_two(tmp)],
@@ -461,7 +461,7 @@ def _tree_file(tmp_path, white, blue):
      "InvalidInput", "blue labels must be a bijection onto 1..d-1"),
     (lambda tmp: ["dps", "decode", _tree_file(tmp, [0, 0], 1)],
      "InvalidInput", "bad white endpoints (0, 0)"),
-], ids=["turkshead-0", "pinch-dart-out-of-range", "pinch-one-edge", "census-5",
+], ids=["turkshead-0", "pinch-dart-out-of-range", "pinch-one-edge", "census-7",
         "dual-face-count", "dual-white-out-degree", "tree-blue-labels", "tree-white-endpoints"])
 def test_input_errors_reached_from_the_cli(tmp_path, capsys, argv, error, message):
     code = run(argv(tmp_path))

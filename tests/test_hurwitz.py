@@ -1,14 +1,30 @@
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
+import json
 import math
+import pathlib
 import random
 from collections import Counter
 
 import pytest
 
-from balmaps import hurwitz, maps, realize
+from balmaps import dps, hurwitz, mapio, maps, realize
 from balmaps.errors import InvalidInput, InvalidTuple, LimitExceeded, Mismatch
+from tests.test_dps import random_tree
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# the script that writes the census fixtures, for its digests and paths
+_spec = importlib.util.spec_from_file_location("census_check", ROOT / "checks" / "census.py")
+census_check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census_check)
+
+
+def load_fixture(d):
+    with open(census_check.fixture_path(d)) as fh:
+        return json.load(fh)
+
 
 # sha256 of repr([(representative taus, orbit size), ...]) per degree, and of
 # repr of the list of the glued diagrams' canonical codes for d=5, in class order
@@ -115,6 +131,8 @@ def test_enumerate_classes_degree_four(classes4):
     assert len(classes4) == 120
     reps = {c.representative.taus for c in classes4}
     assert len(reps) == 120
+    # the tuples share the search's six pair objects, one per transposition
+    assert len({id(p) for c in classes4 for p in c.representative.taus}) == 6
 
 
 def test_conjugating_rep_is_idempotent(classes4):
@@ -126,9 +144,13 @@ def test_conjugating_rep_is_idempotent(classes4):
         assert brute_canonical_tuple(conj) == cls.representative.taus
 
 
-def test_enumeration_limit():
+def test_enumeration_limit(monkeypatch):
     with pytest.raises(LimitExceeded):
         hurwitz.enumerate_classes(6)
+    # the census cap acts before the class stream starts
+    monkeypatch.setattr(hurwitz, "_classes", None)
+    with pytest.raises(LimitExceeded, match="census capped at degree 6"):
+        hurwitz.census(7)
 
 
 def test_census_degree_two():
@@ -182,30 +204,83 @@ def test_recount_detects_a_wrong_class_count(census4):
 
 
 def test_degree_five_census_recount(glued5):
-    """Grouped by canonical code, the 8400 d=5 classes glue to 89 diagrams,
-    and the recount of a seeded sample of them gives each one's class
-    count."""
+    """Grouped by canonical code and sorted as the census sorts, the 8400
+    d=5 classes glue to the 89 diagrams of the frozen census with their
+    class counts, and to its 144 coloured diagrams; the recount of a
+    seeded sample of them gives each one's class count."""
     groups = {}
     for real in glued5:
         code = real.colored.m.canonical_code()
         groups.setdefault(code, hurwitz.CensusEntry(code, 0, real.colored)).class_count += 1
-    assert len(groups) == 89
-    assert sum(e.class_count for e in groups.values()) == hurwitz.hurwitz_count(5)
-    for entry in random.Random(5).sample(list(groups.values()), 12):
+    entries = sorted(groups.values(), key=lambda e: (e.class_count, e.underlying))
+    golden = load_fixture(5)
+    assert len(entries) == 89
+    assert golden["total_covers"] == hurwitz.hurwitz_count(5)
+    assert golden["entries"] == [e.to_dict() for e in entries]
+    colored = [real.colored.colored_code() for real in glued5]
+    assert golden["colored_codes"] == len(set(colored)) == 144
+    assert golden["colored_digest"] == census_check.set_digest(colored)
+    for entry in random.Random(5).sample(entries, 12):
         assert hurwitz.verify_labelings_per_graph(entry) == entry.class_count
 
 
+@pytest.fixture(scope="module")
+def tuples6():
+    """A seeded sample of degree-6 tuples, each read off a uniform random
+    edge-labeled tree: the trees biject with the tuples, and every orbit
+    has d! tuples, so each sampled class is uniform among the classes."""
+    rng = random.Random(6)
+    return [dps.tree_to_tuple(random_tree(rng, 6)) for _ in range(40)]
+
+
+def test_degree_six_census_fixture(tuples6):
+    """The frozen d=6 census sums to the closed formula over 1260 distinct
+    diagrams, in census order, and every sampled tuple glues to a listed
+    diagram; the realize-side recount of some of them gives the frozen
+    class count."""
+    golden = load_fixture(6)
+    entries = golden["entries"]
+    counts = {e["underlying_digest"]: e["class_count"] for e in entries}
+    assert len(entries) == len(counts) == 1260
+    assert golden["total_covers"] == sum(counts.values()) == hurwitz.hurwitz_count(6)
+    assert [e["class_count"] for e in entries] == sorted(counts.values())
+    for k, t in enumerate(tuples6):
+        colored = realize.graph_from_monodromy(t).colored
+        code = colored.m.canonical_code()
+        count = counts[census_check.code_digest(code)]
+        if k < 2:
+            entry = hurwitz.CensusEntry(code, count, colored)
+            assert hurwitz.verify_labelings_per_graph(entry) == count
+
+
+def rotations(t):
+    """Every cyclic shift of the tuple, the tuple itself first."""
+    return [realize.TranspositionTuple(t.d, t.taus[k:] + t.taus[:k]) for k in range(t.n)]
+
+
+def test_rotation_and_conjugation_keep_the_colored_code(classes5, tuples6):
+    """Law L2: moving the base point along the curve rotates the tuple, and
+    renaming the sheets conjugates it; neither changes the diagram.  Every
+    rotation of each sampled tuple, as it is and conjugated by a seeded
+    permutation, glues to the same coloured code."""
+    rng = random.Random(17)
+    sample = [c.representative for c in rng.sample(classes5, 40)] + tuples6
+    for t in sample:
+        want = realize.graph_from_monodromy(t).colored.colored_code()
+        for r in rotations(t):
+            for u in (r, random_conjugate(r, rng)):
+                assert realize.graph_from_monodromy(u).colored.colored_code() == want
+
+
 def test_census_matches_golden_fixture(census4):
-    import json
-    import os
-    path = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                        "census-d4.json")
-    with open(path) as fh:
-        golden = json.load(fh)
+    golden = load_fixture(4)
     assert golden["total_covers"] == sum(e.class_count for e in census4)
     assert golden["entries"] == [
         {"underlying": list(e.underlying), "class_count": e.class_count}
         for e in census4]
+    # the fixture script rewrites it byte for byte
+    with open(census_check.fixture_path(4)) as fh:
+        assert mapio.dumps(census_check.census_data(4)) == fh.read()
 
 
 def test_census_all_entries_balanced(census4):
@@ -258,12 +333,12 @@ def test_least_slice_tuples_match_brute_force(d):
         if all(conjugate(t, g).taus >= t.taus for g in stabilizer):
             least.append(t.taus)
     assert len(least) == hurwitz.hurwitz_count(d)
-    assert hurwitz._least_slice_tuples(d) == least
+    assert list(hurwitz._least_slice_tuples(d)) == least
 
 
 def test_enumerate_classes_detects_a_missed_conjugate(monkeypatch):
     full = hurwitz._least_slice_tuples
-    monkeypatch.setattr(hurwitz, "_least_slice_tuples", lambda d: full(d)[1:])
+    monkeypatch.setattr(hurwitz, "_least_slice_tuples", lambda d: list(full(d))[1:])
     with pytest.raises(Mismatch, match="missed a conjugate"):
         hurwitz.enumerate_classes(4)
 
@@ -271,7 +346,7 @@ def test_enumerate_classes_detects_a_missed_conjugate(monkeypatch):
 def test_enumerate_classes_detects_a_fixed_tuple(monkeypatch):
     full = hurwitz._least_slice_tuples
     monkeypatch.setattr(hurwitz, "_least_slice_tuples",
-                        lambda d: full(d) + [((1, 2), (1, 2), (1, 2), (1, 2))])
+                        lambda d: [*full(d), ((1, 2), (1, 2), (1, 2), (1, 2))])
     with pytest.raises(Mismatch, match="not free"):
         hurwitz.enumerate_classes(3)
 
@@ -280,9 +355,10 @@ def test_enumerate_classes_detects_a_tuple_that_is_not_least(monkeypatch):
     full = hurwitz._least_slice_tuples
     # swapping 1 and 2 keeps a tuple in the (1 2) slice; the image of a
     # least tuple with a free orbit is greater
-    swapped = realize._conjugate_flat(full(3)[0], (0, 2, 1, 3))
-    assert swapped > full(3)[0]
-    monkeypatch.setattr(hurwitz, "_least_slice_tuples", lambda d: full(d) + [swapped])
+    first = next(full(3))
+    swapped = realize._conjugate_flat(first, (0, 2, 1, 3))
+    assert swapped > first
+    monkeypatch.setattr(hurwitz, "_least_slice_tuples", lambda d: [*full(d), swapped])
     with pytest.raises(Mismatch, match="not the least"):
         hurwitz.enumerate_classes(3)
 

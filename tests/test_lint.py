@@ -235,3 +235,19 @@ def test_no_public_method_name_is_shared():
                     owners[item.name].append(node.name)
     assert {name: classes for name, classes in owners.items()
             if len(classes) > 1 and name != "to_dict"} == {}
+
+
+def test_every_dataclass_has_slots():
+    """Value types carry no per-instance dict: the Hurwitz classes are held
+    by the thousand, and a slotted type also refuses a misspelt field."""
+    found = []
+    for where, node in _nodes():
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                if _name(call.func if call else dec) != "dataclass":
+                    continue
+                slots = [k.value for k in (call.keywords if call else []) if k.arg == "slots"]
+                if not (slots and isinstance(slots[0], ast.Constant) and slots[0].value is True):
+                    found.append("%s %s" % (where, node.name))
+    assert found == []
