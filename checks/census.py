@@ -1,7 +1,6 @@
 """The frozen census fixtures: the glued side of the theorem at d = 4, 5, 6.
 
     python3 checks/census.py              # check every fixture, exit 1 on a difference
-    python3 checks/census.py 4 5          # check only the degrees given
     python3 checks/census.py --write      # regenerate the fixtures
 
 Run it from anywhere; it imports ``balmaps`` from this checkout's ``src/``.
@@ -72,17 +71,13 @@ def census_data(d: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("degrees", type=int, nargs="*",
-                        help="degrees to run, of %s (default: all)" % (DEGREES,))
     parser.add_argument("--write", action="store_true",
                         help="rewrite the fixtures instead of checking them")
     args = parser.parse_args(argv)
-    if not set(args.degrees) <= set(DEGREES):
-        parser.error("degrees must be among %s" % (DEGREES,))
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from balmaps import mapio
     bad = 0
-    for d in args.degrees or DEGREES:
+    for d in DEGREES:
         start = time.perf_counter()
         data = census_data(d)
         text = mapio.dumps(data)

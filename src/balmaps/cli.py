@@ -104,12 +104,15 @@ def cmd_hurwitz(args) -> int:
 
 def cmd_census(args) -> int:
     entries = hurwitz.census(args.d)
-    _emit({
+    data = {
         "d": args.d,
         "underlying_graphs": len(entries),
         "total_covers": sum(e.class_count for e in entries),
         "entries": [e.to_dict() for e in entries],
-        "notes": (
+    }
+    if args.d <= 4:
+        # the note is on the degree-4 hand catalog; degrees 2 and 3 print it too
+        data["notes"] = (
             "Counts are per underlying diagram up to orientation-preserving "
             "isomorphism.  The classical hand-catalog of the degree-4 case "
             "groups the same covers as 36+60+6+6+12 across 17 plane "
@@ -117,8 +120,8 @@ def cmd_census(args) -> int:
             "appears twice), so the drawing-level counts 17 and 6/12/2/6/6 "
             "do not match the isomorphism-class census, and one stated "
             "per-drawing count ('three', against that group's own total "
-            "of 36) is internally inconsistent."),
-    })
+            "of 36) is internally inconsistent.")
+    _emit(data)
     return 0
 
 

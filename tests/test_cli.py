@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from balmaps import balance, dps, mapio, maps, realize
+from balmaps import balance, dps, hurwitz, mapio, maps, realize
 from balmaps.cli import build_parser, run
 from tests.conftest import dual_code
 
@@ -191,6 +191,16 @@ def test_census_command(capsys):
     assert data["total_covers"] == 4
     assert data["underlying_graphs"] == 2
     assert "notes" in data
+
+
+@pytest.mark.parametrize("d,noted", [(4, True), (5, False), (6, False)])
+def test_census_note_only_up_to_degree_four(capsys, monkeypatch, d, noted):
+    """The note describes the degree-4 hand catalog, so ``census 5`` and
+    ``census 6`` leave it out; the census itself is stubbed here."""
+    monkeypatch.setattr(hurwitz, "census", lambda d: [])
+    code, out = run_capture(capsys, ["census", str(d)])
+    assert code == 0
+    assert ("notes" in json.loads(out)) == noted
 
 
 def test_generate_and_export(capsys):
