@@ -10,7 +10,9 @@ byte for byte, and prints each degree's entries, classes and time.
 
 - census-d4.json: every entry's underlying code and class count.
 - census-d5.json: the same, plus the number and the set digest of the
-  coloured codes that the classes glue to (a second pass over the classes).
+  coloured codes that the classes glue to.  By the theorem these are the
+  balanced colourings of the listed diagrams, so they are read off the
+  entries' decoded codes; Tier-1 derives them from the glued classes.
 - census-d6.json: every entry's code digest and class count; the codes
   themselves would make the file ten times larger.
 
@@ -53,13 +55,14 @@ def fixture_path(d: int) -> str:
 
 def census_data(d: int) -> dict:
     """The fixture of the degree-d census, as JSON data."""
-    from balmaps import hurwitz, mapio, realize
+    from balmaps import balance, hurwitz, mapio, maps
     entries = hurwitz.census(d)
     data = {"fmt": mapio.FMT, "d": d,
             "total_covers": sum(e.class_count for e in entries)}
     if d == 5:
-        colored = {realize.graph_from_monodromy(c.representative).colored.colored_code()
-                   for c in hurwitz.enumerate_classes(d)}
+        colored = {cm.colored_code() for e in entries
+                   for cm in maps.checkerboard(maps.map_of_code(e.underlying))
+                   if balance.check_balance_flow(cm)[0]}
         data.update(colored_codes=len(colored), colored_digest=set_digest(colored))
     if d >= 6:
         data["entries"] = [{"underlying_digest": code_digest(e.underlying),

@@ -24,7 +24,7 @@ from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import InvalidInput, LimitExceeded, Mismatch
-from .maps import ColoredMap, checkerboard
+from .maps import checkerboard, map_of_code
 from .realize import (
     TranspositionTuple,
     _conjugate_flat,
@@ -242,7 +242,6 @@ def enumerate_classes(d: int) -> List[TupleClass]:
 class CensusEntry:
     underlying: Tuple[int, ...]  # canonical code of the uncolored diagram
     class_count: int
-    sample: ColoredMap
 
     def to_dict(self) -> dict:
         return {"underlying": list(self.underlying),
@@ -259,11 +258,10 @@ def census(d: int) -> List[CensusEntry]:
         raise LimitExceeded("census capped at degree 6")
     groups: Dict[Tuple[int, ...], CensusEntry] = {}
     for cls in _classes(d):
-        real = graph_from_monodromy(cls.representative)
-        code = real.colored.m.canonical_code()
+        code = graph_from_monodromy(cls.representative).colored.m.canonical_code()
         entry = groups.get(code)
         if entry is None:
-            entry = groups[code] = CensusEntry(code, 0, real.colored)
+            entry = groups[code] = CensusEntry(code, 0)
         entry.class_count += 1
     out = sorted(groups.values(), key=lambda e: (e.class_count, e.underlying))
     return out
@@ -282,7 +280,7 @@ def verify_labelings_per_graph(entry: CensusEntry) -> int:
     every labeling, which halves |Aut| there.  Raises Mismatch if the
     quotient leaves a remainder or disagrees with the census class count.
     """
-    m = entry.sample.m
+    m = map_of_code(entry.underlying)
     g = 0
     for colored in checkerboard(m):
         for counts in enumerate_matchings(colored):

@@ -348,6 +348,12 @@ def build_map(sigma_cycles: Iterable[Sequence[int]],
     return CombinatorialMap(sigma, alpha)
 
 
+def map_of_code(code: Sequence[int]) -> CombinatorialMap:
+    """The map a canonical code describes: after the dart count, the code
+    lists each canonical dart's sigma and alpha images, the map's tables."""
+    return CombinatorialMap((0, *code[1::2]), (0, *code[2::2]))
+
+
 def isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
     return a.canonical_code() == b.canonical_code()
 

@@ -247,18 +247,49 @@ def closed_face_walks(m):
                         yield ys
 
 
+def flooded_sides(m, ys):
+    """The vertex sets left connected once the edges of ``ys`` are cut,
+    flooded over the uncut edges."""
+    cut = set(ys) | {m.alpha[y] for y in ys}
+    nbrs = {v: set() for v in m.vertex_ids()}
+    for x in range(1, m.n + 1):
+        if x not in cut:
+            nbrs[m.vertex_of[x]].add(m.vertex_of[m.alpha[x]])
+    sides, left = [], set(nbrs)
+    while left:
+        todo = [left.pop()]
+        side = set(todo)
+        while todo:
+            new = nbrs[todo.pop()] - side
+            side |= new
+            todo.extend(new)
+        left -= side
+        sides.append(side)
+    return sides
+
+
+def least_form(m, ys):
+    """The least rotation of a walk or of its reverse, which crosses the
+    same edges in the opposite order, each through its other dart."""
+    back = tuple(m.alpha[y] for y in reversed(ys))
+    return min(t[r:] + t[:r] for t in (ys, back) for r in range(len(ys)))
+
+
 def three_face_walk(cm):
-    """Reference for find_four_cuts: the closed face walks, each
-    canonicalized to drop repeats, that cut the map in two."""
+    """Reference for find_four_cuts, from the definitions and with none of
+    decompose's kernels: the closed face walks, each in its least form to
+    drop repeats, whose edges cut the map into exactly two sides of at
+    least two vertices each."""
     m = cm.m
     seen = set()
     out = []
     for ys in closed_face_walks(m):
-        sig = decompose._four_cut_canonical(m, ys)
+        sig = least_form(m, ys)
         if sig in seen:
             continue
         seen.add(sig)
-        if decompose._cut_sides(m, ys, 2) is not None:
+        sides = flooded_sides(m, ys)
+        if len(sides) == 2 and min(map(len, sides)) >= 2:
             out.append(decompose.CutCurve("four_point", sig))
     out.sort(key=lambda c: c.darts)
     return out

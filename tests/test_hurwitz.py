@@ -10,8 +10,9 @@ from collections import Counter
 
 import pytest
 
-from balmaps import dps, hurwitz, mapio, maps, realize
+from balmaps import balance, dps, hurwitz, mapio, maps, realize
 from balmaps.errors import InvalidInput, InvalidTuple, LimitExceeded, Mismatch
+from tests.conftest import mirror
 from tests.test_dps import random_tree
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -211,7 +212,7 @@ def test_degree_five_census_recount(glued5):
     groups = {}
     for real in glued5:
         code = real.colored.m.canonical_code()
-        groups.setdefault(code, hurwitz.CensusEntry(code, 0, real.colored)).class_count += 1
+        groups.setdefault(code, hurwitz.CensusEntry(code, 0)).class_count += 1
     entries = sorted(groups.values(), key=lambda e: (e.class_count, e.underlying))
     golden = load_fixture(5)
     assert len(entries) == 89
@@ -222,6 +223,53 @@ def test_degree_five_census_recount(glued5):
     assert golden["colored_digest"] == census_check.set_digest(colored)
     for entry in random.Random(5).sample(entries, 12):
         assert hurwitz.verify_labelings_per_graph(entry) == entry.class_count
+
+
+@pytest.mark.parametrize("d, chiral", [(4, 4), (5, 56)])
+def test_census_diagrams_under_the_theorem(d, chiral):
+    """Every frozen census diagram up to degree 5, decoded from its code,
+    passes the theorem's checks.  It decodes back to its own code.  On
+    both colourings the flow's verdict is realizability, and both are
+    balanced; each reglues through its labels and monodromy to its own
+    coloured code.  Its mirror is a census diagram with the same class
+    count, as reversing a tuple mirrors its diagram (law L1)."""
+    counts = {tuple(e["underlying"]): e["class_count"] for e in load_fixture(d)["entries"]}
+    balanced = mirrored_away = 0
+    for code, count in counts.items():
+        m = maps.map_of_code(code)
+        assert m.canonical_code() == code
+        for cm in maps.checkerboard(m):
+            ok = balance.check_balance_flow(cm)[0]
+            assert realize.is_realizable(cm) == ok
+            if ok:
+                balanced += 1
+                t = realize.monodromy(cm, realize.realize_generic(cm)[1])
+                assert realize.graph_from_monodromy(t).colored.colored_code() == cm.colored_code()
+        image = mirror(maps.checkerboard(m)[0]).m.canonical_code()
+        assert counts[image] == count
+        mirrored_away += image != code
+    assert balanced == 2 * len(counts)
+    assert mirrored_away == chiral
+
+
+def test_reversal_is_mirror(classes4, classes5):
+    """Law L1: the tuple read backwards is the monodromy along the reversed
+    curve, and glues to the mirror of the tuple's diagram; on every class
+    at d = 3 and 4 and a seeded sample at d = 5.  Without the mirror the
+    coloured codes agree on only some of the classes, so the law is not
+    vacuous."""
+    sample = {3: hurwitz.enumerate_classes(3), 4: classes4,
+              5: random.Random(23).sample(classes5, 400)}
+    plain = {}
+    for d, classes in sample.items():
+        plain[d] = 0
+        for c in classes:
+            t = c.representative
+            glued = realize.graph_from_monodromy(t).colored
+            back = realize.graph_from_monodromy(realize.TranspositionTuple(d, t.taus[::-1])).colored
+            assert back.colored_code() == mirror(glued).colored_code()
+            plain[d] += back.colored_code() == glued.colored_code()
+    assert plain == {3: 4, 4: 84, 5: 203}
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +297,7 @@ def test_degree_six_census_fixture(tuples6):
         code = colored.m.canonical_code()
         count = counts[census_check.code_digest(code)]
         if k < 2:
-            entry = hurwitz.CensusEntry(code, count, colored)
+            entry = hurwitz.CensusEntry(code, count)
             assert hurwitz.verify_labelings_per_graph(entry) == count
 
 
@@ -283,11 +331,26 @@ def test_census_matches_golden_fixture(census4):
         assert mapio.dumps(census_check.census_data(4)) == fh.read()
 
 
+def test_degree_five_fixture_from_one_census_pass(monkeypatch):
+    """The fixture script rewrites census-d5.json byte for byte from the
+    census pass alone: it glues each class once, and reads the coloured
+    codes off the balanced colourings of the decoded entries, where
+    test_degree_five_census_recount reads them off the glued classes."""
+    glued = []
+    glue = realize.graph_from_monodromy
+    monkeypatch.setattr(hurwitz, "graph_from_monodromy", lambda t: glued.append(t) or glue(t))
+    monkeypatch.setattr(realize, "graph_from_monodromy", None)
+    monkeypatch.setattr(hurwitz, "enumerate_classes", None)
+    text = mapio.dumps(census_check.census_data(5))
+    assert len(glued) == len(set(glued)) == hurwitz.hurwitz_count(5)
+    with open(census_check.fixture_path(5)) as fh:
+        assert text == fh.read()
+
+
 def test_census_all_entries_balanced(census4):
-    from balmaps import balance
     for e in census4:
-        rep = balance.is_balanced(e.sample, oracle="both")
-        assert rep.balanced
+        for cm in maps.checkerboard(maps.map_of_code(e.underlying)):
+            assert balance.is_balanced(cm, oracle="both").balanced
 
 
 def test_census_stable_under_shuffled_regeneration(census4):

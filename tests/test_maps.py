@@ -401,6 +401,21 @@ def test_canonical_code_agrees_with_brute_force_on_8_darts():
         assert same_code == (bij is not None)
 
 
+def test_map_of_code_is_the_canonically_labelled_map(corpus6):
+    """Read as tables, a canonical code is the map under its canonical
+    labels: dart 1 is a canonical root of the decoded map, whose own code
+    is the code.  A code that is no map's is refused like any table."""
+    for m in corpus6.uncolored:
+        code = m.canonical_code()
+        decoded = maps.map_of_code(code)
+        assert decoded.canonical_code() == code
+        assert 1 in decoded.canonical_roots()
+    code = list(maps.octahedron().canonical_code())
+    code[1] = code[3]
+    with pytest.raises(InvalidInput, match="sigma is not a permutation"):
+        maps.map_of_code(code)
+
+
 def test_colored_code_color_swap():
     # an asymmetric coloring must differ from its swap
     o1, _ = maps.checkerboard(maps.octahedron())
