@@ -13,11 +13,12 @@ into quadratic and hyperbolic pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from .balance import check_global
 from .errors import ColorMismatch, InvalidArc, InvalidRectangle
-from .maps import ColoredMap, CombinatorialMap, pinch, rewire
+from .maps import ColoredMap, CombinatorialMap, pinch, reached, rewire
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,49 +44,23 @@ def _four_cut_canonical(m: CombinatorialMap, ys: Tuple[int, ...]) -> Tuple[int, 
 # -- cut sides and stub fusion ---------------------------------------------------
 
 
-def _cut_sides(m: CombinatorialMap, ys, min_side: int) -> Optional[Tuple[set, set]]:
+def _cut_sides(m: CombinatorialMap, ys) -> Optional[Tuple[set, set]]:
     """The sides (X, Y) of the closed curve crossing the darts ``ys``: X
     holds the head and Y the base of every y.  None unless removing the
-    crossed edges leaves exactly these two components, each with at least
-    ``min_side`` vertices.  A two-point cut (a, b) is the curve (a, alpha(b))."""
-    comps = _side_components(m, ys)
-    if len(comps) != 2:
-        return None
+    crossed edges leaves exactly these two components.  Each side holds
+    its seed, so neither is empty.  A two-point cut (a, b) is the curve
+    (a, alpha(b))."""
+    sigma, alpha = m.sigma, m.alpha
+    cut = {*ys, *map(alpha.__getitem__, ys)}
     # a closed face walk whose edges leave two components crosses each one
     # way, from the base's side Y to the head's side X
-    X, Y = comps if m.vertex_of[m.alpha[ys[0]]] in comps[0] else comps[::-1]
-    if len(X) < min_side or len(Y) < min_side:
-        return None  # a four-point curve around a single vertex
-    return X, Y
-
-
-def _side_components(m: CombinatorialMap, ys) -> List[set]:
-    """The vertex sets connected once the edges of ``ys`` are cut, by least vertex."""
-    sigma, alpha, vertex_of = m.sigma, m.alpha, m.vertex_of
-    cut = set(ys)
-    cut.update([alpha[y] for y in ys])
-    seen = set()
-    comps = []
-    for v0 in m.vertex_ids():
-        if v0 in seen:
-            continue
-        comp = {v0}
-        stack = [v0]
-        seen.add(v0)
-        while stack:
-            v = d = stack.pop()
-            while True:
-                if d not in cut:
-                    w = vertex_of[alpha[d]]
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-                d = sigma[d]
-                if d == v:
-                    break
-        comps.append(comp)
-    return comps
+    x = reached(m, sigma, (alpha[ys[0]],), cut)
+    if x[ys[0]]:
+        return None
+    y = reached(m, sigma, (ys[0],), cut)
+    if x.count(True) + y.count(True) != m.n:
+        return None
+    return set(compress(m.vertex_of, x)), set(compress(m.vertex_of, y))
 
 
 def _fuse(cm: ColoredMap, ys, X: set, Y: set, x_arcs, y_arcs) -> Tuple[ColoredMap, ColoredMap]:
@@ -122,7 +97,7 @@ def find_two_cuts(cm: ColoredMap) -> List[CutCurve]:
     of distinct edges with the same two side faces."""
     m = cm.m
     return [CutCurve("two_point", (a, b)) for a, b in _two_cut_candidates(m)
-            if _cut_sides(m, (a, m.alpha[b]), 1) is not None]
+            if _cut_sides(m, (a, m.alpha[b])) is not None]
 
 
 # -- 4-point cuts -----------------------------------------------------------------
@@ -177,7 +152,7 @@ def find_four_cuts(cm: ColoredMap) -> List[CutCurve]:
     single vertex, separating the diagram into two connected sides."""
     m = cm.m
     return [CutCurve("four_point", ys) for ys in _four_cut_candidates(m)
-            if _cut_sides(m, ys, 2) is not None]
+            if _cut_sides(m, ys) is not None]
 
 
 def _classify(cm: ColoredMap, ys):
@@ -185,7 +160,8 @@ def _classify(cm: ColoredMap, ys):
     surgery applies; otherwise the reason none does.
 
     A valid curve crosses four distinct edges and leaves the face of y_i
-    across y_{i+1}, so that face is also the face of alpha(y_{i+1}).
+    across y_{i+1}, so that face is also the face of alpha(y_{i+1}).  It
+    leaves two sides, neither of them a single vertex.
 
     Odd/odd sides always split.  Even/even sides split only in a globally
     balanced diagram, along a curve whose four faces are distinct.  Their
@@ -199,8 +175,8 @@ def _classify(cm: ColoredMap, ys):
             or any(m.face_of[m.alpha[ys[(i + 1) % 4]]] != m.face_of[y]
                    for i, y in enumerate(ys))):
         return "not a valid four-point cut"
-    sides = _cut_sides(m, ys, 2)
-    if sides is None:
+    sides = _cut_sides(m, ys)
+    if sides is None or min(map(len, sides)) < 2:
         return "not a valid four-point cut"
     X, Y = sides
     odd = len(X) % 2 == 1
@@ -348,7 +324,7 @@ def _first_split(cm: ColoredMap) -> Optional[Tuple[CutCurve, Tuple[ColoredMap, C
     m = cm.m
     for a, b in _two_cut_candidates(m):
         ys = (a, m.alpha[b])
-        sides = _cut_sides(m, ys, 1)
+        sides = _cut_sides(m, ys)
         if sides is not None:
             return CutCurve("two_point", (a, b)), _fuse(cm, ys, *sides, [0], [0])
     if m.num_vertices < 4:

@@ -13,6 +13,7 @@ their index in the list of phi-orbits sorted by minimal dart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -138,7 +139,7 @@ class CombinatorialMap:
             for d in orbit:
                 face_of[d] = i
 
-        if not self._connected():
+        if reached(self, sigma, (1,), ()).count(True) != n:
             raise Disconnected("sigma and alpha do not act transitively")
         if self.num_vertices - self.num_edges + self.num_faces != 2:
             raise NonZeroGenus(
@@ -188,20 +189,6 @@ class CombinatorialMap:
 
     def is_four_valent(self) -> bool:
         return all(len(c) == 4 for c in self._vertices)
-
-    def _connected(self) -> bool:
-        sigma, alpha = self.sigma, self.alpha
-        seen = [False] * (self.n + 1)
-        stack = [1]
-        cnt = 0
-        while stack:
-            d = stack.pop()
-            while not seen[d]:  # walk d's vertex, stacking each alpha-image
-                seen[d] = True
-                cnt += 1
-                stack.append(alpha[d])
-                d = sigma[d]
-        return cnt == self.n
 
     # -- isomorphism ----------------------------------------------------------
 
@@ -401,22 +388,30 @@ def directed_cycles(m: CombinatorialMap, forward_darts: Iterable[int]) -> List[T
     return cycles
 
 
+def reached(m: CombinatorialMap, perm: Sequence[int], seeds: Iterable[int],
+            cut: Container[int]) -> List[bool]:
+    """A flag per dart (slot 0 unused) for the darts a search from
+    ``seeds`` reaches, walking the cycles of ``perm`` and crossing alpha at
+    every dart not in ``cut``.  With sigma it finds the vertices joined by
+    uncut edges; with phi, the faces joined across uncut edges."""
+    alpha = m.alpha
+    seen = [False] * (m.n + 1)
+    stack = list(seeds)
+    while stack:
+        d = stack.pop()
+        while not seen[d]:  # walk d's cycle, stacking each uncut alpha-image
+            seen[d] = True
+            if d not in cut:
+                stack.append(alpha[d])
+            d = perm[d]
+    return seen
+
+
 def left_faces(m: CombinatorialMap, darts: Sequence[int]) -> set:
     """Faces reachable from the faces left of ``darts`` without crossing an
     edge that carries one of them: for a directed cycle, its left side."""
-    cut = {m.edge_of(d) for d in darts}
-    region = {m.face_of[d] for d in darts}
-    frontier = list(region)
-    while frontier:
-        f = frontier.pop()
-        for d in m.faces[f]:
-            if m.edge_of(d) in cut:
-                continue
-            g = m.face_of[m.alpha[d]]
-            if g not in region:
-                region.add(g)
-                frontier.append(g)
-    return region
+    cut = {*darts, *map(m.alpha.__getitem__, darts)}
+    return set(compress(m.face_of, reached(m, m.phi, darts, cut)))
 
 
 # -- colored maps -------------------------------------------------------------

@@ -28,7 +28,7 @@ def split_two_cut(cm, cut):
     half-edges fuse into one edge through a regular point."""
     a, b = cut.darts
     ys = (a, cm.m.alpha[b])
-    return decompose._fuse(cm, ys, *decompose._cut_sides(cm.m, ys, 1), [0], [0])
+    return decompose._fuse(cm, ys, *decompose._cut_sides(cm.m, ys), [0], [0])
 
 
 def split_four_cut(cm, cut):
@@ -42,10 +42,19 @@ def split_four_cut(cm, cut):
 
 
 def applicable_four_cuts(cm):
-    """Four-point cuts whose split applies (odd/odd always; even/even only
-    under global balance)."""
-    return [decompose.CutCurve("four_point", ys) for ys in decompose._four_cut_candidates(cm.m)
-            if not isinstance(decompose._classify(cm, ys), str)]
+    """Reference for the four-point cuts whose split applies, from the
+    definitions: the three-face walk's cuts whose flooded sides are both
+    odd, or both even in a map with as many blue as white faces and with
+    four distinct faces on the curve."""
+    m = cm.m
+    balanced = 2 * len(cm.blue_faces) == m.num_faces
+    out = []
+    for cut in three_face_walk(cm):
+        parities = {len(side) % 2 for side in flooded_sides(m, cut.darts)}
+        if parities == {1} or (parities == {0} and balanced
+                               and len({m.face_of[y] for y in cut.darts}) == 4):
+            out.append(cut)
+    return out
 
 
 def test_quadratic_has_no_cuts():
@@ -308,7 +317,7 @@ def test_two_sided_face_walks_cross_one_way():
         m = cm.m
         walks = [(a, m.alpha[b]) for a, b in decompose._two_cut_candidates(m)]
         for ys in walks + list(closed_face_walks(m)):
-            comps = decompose._side_components(m, ys)
+            comps = flooded_sides(m, ys)
             if len(comps) == 2:
                 two_sided += 1
                 heads = {m.vertex_of[m.alpha[y]] for y in ys}
@@ -358,7 +367,7 @@ def assert_split_accounting(cm, cut, p1, p2):
     """A 2-cut and an even/even 4-cut keep the vertex count; an odd/odd
     4-cut adds one vertex per side."""
     total = p1.m.num_vertices + p2.m.num_vertices
-    if cut.kind == "four_point" and len(decompose._cut_sides(cm.m, cut.darts, 2)[0]) % 2:
+    if cut.kind == "four_point" and len(decompose._cut_sides(cm.m, cut.darts)[0]) % 2:
         assert total == cm.m.num_vertices + 2
     else:
         assert total == cm.m.num_vertices
@@ -411,15 +420,22 @@ def test_two_cut_vertex_accounting(corpus6):
 
 
 def test_leaf_soundness(corpus6):
+    """Each split takes the first cut that applies, 2-point cuts first,
+    and the leaves have none left."""
     rng = random.Random(4)
     sample = rng.sample(corpus6.colored, 60)
     for cm in sample:
-        tree = decompose.decompose_full(cm)
-        for leaf in tree.leaves():
-            assert decompose.find_two_cuts(leaf.map) == []
-            assert applicable_four_cuts(leaf.map) == []
-            if leaf.kind == "quadratic":
-                assert maps.isomorphic(leaf.map.m, maps.quadratic())
+        stack = [decompose.decompose_full(cm)]
+        while stack:
+            node = stack.pop()
+            cuts = decompose.find_two_cuts(node.map) + applicable_four_cuts(node.map)
+            if node.pieces is None:
+                assert cuts == []
+                if node.kind == "quadratic":
+                    assert maps.isomorphic(node.map.m, maps.quadratic())
+            else:
+                assert cuts[:1] == [node.cut]
+                stack += node.pieces
 
 
 def _quadratic_chain(n):
@@ -525,6 +541,21 @@ def test_malformed_four_cut_is_not_applicable():
     cm = build_corpus(4).colored[42]
     with pytest.raises(NotApplicable, match="not a valid four-point cut"):
         split_four_cut(cm, decompose.CutCurve("four_point", (4, 6, 8, 7)))
+
+
+def test_curve_around_one_vertex_is_no_cut(corpus6):
+    """The curve around a vertex without loops crosses its four edges from
+    face to face, but one side is that vertex alone: no surgery applies."""
+    checked = 0
+    for cm in corpus6.colored:
+        m = cm.m
+        for v in m.vertex_ids():
+            ys = tuple(m.alpha[d] for d in m.vertex_cycle(v))
+            if len({m.edge_of(y) for y in ys}) == 4:
+                with pytest.raises(NotApplicable, match="not a valid four-point cut"):
+                    split_four_cut(cm, decompose.CutCurve("four_point", ys))
+                checked += 1
+    assert checked == 6538
 
 
 def test_random_four_cuts_raise_only_map_errors():

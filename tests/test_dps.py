@@ -21,19 +21,11 @@ from tests.conftest import (
 
 
 def random_tree(rng, d):
-    """A uniform edge-labeled tree: a random Pruefer sequence, then shuffled
-    blue labels on the edges and red labels on the edge ends."""
-    seq = [rng.randrange(d) for _ in range(d - 2)]
-    degree = [1] * d
-    for x in seq:
-        degree[x] += 1
-    pairs = []
-    for x in seq:
-        leaf = degree.index(1)
-        pairs.append((leaf, x))
-        degree[leaf] -= 1
-        degree[x] -= 1
-    pairs.append(tuple(v for v in range(d) if degree[v] == 1))
+    """A uniform edge-labeled tree: a random Pruefer sequence on whites
+    0..d-1, then shuffled blue labels on the edges and red labels on the
+    edge ends."""
+    seq = [rng.randrange(d) + 1 for _ in range(d - 2)]
+    pairs = [(a - 1, b - 1) for a, b in dps._pruefer_decode(seq, d)]
     blues = list(range(1, d))
     reds = list(range(1, 2 * d - 1))
     rng.shuffle(blues)

@@ -272,6 +272,28 @@ def test_reversal_is_mirror(classes4, classes5):
     assert plain == {3: 4, 4: 84, 5: 203}
 
 
+def test_reversed_realization_of_the_mirror():
+    """Law L1 through realization: the tuple that realizes the mirror of
+    a balanced census colouring, read backwards, glues to the colouring's
+    own coloured code, on all 22 + 178 balanced colourings at d = 4 and 5.
+    Reversing the colouring's own tuple gives its code on only 80 of the
+    200, so the law is not vacuous."""
+    law = plain = 0
+    for d in (4, 5):
+        for entry in load_fixture(d)["entries"]:
+            for cm in maps.checkerboard(maps.map_of_code(entry["underlying"])):
+                code = cm.colored_code()
+                backs = []
+                for c in (mirror(cm), cm):
+                    taus = realize.monodromy(c, realize.realize_generic(c)[1]).taus
+                    back = realize.TranspositionTuple(d, taus[::-1])
+                    backs.append(realize.graph_from_monodromy(back).colored.colored_code())
+                assert backs[0] == code
+                law += 1
+                plain += backs[1] == code
+    assert (law, plain) == (200, 80)
+
+
 @pytest.fixture(scope="module")
 def tuples6():
     """A seeded sample of degree-6 tuples, each read off a uniform random

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import operator
 import random
 
 import pytest
@@ -16,7 +17,8 @@ from balmaps.errors import (
     NonZeroGenus,
     NotFourValent,
 )
-from tests.conftest import dual_code, dual_decoration, dual_of, face_bit_decoration
+from tests.conftest import dual_code, dual_decoration, dual_of, face_bit_decoration, mirror
+from tests.test_hurwitz import load_fixture
 
 
 def relabeled(m, perm):
@@ -726,6 +728,53 @@ def test_codes_of_large_covers_are_relabel_invariant():
         assert cm2.m.canonical_code() == cm.m.canonical_code()
         assert cm2.colored_code() == cm.colored_code()
         assert cm2.swapped().colored_code() == cm.swapped().colored_code()
+
+
+def dart_digraph(nx, m):
+    """The darts of m with an arc d -> sigma(d) and an arc d -> alpha(d),
+    each labelled by its kind: a bijection of the darts that keeps the
+    labelled arcs commutes with sigma and alpha, so two of these digraphs
+    are isomorphic iff their maps are."""
+    g = nx.DiGraph()
+    for d in range(1, m.n + 1):
+        for kind, perm in (("sigma", m.sigma), ("alpha", m.alpha)):
+            g.add_edge(d, perm[d])
+            g[d][perm[d]][kind] = True  # the two arcs may share their head
+    return g
+
+
+def test_canonical_code_against_digraph_isomorphism(corpus6):
+    """networkx's digraph isomorphism, which shares no code with the least
+    trace, agrees with code equality on a seeded sample of equal-V corpus6
+    pairs (the second map relabeled), on each pinched turkshead against a
+    relabeled copy and against a pinch at another place, and on every
+    degree-5 census diagram against its mirror."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(18)
+    verdicts = collections.Counter()
+    pairs = []
+    by_v = collections.defaultdict(list)
+    for m in corpus6.uncolored:
+        by_v[m.num_vertices].append(m)
+    groups = sorted(by_v.values(), key=len)
+    for _ in range(400):
+        group = rng.choice(groups)
+        pairs.append((relabeled_copy(rng.choice(group), rng)[0], rng.choice(group)))
+    for n in range(3, 31):
+        cm = maps.checkerboard(maps.turkshead(n))[0]
+        orbit = cm.m.faces[max(cm.blue_faces, key=lambda f: len(cm.m.faces[f]))]
+        across = maps.pinch(cm, orbit[0], orbit[len(orbit) // 2]).m
+        beside = maps.pinch(cm, orbit[0], orbit[1]).m
+        pairs += [(relabeled_copy(across, rng)[0], across), (beside, across)]
+    for entry in load_fixture(5)["entries"]:
+        m = maps.map_of_code(entry["underlying"])
+        pairs.append((m, mirror(maps.checkerboard(m)[0]).m))
+    for a, b in pairs:
+        same = a.canonical_code() == b.canonical_code()
+        assert nx.is_isomorphic(dart_digraph(nx, a), dart_digraph(nx, b),
+                                edge_match=operator.eq) == same, (a, b)
+        verdicts[same] += 1
+    assert verdicts == {True: 43 + 29 + 33, False: 357 + 27 + 56}
 
 
 def test_symmetric_maps_trace_few_roots(monkeypatch):
