@@ -80,6 +80,9 @@ def _white_names(d: int, edges) -> List[Tuple[int, ...]]:
 
 
 def _pruefer_decode(seq: Tuple[int, ...], d: int) -> List[Tuple[int, int]]:
+    """The Cayley tree on 1..d with Pruefer sequence seq, as edges (c, p)
+    with p the parent of c in the tree rooted at d: each step pops the least
+    of at least two leaves, so d is never popped and ends the last edge."""
     degree = [1] * (d + 1)
     for x in seq:
         degree[x] += 1
@@ -104,27 +107,12 @@ def _edge_labeled_shapes(d: int) -> List[Tuple[Tuple[int, int, int], ...]]:
     representative each, as tuples of (white_a, white_b, blue).
 
     A Cayley tree rooted at vertex d induces the edge labeling "label the
-    edge by its endpoint away from the root"; forgetting vertex names and
-    deduplicating leaves one representative per shape.
+    edge by its endpoint away from the root", c for each decoded (c, p);
+    forgetting vertex names and deduplicating leaves one per shape.
     """
     shapes = set()
     for pruefer in itertools.product(range(1, d + 1), repeat=d - 2):
-        edges = _pruefer_decode(pruefer, d)
-        adj = {v: [] for v in range(1, d + 1)}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        parent = {d: 0}
-        order = [d]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-        labeled = [(c - 1, parent[c] - 1, c) for c in range(1, d)]
+        labeled = [(c - 1, p - 1, c) for c, p in _pruefer_decode(pruefer, d)]
         # number the whites in the order of their names
         name = _white_names(d, labeled)
         rank = {w: i for i, w in enumerate(sorted(range(d), key=name.__getitem__))}
@@ -331,8 +319,8 @@ def _contour_runs(t: EdgeLabeledTree) -> List[Tuple[int, int, int]]:
 
 def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
     """Sew midpoint hairs to white hairs of the same slot around the cyclic
-    contour; return each midpoint's maximal slot intervals of constant white,
-    segments included, sorted as (midpoint, first slot, count, white).
+    contour; return each midpoint's slot intervals, segments included,
+    unmerged and sorted as (midpoint, first slot, count, white).
 
     Chords drawn in the tree's complementary disk must be mutually
     non-crossing, which forces a last-in-first-out discipline: a hair
@@ -343,7 +331,7 @@ def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
     with no distinguished start, so it is run lap after lap with the stack
     kept between laps: a chord straddling the start of a lap closes in the
     next.  The first lap whose matches, in the order made, equal the lap
-    before's is returned; only it is cut into intervals, sorted and merged.
+    before's is returned; only it is cut into intervals and sorted.
 
     Why the stable lap is the planar sewing is not proved here.  It gave
     exactly the map of an earlier decoder, which cut the walk at each
@@ -400,15 +388,7 @@ def _sew(t: EdgeLabeledTree, runs) -> List[Tuple[int, int, int, int]]:
         pieces.append((mid, lo, min(m, n - lo), w))
         if lo + m > n:
             pieces.append((mid, 0, lo + m - n, w))
-    pieces.sort()
-    matched = pieces[:1]
-    for p in pieces[1:]:
-        q = matched[-1]
-        if q[0] == p[0] and q[1] + q[2] == p[1] and q[3] == p[3]:
-            matched[-1] = q[:2] + (q[2] + p[2], p[3])
-        else:
-            matched.append(p)
-    return matched
+    return sorted(pieces)
 
 
 def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
@@ -420,10 +400,10 @@ def tree_to_tuple(t: EdgeLabeledTree) -> TranspositionTuple:
     pairs every sheet with a white: a midpoint pairs its blue label with
     the white of its segment or sewn hair there, and the root (sheet d)
     takes the one white left unsewn.  tau_j swaps the sheets whose white
-    changes from slot j - 2 to j - 1 (mod n), the root exactly when the
-    other whites change their sum.  Decoding takes laps x O(d) time, with
-    d laps on a path tree, so degrees above DECODE_DEGREE_CAP are refused
-    before the contour is built.
+    changes from slot j - 2 to j - 1 (mod n), between two consecutive sewn
+    intervals, the root exactly when the other whites change their sum.
+    Decoding takes laps x O(d) time, with d laps on a path tree, so
+    degrees above DECODE_DEGREE_CAP are refused before the contour is built.
     """
     if t.d > DECODE_DEGREE_CAP:
         raise LimitExceeded("decoding capped at degree %d" % DECODE_DEGREE_CAP)

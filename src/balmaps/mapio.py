@@ -23,7 +23,6 @@ from .maps import (
     CombinatorialMap,
     FaceLabeledGraph,
     build_map,
-    perm_cycles,
 )
 
 FMT = 1
@@ -35,7 +34,7 @@ def map_to_dict(obj: Union[CombinatorialMap, ColoredMap]) -> dict:
     out = {
         "fmt": FMT,
         "darts": m.n,
-        "sigma": [list(c) for c in perm_cycles(m.sigma)],
+        "sigma": [list(c) for c in m.vertices()],
         "alpha": [[d, m.alpha[d]] for d in m.edges()],
     }
     if colored:

@@ -169,7 +169,7 @@ def felsner_by_reversals(o, rng=None):
 def sew_reference(t, runs):
     """Oracle for dps._sew, its merged-lap version: every lap is cut into
     intervals, sorted and merged, and the first lap whose merged intervals
-    equal the lap before's is returned."""
+    equal the lap before's is returned, as its sorted intervals unmerged."""
     d = t.d
     n = 2 * d - 2
     segments = [(d + i, (r - 2) % n, 1, w) for i, (wa, wb, _, ra, rb)
@@ -212,6 +212,6 @@ def sew_reference(t, runs):
             else:
                 matched.append(p)
         if matched == previous:
-            return matched
+            return pieces
         previous = matched
     raise Mismatch("contour sewing still changes after %d laps" % (hairs + 2))

@@ -77,6 +77,35 @@ def test_canonical_key_ignores_white_names():
         assert canonical_key(renamed) == canonical_key(t)
 
 
+def test_pruefer_decode_gives_parents_toward_d():
+    """Every decoded edge (c, p) has p as c's parent in a breadth-first
+    search from d, for every Pruefer sequence with d <= 7."""
+    for d in range(2, 8):
+        for seq in itertools.product(range(1, d + 1), repeat=d - 2):
+            edges = dps._pruefer_decode(seq, d)
+            adj = {v: [] for v in range(1, d + 1)}
+            for a, b in edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            parent = {d: None}
+            queue = [d]
+            for v in queue:
+                for w in adj[v]:
+                    if w not in parent:
+                        parent[w] = v
+                        queue.append(w)
+            assert len(parent) == d
+            assert sorted(edges) == sorted((c, parent[c]) for c in range(1, d))
+
+
+def test_edge_labeled_shapes_pinned():
+    """The shape lists for d = 2..7, one sha256 over their repr, fixed by
+    the version that rebuilt each tree's parents by a breadth-first search."""
+    shapes = [dps._edge_labeled_shapes(d) for d in range(2, 8)]
+    assert hashlib.sha256(repr(shapes).encode()).hexdigest() == (
+        "bc29192cc35d240ff03bcc148b8c59246c52b9cc73b43e945558b6f99418314f")
+
+
 def test_tree_stream_cap_acts_before_any_work(monkeypatch, capsys):
     """The counting chain enumerates the classes before it lists a shape,
     so the class enumeration's cap refuses degree 6, in the library and in
@@ -170,9 +199,10 @@ def test_decode_duals_pinned():
 
 
 def test_sew_matches_merged_lap_reference():
-    """The sewing compares raw laps and merges only the last one; the
-    reference merges every lap.  Same intervals on the pinned trees, the
-    path and the star at d = 3..80 and 2000 seeded random trees."""
+    """The sewing compares raw laps and the reference merged ones; both
+    return the stable lap's sorted intervals unmerged.  Same intervals on
+    the pinned trees, the path and the star at d = 3..80 and 2000 seeded
+    random trees."""
     rng = random.Random(2000)
     trees = itertools.chain(
         parity_trees(), (f(d) for d in range(3, 81) for f in (path_tree, star_tree)),
